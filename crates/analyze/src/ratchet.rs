@@ -25,7 +25,7 @@ pub const PANIC_CEILINGS: &[(&str, usize)] = &[
     // Two `expect`s with documented invariants (h2o eviction, argmax on
     // a non-empty vocabulary).
     ("moe", 18),
-    ("serve", 70),
+    ("serve", 27),
     ("sim", 40),
     // One infallible `chunks_exact(8) -> try_into` conversion.
     ("tensor", 7),

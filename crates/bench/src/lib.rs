@@ -13,10 +13,12 @@
 //! | `fig13`  | Fig. 13 — prefetch accuracy per layer |
 //! | `fig14`  | Fig. 14 — throughput vs n × batch size |
 //! | `fig15`  | Fig. 15 — pipeline timelines / bubble reduction |
+//! | `sweep`  | design-choice ablations beyond Table 3 (prefetch depth, warm-up size, path length, sparse-KV budget, disk bandwidth) |
 //! | `serve_sweep` | online serving: arrival rate × admission policy → SLO metrics |
 //! | `serve_scale` | multi-replica serving: replicas × rate × dispatch policy → SLO metrics (`BENCH_serve_scale.json`) |
 //! | `serve_cluster` | cluster serving: autoscaler × traffic pattern → SLO attainment vs replica-hours (`BENCH_serve_cluster.json`) |
 //! | `serve_continuous` | continuous batching vs run-to-completion: slot refill, chunked prefill, priority classes (`BENCH_serve_continuous.json`) |
+//! | `serve_faults` | fault-tolerant cluster serving: fault tier × recovery posture → goodput, loss, SLO attainment (`BENCH_serve_faults.json`) |
 //! | `native_throughput` | native path tokens/sec: batched expert GEMMs vs the per-token fallback (`BENCH_native.json`) |
 //!
 //! Run e.g. `cargo run --release -p klotski-bench --bin fig10`.
@@ -25,6 +27,9 @@
 //! Setting `KLOTSKI_CHEAP=1` shrinks every bin's sweep (smaller workloads,
 //! fewer cells) so CI can *execute* all of them — figure reproduction is
 //! smoke-run, not just compiled. Output stays deterministic either way.
+//! The four simulated `serve_*` bins with a committed JSON file are exact
+//! in full mode, so CI also compares their `{"bench"…` lines with those
+//! files byte for byte.
 
 #![warn(missing_docs)]
 

@@ -5,11 +5,10 @@
 //! complete. This module makes failure a first-class, *seeded* axis of
 //! every cluster experiment: a [`FaultPlan`] is an explicit list of
 //! [`Fault`]s (hand-written or generated from a [`FaultScenario`] with a
-//! seed), and the [`FaultInjector`] replays it as simulation events merged
-//! into [`serve_cluster`](super::serve_cluster)'s deterministic event
-//! order. Reruns of the same plan are byte-identical, and
-//! [`FaultPlan::none()`] leaves the loop byte-identical to the fault-free
-//! cluster (golden-pinned).
+//! seed), and the `FaultInjector` replays it as simulation events merged
+//! into the fleet loop's deterministic event order. Reruns of the same
+//! plan are byte-identical, and [`FaultPlan::none()`] leaves the loop
+//! byte-identical to the fault-free cluster (golden-pinned).
 //!
 //! Fault targets are *hints*, not slot indices: a crash resolves its
 //! victim against the live fleet at the fault instant (`hint % alive`),
@@ -420,8 +419,8 @@ impl FaultInjector {
     }
 
     /// Pops the earliest timed fault event.
-    pub(crate) fn pop(&mut self) -> (SimTime, InjectorEvent) {
-        self.timeline.pop().expect("pop on an empty fault timeline")
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, InjectorEvent)> {
+        self.timeline.pop()
     }
 
     /// Schedules the end of a degradation resolved to `slot`.
@@ -508,10 +507,10 @@ mod tests {
             ],
         };
         let mut inj = FaultInjector::new(&plan);
-        let (t1, e1) = inj.pop();
+        let (t1, e1) = inj.pop().expect("crash event");
         assert_eq!(t1, SimTime::from_nanos(100));
         assert!(matches!(e1, InjectorEvent::Crash { victim: 0, .. }));
-        let (t2, e2) = inj.pop();
+        let (t2, e2) = inj.pop().expect("degrade event");
         assert_eq!(t2, SimTime::from_nanos(500));
         assert!(matches!(e2, InjectorEvent::DegradeStart { .. }));
         assert!(inj.peek().is_none());

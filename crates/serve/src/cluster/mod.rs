@@ -4,8 +4,8 @@
 //! answers "how does a fleet of `R` replicas behave?"; this module answers
 //! the operator's question one level up: *how many replicas should exist,
 //! when, and what does elasticity cost?* A [`serve_cluster`] run drives the
-//! same per-replica serving state the whole crate shares ([`Replica`]),
-//! but the fleet itself changes over time:
+//! same per-replica serving state the whole crate shares, but the fleet
+//! itself changes over time:
 //!
 //! * an [`AutoscalePolicy`] is evaluated every `tick` against a
 //!   [`FleetObservation`] (fleet composition, token backlog, windowed SLO
@@ -19,13 +19,27 @@
 //!   flushes its queue, then retires.
 //!
 //! Arrivals route through the same [`DispatchPolicy`] axis as the static
-//! dispatcher, restricted to warm replicas. Every event — arrival,
-//! formation, warm-up completion, injected fault, autoscaler tick —
-//! executes in global simulated-time order with fixed tie rules, so runs
-//! are byte-deterministic; with a [`StaticFleet`] policy and a
-//! [`Prewarmed`](ColdStartModel::Prewarmed) cold start the loop reproduces
-//! [`serve_scaled`](crate::dispatcher::serve_scaled) byte for byte (the
-//! crate's proptests pin this).
+//! dispatcher, restricted to warm replicas. With a [`StaticFleet`] policy
+//! and a [`Prewarmed`](ColdStartModel::Prewarmed) cold start a cluster run
+//! reproduces [`serve_scaled`](crate::dispatcher::serve_scaled) byte for
+//! byte (the crate's proptests pin this).
+//!
+//! # The serving event loop
+//!
+//! This module hosts the crate's one serving event loop (the private
+//! `fleet` module), and every entry point runs it:
+//! [`serve`](crate::server::serve) and
+//! [`serve_scaled`](crate::dispatcher::serve_scaled) as a fixed fleet with
+//! no autoscaler (so it never ticks) and no faults, the cluster entry
+//! points as an autoscaled fleet under a fault plan, and
+//! [`serve_continuous`](crate::continuous::serve_continuous) without
+//! refill as `serve`. One state struct returns the earliest pending
+//! `(time, event)`, and each event kind has one handler. Events at one
+//! simulated instant run in the declaration order of the event kinds —
+//! warm-up completion, injected fault, autoscaler tick, fresh arrival,
+//! crash-driven retry, group formation (in slot order) — which is the
+//! whole tie rule, so runs are byte-deterministic. The continuous slot
+//! machine picks its next event under the same order.
 //!
 //! The cost of elasticity shows up in
 //! [`ServeReport::replica_hours`](crate::server::ServeReport::replica_hours):
@@ -53,6 +67,7 @@
 pub mod autoscale;
 pub mod coldstart;
 pub mod faults;
+pub(crate) mod fleet;
 
 pub use autoscale::{
     AutoscalePolicy, FleetObservation, QueueDepthReactive, SloReactive, StaticFleet,
@@ -60,25 +75,16 @@ pub use autoscale::{
 pub use coldstart::ColdStartModel;
 pub use faults::{DegradationPolicy, Fault, FaultPlan, FaultScenario, FaultStats, ToleranceConfig};
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use klotski_core::scenario::{Engine, EngineError};
 use klotski_model::hardware::HardwareSpec;
 use klotski_model::spec::ModelSpec;
-use klotski_sim::event::EventQueue;
 use klotski_sim::time::{SimDuration, SimTime};
 
-use crate::admission::estimate_group_service;
-use crate::continuous::RequestClass;
-use crate::dispatcher::{route_pick, DispatchPolicy, RouterState};
+use crate::dispatcher::DispatchPolicy;
 use crate::metrics::SloSpec;
-use crate::server::{
-    formation_precedes, ArrivalSource, EngineCtx, Replica, RequestOutcome, RetryOutcome,
-    ServeConfig, ServeReport, Traffic,
-};
-use crate::traffic::Request;
+use crate::server::{EngineCtx, ServeConfig, ServeReport, Traffic};
 
-use faults::{ColdFault, FaultInjector, InjectorEvent};
+use fleet::Fleet;
 
 /// Cluster serving configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,177 +135,6 @@ pub struct ClusterReport {
     pub warmup: SimDuration,
     /// What the injected faults did (all-zero for a fault-free run).
     pub faults: FaultStats,
-}
-
-/// A fleet slot's lifecycle. Slots are append-only and replica ids are
-/// never reused, so scenario seed streams stay stable across scale events.
-enum SlotState {
-    /// Paying the cold start; not routable. Cancelled (never-warmed)
-    /// replicas retire straight from this state; a `doomed` warm-up is an
-    /// injected cold-start failure — the slot retires at `ready_at`
-    /// without ever serving.
-    Warming { ready_at: SimTime, doomed: bool },
-    /// Routable.
-    Warm,
-    /// No longer routable; flushes its queue as if at end-of-stream, then
-    /// retires.
-    Draining { since: SimTime },
-    /// Done; excluded from every fleet computation.
-    Retired,
-}
-
-struct Slot {
-    rep: Replica,
-    state: SlotState,
-    /// Straggler-detector EWMA of observed/estimated group service time,
-    /// in per-mille (1000 = exactly as estimated). Meaningless until
-    /// `h_groups` reaches the detector's minimum sample count.
-    ewma_pm: u64,
-    /// Groups this slot has dispatched (the detector's sample count).
-    h_groups: u32,
-}
-
-impl Slot {
-    fn new(rep: Replica, state: SlotState) -> Self {
-        Slot {
-            rep,
-            state,
-            ewma_pm: 0,
-            h_groups: 0,
-        }
-    }
-}
-
-/// Per-request bookkeeping for requests a fault (or stall/hedge) touched:
-/// latency clocks must run from the original arrival even though the
-/// request re-enters the queues at a later instant.
-struct RetryMeta {
-    orig_arrival: SimTime,
-    attempts: u32,
-}
-
-/// Retires a draining slot once its queue is flushed; the retirement
-/// instant is drain-mark or engine-free, whichever is later, independent
-/// of when the sweep runs.
-fn sweep_slot(s: &mut Slot) {
-    if let SlotState::Draining { since } = s.state {
-        if s.rep.queue_len() == 0 {
-            s.rep.retire(since.max(s.rep.t_free()));
-            s.state = SlotState::Retired;
-        }
-    }
-}
-
-/// Snapshots the fleet for the autoscaler.
-fn observe(
-    now: SimTime,
-    fleet: &[Slot],
-    window: (u32, u32),
-    crashed: u32,
-    window_shed: u32,
-) -> FleetObservation {
-    let (mut warm, mut warming, mut draining) = (0, 0, 0);
-    let mut queued_requests = 0u32;
-    let mut backlog_tokens = 0u64;
-    for s in fleet {
-        match s.state {
-            SlotState::Warm => {
-                warm += 1;
-                queued_requests += s.rep.queue_len() as u32;
-                backlog_tokens += s.rep.backlog_tokens(now);
-            }
-            SlotState::Warming { .. } => warming += 1,
-            SlotState::Draining { .. } => draining += 1,
-            SlotState::Retired => {}
-        }
-    }
-    FleetObservation {
-        now,
-        warm,
-        warming,
-        draining,
-        queued_requests,
-        backlog_tokens,
-        window_finished: window.0,
-        window_slo_met: window.1,
-        crashed,
-        window_shed,
-    }
-}
-
-/// Appends a fresh slot at `now` (autoscaler growth or crash
-/// replacement), attaching any pending injected cold-start fault: a stall
-/// extends the warm-up, a failure dooms the slot to retire at its
-/// intended ready instant without ever serving.
-fn spawn_slot(
-    fleet: &mut Vec<Slot>,
-    warmups: &mut EventQueue<usize>,
-    injector: &mut FaultInjector,
-    stats: &mut FaultStats,
-    now: SimTime,
-    warmup: SimDuration,
-    seed: u64,
-) {
-    let i = fleet.len();
-    let mut rep = Replica::new_at(i as u32, seed, now);
-    let (extra, doomed) = match injector.on_spawn(now) {
-        None => (SimDuration::ZERO, false),
-        Some(ColdFault::Stall(extra)) => {
-            stats.coldstart_stalls += 1;
-            (extra, false)
-        }
-        Some(ColdFault::Fail) => {
-            stats.coldstart_failures += 1;
-            (SimDuration::ZERO, true)
-        }
-    };
-    let total = warmup + extra;
-    let state = if total.is_zero() {
-        if doomed {
-            rep.retire(now);
-            SlotState::Retired
-        } else {
-            SlotState::Warm
-        }
-    } else {
-        let ready_at = now + total;
-        warmups.push(ready_at, i);
-        SlotState::Warming { ready_at, doomed }
-    };
-    fleet.push(Slot::new(rep, state));
-}
-
-/// Warm slots currently suspected of straggling: their observed-vs-
-/// estimated service-time EWMA is at least `suspect_pct`% of the
-/// healthiest *qualified* warm replica's (one with enough completed
-/// groups). Comparing against the fleet minimum rather than an absolute
-/// threshold cancels any systematic engine-vs-cost-model bias — only
-/// *relative* slowness marks a straggler. The healthiest qualified slot
-/// is never suspect (the threshold is strictly above 100%), so filtering
-/// suspects always leaves a routable candidate.
-fn suspect_warm(fleet: &[Slot], tol: &ToleranceConfig) -> Vec<usize> {
-    let mut fleet_min: Option<u64> = None;
-    for s in fleet {
-        if matches!(s.state, SlotState::Warm) && s.h_groups >= tol.min_groups {
-            fleet_min = Some(fleet_min.map_or(s.ewma_pm, |m| m.min(s.ewma_pm)));
-        }
-    }
-    let Some(best) = fleet_min else {
-        return Vec::new();
-    };
-    if best == 0 {
-        return Vec::new();
-    }
-    fleet
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| {
-            matches!(s.state, SlotState::Warm)
-                && s.h_groups >= tol.min_groups
-                && u128::from(s.ewma_pm) * 100 >= u128::from(best) * u128::from(tol.suspect_pct)
-        })
-        .map(|(i, _)| i)
-        .collect()
 }
 
 /// Serves `traffic` over a dynamic fleet sized by `policy`.
@@ -355,7 +190,8 @@ pub fn serve_cluster(
 /// byte-identical. A crash loses the victim's queue and the unfinished
 /// part of its in-flight group; lost requests are re-enqueued after a
 /// capped exponential backoff until their retry budget runs out, at which
-/// point they are recorded as [`RetryOutcome::Dropped`] — and with
+/// point they are recorded as
+/// [`RetryOutcome::Dropped`](crate::server::RetryOutcome::Dropped) — and with
 /// `tol.max_retries == 0` (the [`naive`](ToleranceConfig::naive)
 /// baseline) every lost request is dropped on the spot. Shed and dropped
 /// requests carry sentinel outcomes (`group == u32::MAX`; a shed request
@@ -383,613 +219,17 @@ pub fn serve_cluster_faulty(
     faults: &FaultPlan,
     tol: &ToleranceConfig,
 ) -> Result<ClusterReport, EngineError> {
-    assert!(cfg.serve.batch_size > 0, "batch_size must be positive");
-    assert!(
-        cfg.serve.policy.max_batches() > 0,
-        "group size must be positive"
-    );
-    assert!(!cfg.tick.is_zero(), "autoscaler tick must be positive");
-    let floor = policy.floor().max(1);
-    let cap = policy.cap();
-    assert!(cap >= floor, "autoscaler cap ({cap}) below floor ({floor})");
-    if let Traffic::Closed {
-        clients, cfg: tc, ..
-    } = traffic
-    {
-        assert!(
-            *clients > 0 || tc.num_requests == 0,
-            "closed-loop traffic needs at least one client"
-        );
-        assert!(
-            faults.is_none(),
-            "fault injection requires open-loop traffic: revoking a crashed \
-             completion cannot un-issue the follow-up request it triggered"
-        );
-    }
-    if tol.health_aware {
-        assert!(
-            tol.suspect_pct > 100,
-            "suspect threshold must exceed 100% of the fleet's best"
-        );
-    }
-
     let ctx = EngineCtx::new(engine, spec, hw, &cfg.serve);
-    let warmup = cfg.coldstart.warmup(ctx.cost(), ctx.spec());
-    let mut source = ArrivalSource::new(traffic);
-    let mut injector = FaultInjector::new(faults);
-    let mut stats = FaultStats::default();
-    let initial = policy.initial().clamp(floor, cap);
-    let mut fleet: Vec<Slot> = (0..initial)
-        .map(|id| Slot::new(Replica::new(id, cfg.serve.seed), SlotState::Warm))
-        .collect();
-    let mut rr = RouterState::new();
-    let mut warmups: EventQueue<usize> = EventQueue::new();
-    // Per-request SLO verdicts keyed by finish time and tagged with the
-    // request's serving attempt, drained into the policy's attainment
-    // window at each tick; verdicts a crash revoked are skipped at drain.
-    let mut finishes: EventQueue<(u64, u32, bool)> = EventQueue::new();
-    let mut revoked: BTreeSet<(u64, u32)> = BTreeSet::new();
-    // Crash-lost requests waiting out their backoff, keyed by the retry
-    // instant. The queued Request carries that instant as its arrival, so
-    // a redispatched request can never form a group before the crash that
-    // necessitated it — retries are real arrivals, never backdated.
-    let mut retries: EventQueue<Request> = EventQueue::new();
-    // id → (original arrival, redispatch count) for every request a fault
-    // touched; outcomes are rewritten from this before the report is cut.
-    let mut meta: BTreeMap<u64, RetryMeta> = BTreeMap::new();
-    let mut window = (0u32, 0u32);
-    let mut window_shed = 0u32;
-    let mut next_tick = SimTime::ZERO + cfg.tick;
-    let mut outcomes = Vec::new();
-    let mut groups = Vec::new();
-    let mut last_arrival = SimTime::ZERO;
-    let mut scale_events: Vec<ScaleEvent> = Vec::new();
-    let mut peak = initial;
-
-    loop {
-        let next_source = source.peek();
-        let next_retry = retries.peek_time();
-        let eos = next_source.is_none() && next_retry.is_none();
-        // A retry yields to a fresh arrival at the same instant, so the
-        // fault-free arrival interleave is untouched.
-        let pop_retry = match (next_source, next_retry) {
-            (Some(s), Some(r)) => r < s,
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        let next_arrival = match (next_source, next_retry) {
-            (Some(s), Some(r)) => Some(s.min(r)),
-            (s, r) => s.or(r),
-        };
-        // Warm replicas form groups under the admission policy; draining
-        // replicas flush as if at end-of-stream (no more work is coming
-        // *to them*), never backdated before the drain mark.
-        let next_form = fleet
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                match s.state {
-                    SlotState::Warm => s.rep.next_form_time(&cfg.serve, eos, last_arrival),
-                    SlotState::Draining { since } => {
-                        s.rep
-                            .next_form_time(&cfg.serve, true, last_arrival.max(since))
-                    }
-                    _ => None,
-                }
-                .map(|t| (t, i))
-            })
-            .min();
-        let serving = formation_precedes(next_arrival, next_form.map(|(t, _)| t));
-        let real_t = serving.map(|form_first| {
-            if form_first {
-                next_form.expect("formation event").0
-            } else {
-                next_arrival.expect("arrival event")
-            }
-        });
-        let next_fault = injector.peek();
-        if serving.is_none() && next_fault.is_none() {
-            break;
-        }
-
-        // Control events run before the serving event at the same instant:
-        // warm-up completions first (so a fault or tick at the same
-        // instant sees the replica warm), then injected faults (the
-        // failure precedes the system's reaction), then the autoscaler
-        // tick (so it sees the fleet *before* the arrival or formation
-        // lands). Once the serving stream is drained, ticks stop but
-        // pending faults still fire — a late crash can revive serving by
-        // scheduling retries.
-        if let Some(tw) = warmups.peek_time() {
-            if next_fault.is_none_or(|tf| tw <= tf)
-                && real_t.is_none_or(|t| tw <= t)
-                && (serving.is_none() || tw <= next_tick)
-            {
-                let (t, i) = warmups.pop().expect("peeked warm-up");
-                if let SlotState::Warming { ready_at, doomed } = fleet[i].state {
-                    debug_assert_eq!(ready_at, t, "warm-up event drifted");
-                    if doomed {
-                        // Injected cold-start failure: the slot never
-                        // becomes routable. The autoscaler sees the
-                        // missing capacity at its next tick and replaces
-                        // it through its normal signals.
-                        fleet[i].rep.retire(t);
-                        fleet[i].state = SlotState::Retired;
-                    } else {
-                        fleet[i].state = SlotState::Warm;
-                    }
-                }
-                // A cancelled (retired-while-warming) slot just drops its
-                // stale warm-up event.
-                continue;
-            }
-        }
-        if let Some(tf) = next_fault {
-            if real_t.is_none_or(|t| tf <= t) && (serving.is_none() || tf <= next_tick) {
-                let (t, ev) = injector.pop();
-                debug_assert_eq!(tf, t, "fault event drifted");
-                match ev {
-                    InjectorEvent::Crash {
-                        victim,
-                        restart_after,
-                    } => {
-                        let crashable: Vec<usize> = fleet
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| {
-                                matches!(s.state, SlotState::Warm | SlotState::Draining { .. })
-                            })
-                            .map(|(i, _)| i)
-                            .collect();
-                        if crashable.is_empty() {
-                            stats.fizzled += 1;
-                        } else {
-                            let i = crashable[victim as usize % crashable.len()];
-                            let loss = fleet[i].rep.crash(t);
-                            fleet[i].state = SlotState::Retired;
-                            stats.crashes += 1;
-                            stats.lost_inflight += loss.inflight.len() as u32;
-                            stats.lost_queued += loss.queued.len() as u32;
-                            stats.wasted_busy += loss.wasted;
-                            if !loss.inflight.is_empty() {
-                                // Revoke the eagerly recorded outcomes of
-                                // requests whose tokens died with the
-                                // replica — and their windowed SLO
-                                // verdicts, which the autoscaler must
-                                // never count.
-                                let lost: BTreeSet<u64> =
-                                    loss.inflight.iter().map(|r| r.id).collect();
-                                outcomes.retain(|o: &RequestOutcome| !lost.contains(&o.id));
-                                for r in &loss.inflight {
-                                    let attempt = meta.get(&r.id).map_or(0, |m| m.attempts);
-                                    revoked.insert((r.id, attempt));
-                                }
-                            }
-                            for r in loss.inflight.into_iter().chain(loss.queued) {
-                                let (orig, attempts) = meta
-                                    .get(&r.id)
-                                    .map_or((r.arrival, 0), |m| (m.orig_arrival, m.attempts));
-                                if attempts < tol.max_retries {
-                                    let next = attempts + 1;
-                                    let at = t + tol.backoff(next);
-                                    meta.insert(
-                                        r.id,
-                                        RetryMeta {
-                                            orig_arrival: orig,
-                                            attempts: next,
-                                        },
-                                    );
-                                    retries.push(at, Request { arrival: at, ..r });
-                                    stats.retries += 1;
-                                } else {
-                                    stats.dropped += 1;
-                                    outcomes.push(RequestOutcome {
-                                        id: r.id,
-                                        arrival: orig,
-                                        dispatched: t,
-                                        first_token: t,
-                                        finished: t,
-                                        prompt_len: r.prompt_len,
-                                        gen_len: r.gen_len,
-                                        group: u32::MAX,
-                                        replica: i as u32,
-                                        failed: true,
-                                        retry: RetryOutcome::Dropped,
-                                    });
-                                }
-                            }
-                            if let Some(delay) = restart_after {
-                                injector.push_restart(t + delay);
-                            }
-                        }
-                    }
-                    InjectorEvent::DegradeStart {
-                        victim,
-                        slowdown_pct,
-                        until,
-                    } => {
-                        let warm: Vec<usize> = fleet
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| matches!(s.state, SlotState::Warm))
-                            .map(|(i, _)| i)
-                            .collect();
-                        if warm.is_empty() {
-                            stats.fizzled += 1;
-                        } else {
-                            let i = warm[victim as usize % warm.len()];
-                            fleet[i].rep.set_slowdown(slowdown_pct);
-                            injector.push_degrade_end(until, i);
-                            stats.degraded += 1;
-                        }
-                    }
-                    InjectorEvent::DegradeEnd { slot } => {
-                        // A crash may have retired the slot mid-window;
-                        // clearing the multiplier is then a no-op.
-                        fleet[slot].rep.set_slowdown(100);
-                    }
-                    InjectorEvent::Restart => {
-                        stats.restarts += 1;
-                        spawn_slot(
-                            &mut fleet,
-                            &mut warmups,
-                            &mut injector,
-                            &mut stats,
-                            t,
-                            warmup,
-                            cfg.serve.seed,
-                        );
-                    }
-                }
-                continue;
-            }
-        }
-        let Some(form_first) = serving else {
-            // Only faults remained; they were handled above.
-            continue;
-        };
-        let real_t = real_t.expect("serving event");
-
-        if next_tick <= real_t {
-            let now = next_tick;
-            while finishes.peek_time().is_some_and(|t| t <= now) {
-                let (_, (id, attempt, met)) = finishes.pop().expect("peeked finish");
-                if revoked.contains(&(id, attempt)) {
-                    continue;
-                }
-                window.0 += 1;
-                window.1 += u32::from(met);
-            }
-            for s in fleet.iter_mut() {
-                sweep_slot(s);
-            }
-            // Hedged redispatch: chat-class requests stuck on a suspect
-            // replica for at least `hedge_after` move to the healthiest
-            // warm replica before the policy observes the fleet. The
-            // request *moves* — it is never duplicated — so service stays
-            // exactly-once; its queue clock restarts at the tick (never
-            // backdated), while its latency clock keeps running from the
-            // original arrival via `meta`.
-            if tol.health_aware {
-                if let Some(hedge_after) = tol.hedge_after {
-                    let sus = suspect_warm(&fleet, tol);
-                    if !sus.is_empty() {
-                        let target = fleet
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, s)| matches!(s.state, SlotState::Warm) && !sus.contains(i))
-                            .min_by_key(|(i, s)| (s.rep.backlog_tokens(now), *i))
-                            .map(|(i, _)| i);
-                        if let Some(ti) = target {
-                            let mut moved = Vec::new();
-                            for &si in &sus {
-                                moved.extend(fleet[si].rep.take_queued_where(&mut |r| {
-                                    tol.classes.class_of(r.id) == RequestClass::Chat
-                                        && now.saturating_since(r.arrival) >= hedge_after
-                                }));
-                            }
-                            for r in moved {
-                                stats.hedges += 1;
-                                meta.entry(r.id).or_insert(RetryMeta {
-                                    orig_arrival: r.arrival,
-                                    attempts: 0,
-                                });
-                                fleet[ti].rep.enqueue(Request { arrival: now, ..r });
-                            }
-                        }
-                    }
-                }
-            }
-            let obs = observe(now, &fleet, window, stats.crashes, window_shed);
-            let provisioned = obs.provisioned();
-            let desired = policy.desired(&obs).clamp(floor, cap);
-            if desired > provisioned {
-                let mut grow = desired - provisioned;
-                // Drain cancellation first: a scale-up landing while
-                // replicas are still draining reclaims them — the engine
-                // never unloaded, so flipping back to Warm skips the cold
-                // start entirely. Newest-first, mirroring the drain order;
-                // retired slots are never resurrected (ids and seed
-                // streams stay append-only).
-                for s in fleet.iter_mut().rev() {
-                    if grow == 0 {
-                        break;
-                    }
-                    if matches!(s.state, SlotState::Draining { .. }) {
-                        s.state = SlotState::Warm;
-                        grow -= 1;
-                    }
-                }
-                for _ in 0..grow {
-                    spawn_slot(
-                        &mut fleet,
-                        &mut warmups,
-                        &mut injector,
-                        &mut stats,
-                        now,
-                        warmup,
-                        cfg.serve.seed,
-                    );
-                }
-            } else if desired < provisioned {
-                let mut shrink = provisioned - desired;
-                // Cancel replicas still paying their cold start first (no
-                // work is lost, only the partial warm-up spend), newest
-                // first; then drain warm replicas newest-first. Because
-                // warming is exhausted before any warm replica drains and
-                // `desired >= 1`, at least one warm replica always remains.
-                for s in fleet.iter_mut().rev() {
-                    if shrink == 0 {
-                        break;
-                    }
-                    if matches!(s.state, SlotState::Warming { .. }) {
-                        s.rep.retire(now);
-                        s.state = SlotState::Retired;
-                        shrink -= 1;
-                    }
-                }
-                for s in fleet.iter_mut().rev() {
-                    if shrink == 0 {
-                        break;
-                    }
-                    if matches!(s.state, SlotState::Warm) {
-                        s.state = SlotState::Draining { since: now };
-                        sweep_slot(s);
-                        shrink -= 1;
-                    }
-                }
-            }
-            if desired != provisioned {
-                scale_events.push(ScaleEvent {
-                    at: now,
-                    from: provisioned,
-                    to: desired,
-                    warm: obs.warm,
-                    backlog_tokens: obs.backlog_tokens,
-                });
-                peak = peak.max(desired);
-            }
-            window = (0, 0);
-            window_shed = 0;
-            next_tick = now + cfg.tick;
-            continue;
-        }
-
-        if form_first {
-            let (t_form, i) = next_form.expect("formation event");
-            let slot_eos = matches!(fleet[i].state, SlotState::Draining { .. }) || eos;
-            let n_before = outcomes.len();
-            let done =
-                fleet[i]
-                    .rep
-                    .run_group(t_form, slot_eos, &ctx, &mut outcomes, &mut groups)?;
-            for c in &done {
-                source.on_complete(c.finished, c.failed);
-            }
-            for o in &outcomes[n_before..] {
-                // A retried request's latency clock runs from its original
-                // arrival, not the redispatch instant.
-                let (arr, attempt) = meta
-                    .get(&o.id)
-                    .map_or((o.arrival, 0), |m| (m.orig_arrival, m.attempts));
-                let ttft = o.first_token.saturating_since(arr);
-                let met = !o.failed && ttft <= cfg.slo.ttft && o.tpot() <= cfg.slo.tpot;
-                finishes.push(o.finished, (o.id, attempt, met));
-            }
-            // Straggler detection: fold the group's observed/estimated
-            // service ratio into the slot's health EWMA. The ratio is
-            // shape-normalized by the cost model, so a straggler stands
-            // out however uneven the dispatch mix is.
-            if tol.health_aware {
-                let g = groups.last().expect("group just ran");
-                if !g.oom {
-                    let est = estimate_group_service(
-                        ctx.cost(),
-                        cfg.serve.batch_size,
-                        g.workload.num_batches,
-                        g.workload.prompt_len,
-                        g.workload.gen_len,
-                    );
-                    let ratio_pm = (u128::from(g.service_time.as_nanos()) * 1000
-                        / u128::from(est.as_nanos().max(1)))
-                        as u64;
-                    let s = &mut fleet[i];
-                    s.ewma_pm = if s.h_groups == 0 {
-                        ratio_pm
-                    } else {
-                        (3 * s.ewma_pm + ratio_pm) / 4
-                    };
-                    s.h_groups += 1;
-                }
-            }
-            sweep_slot(&mut fleet[i]);
-        } else {
-            let r = if pop_retry {
-                retries.pop().expect("retry event").1
-            } else {
-                source.pop()
-            };
-            last_arrival = last_arrival.max(r.arrival);
-            // Graceful degradation is an admission decision on *fresh*
-            // arrivals only: a retry already cost one service attempt and
-            // is never shed.
-            if !pop_retry {
-                if let DegradationPolicy::ShedBatchOver {
-                    backlog_per_replica,
-                } = tol.degradation
-                {
-                    if tol.classes.class_of(r.id) == RequestClass::Batch {
-                        let (mut warm_n, mut backlog) = (0u64, 0u64);
-                        for s in &fleet {
-                            if matches!(s.state, SlotState::Warm) {
-                                warm_n += 1;
-                                backlog += s.rep.backlog_tokens(r.arrival);
-                            }
-                        }
-                        if warm_n > 0 && backlog / warm_n > backlog_per_replica {
-                            stats.shed += 1;
-                            window_shed += 1;
-                            outcomes.push(RequestOutcome {
-                                id: r.id,
-                                arrival: r.arrival,
-                                dispatched: r.arrival,
-                                first_token: r.arrival,
-                                finished: r.arrival,
-                                prompt_len: r.prompt_len,
-                                gen_len: r.gen_len,
-                                group: u32::MAX,
-                                replica: u32::MAX,
-                                failed: true,
-                                retry: RetryOutcome::Shed,
-                            });
-                            source.on_complete(r.arrival, true);
-                            continue;
-                        }
-                    }
-                }
-            }
-            let mut candidates: Vec<(usize, &Replica)> = fleet
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| matches!(s.state, SlotState::Warm))
-                .map(|(i, s)| (i, &s.rep))
-                .collect();
-            if candidates.is_empty() {
-                // Crashes outran the autoscaler: no routable replica
-                // exists right now. Defer the arrival to the next instant
-                // capacity can appear (a pending warm-up or the next
-                // autoscaler tick) — stalled, never dropped.
-                let defer_to = warmups
-                    .peek_time()
-                    .map_or(next_tick, |tw| tw.min(next_tick));
-                stats.stalled += 1;
-                meta.entry(r.id).or_insert(RetryMeta {
-                    orig_arrival: r.arrival,
-                    attempts: 0,
-                });
-                retries.push(
-                    defer_to,
-                    Request {
-                        arrival: defer_to,
-                        ..r
-                    },
-                );
-                continue;
-            }
-            // Health-aware dispatch: exclude suspected stragglers while a
-            // healthy candidate exists.
-            if tol.health_aware && candidates.len() > 1 {
-                let sus = suspect_warm(&fleet, tol);
-                if !sus.is_empty() {
-                    let healthy: Vec<(usize, &Replica)> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|(i, _)| !sus.contains(i))
-                        .collect();
-                    if !healthy.is_empty() {
-                        candidates = healthy;
-                    }
-                }
-            }
-            let idx = route_pick(
-                cfg.dispatch,
-                &mut rr,
-                &r,
-                &candidates,
-                ctx.cost(),
-                &cfg.serve,
-            );
-            debug_assert!(
-                matches!(fleet[idx].state, SlotState::Warm),
-                "routed to a non-warm replica"
-            );
-            fleet[idx].rep.enqueue(r);
-        }
-    }
-
-    // Replicas still draining at end-of-stream retire now (their queues
-    // are flushed — the loop cannot end with queued work). Replicas still
-    // *warming* at end-of-stream never served; they stay unretired and
-    // their lifetime runs to the end of the run — provisioning that late
-    // is a cost the policy rightly pays for.
-    for s in fleet.iter_mut() {
-        sweep_slot(s);
-    }
-
-    // Restore fault-touched requests: latency clocks run from the original
-    // arrival, and the outcome records how many redispatches the request
-    // survived. Dropped and shed outcomes already carry their final form.
-    if !meta.is_empty() {
-        for o in &mut outcomes {
-            if let Some(m) = meta.get(&o.id) {
-                if matches!(o.retry, RetryOutcome::FirstTry) {
-                    o.arrival = m.orig_arrival;
-                    if m.attempts > 0 {
-                        o.retry = RetryOutcome::Retried(m.attempts);
-                    }
-                }
-            }
-        }
-    }
-
-    outcomes.sort_by_key(|o| o.id);
-    let first_arrival = outcomes
-        .iter()
-        .map(|o| o.arrival)
-        .min()
-        .unwrap_or(SimTime::ZERO);
-    let last_finish = outcomes
-        .iter()
-        .map(|o| o.finished)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let makespan = last_finish.saturating_since(first_arrival);
-    let replicas = fleet
-        .iter()
-        .map(|s| s.rep.stats(first_arrival, last_finish))
-        .collect();
-    let spawned_total = fleet.len() as u32;
-    Ok(ClusterReport {
-        serve: ServeReport {
-            engine: ctx.engine_name(),
-            outcomes,
-            groups,
-            replicas,
-            makespan,
-        },
-        scale_events,
-        initial_replicas: initial,
-        peak_provisioned: peak,
-        spawned_total,
-        warmup,
-        faults: stats,
-    })
+    Fleet::autoscaled(ctx, traffic, cfg, policy, faults, tol).run()
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admission::AdmissionPolicy;
+    use crate::continuous::RequestClass;
     use crate::dispatcher::{serve_scaled, ScaleConfig};
+    use crate::server::RetryOutcome;
     use crate::traffic::{generate, Arrivals, LengthDist, TrafficConfig};
     use klotski_core::report::InferenceReport;
     use klotski_core::scenario::Scenario;
@@ -1154,10 +394,20 @@ mod tests {
     }
 
     /// Scripted fleet sizes, one per tick (the last repeats): lets tests
-    /// force exact scale transitions regardless of load signals.
+    /// force exact scale transitions regardless of load signals. Keeps
+    /// every observation it is shown.
     struct Scripted {
         sizes: Vec<u32>,
-        i: usize,
+        seen: Vec<FleetObservation>,
+    }
+
+    impl Scripted {
+        fn new(sizes: Vec<u32>) -> Self {
+            Scripted {
+                sizes,
+                seen: Vec::new(),
+            }
+        }
     }
 
     impl AutoscalePolicy for Scripted {
@@ -1170,9 +420,9 @@ mod tests {
         fn cap(&self) -> u32 {
             8
         }
-        fn desired(&mut self, _obs: &FleetObservation) -> u32 {
-            let v = self.sizes[self.i.min(self.sizes.len() - 1)];
-            self.i += 1;
+        fn desired(&mut self, obs: &FleetObservation) -> u32 {
+            let v = self.sizes[self.seen.len().min(self.sizes.len() - 1)];
+            self.seen.push(*obs);
             v
         }
         fn initial(&self) -> u32 {
@@ -1190,10 +440,7 @@ mod tests {
             DispatchPolicy::JoinShortestQueue,
             ColdStartModel::Fixed(SimDuration::from_secs(10)),
         );
-        let mut policy = Scripted {
-            sizes: vec![2, 2, 1, 2],
-            i: 0,
-        };
+        let mut policy = Scripted::new(vec![2, 2, 1, 2]);
         let report = cluster(&Traffic::Open(burst()), &cfg, &mut policy);
         // The cold start was skipped entirely: no third slot was ever
         // spawned (pre-reclaim behavior paid a fresh 10 s warm-up here).
@@ -1761,10 +1008,7 @@ mod tests {
         }
         // Scripted growth to 3 replicas: the two mid-run spawns consume the
         // pending cold-start faults (stall first — plan order).
-        let mut policy = Scripted {
-            sizes: vec![1, 1, 3],
-            i: 0,
-        };
+        let mut policy = Scripted::new(vec![1, 1, 3]);
         let report = cluster_faulty(
             &Traffic::Open(stream),
             &cfg,
@@ -1817,6 +1061,166 @@ mod tests {
         assert_eq!(a.serve.replicas, b.serve.replicas);
         assert_eq!(a.scale_events, b.scale_events);
         assert_eq!(a.faults, b.faults);
+    }
+
+    // ---- the same-instant tie rule ----
+
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    fn request(id: u64, at: SimTime) -> crate::traffic::Request {
+        crate::traffic::Request {
+            id,
+            arrival: at,
+            prompt_len: 64,
+            gen_len: 4,
+        }
+    }
+
+    /// Warm-up < fault < tick < arrival < formation at one instant. At
+    /// t = 1.5 s slot 1 finishes warming, a crash with victim hint 1
+    /// fires, the autoscaler ticks, request 1 arrives, and slot 0's
+    /// deadline group (request 0, queued since 0.25 s) forms.
+    #[test]
+    fn same_instant_events_run_warm_fault_tick_arrival_form() {
+        let mut cfg = base_cfg(
+            DispatchPolicy::JoinShortestQueue,
+            ColdStartModel::Fixed(SimDuration::from_millis(500)),
+        );
+        cfg.serve.policy = AdmissionPolicy::Deadline {
+            n: 2,
+            deadline: SimDuration::from_millis(1_250),
+        };
+        // The tick at 1.0 s spawns slot 1, warm at 1.5 s.
+        let mut policy = Scripted::new(vec![1, 2]);
+        let plan = FaultPlan {
+            faults: vec![Fault::Crash {
+                at: at_ms(1_500),
+                victim: 1,
+                restart_after: None,
+            }],
+        };
+        let stream = vec![request(0, at_ms(250)), request(1, at_ms(1_500))];
+        let (spec, hw) = mixtral();
+        let report = serve_cluster_faulty(
+            &StubEngine,
+            &spec,
+            &hw,
+            &Traffic::Open(stream),
+            &cfg,
+            &mut policy,
+            &plan,
+            &ToleranceConfig::default(),
+        )
+        .expect("serve_cluster_faulty");
+        // Warm-up before fault: slot 1 was crashable, and hint 1 took it.
+        assert_eq!(report.faults.crashes, 1);
+        assert_eq!(report.serve.replicas[1].retired, Some(at_ms(1_500)));
+        assert_eq!(report.serve.replicas[0].retired, None);
+        // Fault before tick, tick before arrival and formation.
+        let obs = policy
+            .seen
+            .iter()
+            .find(|o| o.now == at_ms(1_500))
+            .expect("a tick at 1.5 s");
+        assert_eq!((obs.crashed, obs.warm, obs.queued_requests), (1, 1, 1));
+        // Arrival before formation: request 1 joined slot 0's 1.5 s group
+        // on its first try.
+        let [o0, o1] = &report.serve.outcomes[..] else {
+            panic!("expected two outcomes");
+        };
+        assert_eq!((o1.replica, o1.dispatched), (0, at_ms(1_500)));
+        assert_eq!(o1.group, o0.group);
+        assert_eq!(o1.retry, RetryOutcome::FirstTry);
+    }
+
+    /// A configuration whose first tick lands after the run ends, so only
+    /// the crash and retry instants matter.
+    fn retry_cfg(batch_size: u32, policy: AdmissionPolicy) -> ClusterConfig {
+        let mut cfg = base_cfg(DispatchPolicy::JoinShortestQueue, ColdStartModel::Prewarmed);
+        cfg.serve.batch_size = batch_size;
+        cfg.serve.policy = policy;
+        cfg.tick = SimDuration::from_secs(60);
+        cfg
+    }
+
+    fn crash_slot_1_at(at: SimTime) -> FaultPlan {
+        FaultPlan {
+            faults: vec![Fault::Crash {
+                at,
+                victim: 1,
+                restart_after: None,
+            }],
+        }
+    }
+
+    /// Arrival < retry at one instant: slot 1 crashes at 0.9 s with
+    /// request 1 in flight; its retry (50 ms backoff) and fresh request 2
+    /// both reach slot 0 at 0.95 s, and the fresh one is served first.
+    #[test]
+    fn fresh_arrival_precedes_retry_at_the_same_instant() {
+        let cfg = retry_cfg(1, AdmissionPolicy::FixedN { n: 1 });
+        let stream = vec![
+            request(0, SimTime::ZERO),
+            request(1, at_ms(100)),
+            request(2, at_ms(950)),
+        ];
+        let tol = ToleranceConfig::default();
+        assert_eq!(tol.backoff(1), SimDuration::from_millis(50));
+        let report = cluster_faulty(
+            &Traffic::Open(stream),
+            &cfg,
+            &mut StaticFleet { replicas: 2 },
+            &crash_slot_1_at(at_ms(900)),
+            &tol,
+        );
+        assert_eq!(report.faults.lost_inflight, 1);
+        let [_, retried, fresh] = &report.serve.outcomes[..] else {
+            panic!("expected three outcomes");
+        };
+        assert_eq!(retried.retry, RetryOutcome::Retried(1));
+        assert_eq!((fresh.replica, retried.replica), (0, 0));
+        assert!(
+            fresh.dispatched < retried.dispatched,
+            "fresh request dispatched at {}, retry at {}",
+            fresh.dispatched,
+            retried.dispatched
+        );
+    }
+
+    /// Retry < formation at one instant: slot 1 crashes at 0.95 s with
+    /// request 1 queued; its retry reaches slot 0 at 1.0 s, exactly when
+    /// slot 0's deadline group for request 0 forms, and joins that group.
+    #[test]
+    fn retry_joins_the_group_forming_at_its_instant() {
+        let cfg = retry_cfg(
+            2,
+            AdmissionPolicy::Deadline {
+                n: 1,
+                deadline: SimDuration::from_secs(1),
+            },
+        );
+        // Request 2 keeps the stream open, so nothing flushes early.
+        let stream = vec![
+            request(0, SimTime::ZERO),
+            request(1, at_ms(100)),
+            request(2, at_ms(30_000)),
+        ];
+        let report = cluster_faulty(
+            &Traffic::Open(stream),
+            &cfg,
+            &mut StaticFleet { replicas: 2 },
+            &crash_slot_1_at(at_ms(950)),
+            &ToleranceConfig::default(),
+        );
+        assert_eq!(report.faults.lost_queued, 1);
+        let [o0, o1, _] = &report.serve.outcomes[..] else {
+            panic!("expected three outcomes");
+        };
+        assert_eq!(o1.retry, RetryOutcome::Retried(1));
+        assert_eq!((o0.dispatched, o1.dispatched), (at_ms(1_000), at_ms(1_000)));
+        assert_eq!(o1.group, o0.group);
     }
 
     #[test]

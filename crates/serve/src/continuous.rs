@@ -31,10 +31,17 @@
 //! or step-by-step, and any measured win is pure scheduling, not pricing.
 //! The [`CostEngine`] baseline makes that comparison apples-to-apples.
 //!
-//! With [`ContinuousConfig::refill`] disabled the entry point falls back
-//! to the run-to-completion loop (one replica, byte-identical to
-//! [`serve`](crate::server::serve) — a proptest pins this), so the
-//! continuous scheduler is a strict extension, never a fork.
+//! With [`ContinuousConfig::refill`] disabled the entry point *is*
+//! [`serve`] plus an occupancy fold (a proptest pins the byte identity),
+//! so the continuous scheduler is a strict extension, never a fork. With
+//! refill enabled the slot machine keeps its own step logic but picks its
+//! next event under the fleet loop's tie rule (see
+//! [`cluster`](crate::cluster)): an arrival at the machine's action
+//! instant is ingested first.
+//!
+//! The slot machine prices every step with the cost model, never with the
+//! engine, so refill mode accepts only [`CostEngine`]: any other engine
+//! would label cost-model numbers with its own name.
 
 use std::collections::VecDeque;
 
@@ -47,9 +54,10 @@ use klotski_model::workload::Workload;
 use klotski_sim::time::{SimDuration, SimTime};
 
 use crate::admission::{estimate_step_service, GroupTrigger, StepEstimate};
+use crate::cluster::fleet::Event;
 use crate::server::{
-    formation_precedes, ArrivalSource, Completion, EngineCtx, GroupRecord, Replica,
-    ReplicaUtilization, RequestOutcome, ServeConfig, ServeReport, Traffic,
+    busy_share, serve, validate, ArrivalSource, Completion, GroupRecord, ReplicaUtilization,
+    RequestOutcome, RetryOutcome, ServeConfig, ServeReport, Traffic,
 };
 use crate::traffic::Request;
 
@@ -112,9 +120,9 @@ pub struct ContinuousConfig {
     /// policy.max_batches()` is the slot capacity of the continuous
     /// scheduler.
     pub serve: ServeConfig,
-    /// Enable step-level slot refill. When `false` the run-to-completion
-    /// loop is used (byte-identical to [`serve`](crate::server::serve));
-    /// `prefill_chunk` and `classes` are then inert.
+    /// Enable step-level slot refill (the engine must then be
+    /// [`CostEngine`]). When `false` the run is [`serve`]'s, byte for
+    /// byte; `prefill_chunk` and `classes` are then inert.
     pub refill: bool,
     /// Prefill chunk size in prompt tokens (`0` = atomic prefill, never
     /// preempted mid-wave).
@@ -151,10 +159,15 @@ pub struct ContinuousReport {
 /// [`estimate_step_service`](crate::admission::estimate_step_service),
 /// whose step sums equal the group estimate exactly — so benchmarking
 /// continuous against run-to-completion *with this engine* isolates the
-/// scheduling policy from any pricing difference.
+/// scheduling policy from any pricing difference. It is also the only
+/// engine [`serve_continuous`] accepts with refill enabled.
 pub struct CostEngine {
     cost: CostModel,
 }
+
+/// [`CostEngine`]'s name: the label refill mode requires, because the slot
+/// machine's step prices are the cost model's.
+const COST_ENGINE_NAME: &str = "CostModel";
 
 impl CostEngine {
     /// A cost engine calibrated for `spec` on `hw`.
@@ -167,7 +180,7 @@ impl CostEngine {
 
 impl Engine for CostEngine {
     fn name(&self) -> String {
-        "CostModel".into()
+        COST_ENGINE_NAME.into()
     }
 
     fn run(&self, scenario: &Scenario) -> Result<InferenceReport, EngineError> {
@@ -202,15 +215,16 @@ impl Engine for CostEngine {
 /// With `cfg.refill` enabled the engine is modeled as a pool of
 /// `batch_size × max_batches` sequence slots advanced step by step (see
 /// the module docs for the scheduling rules); step and prefill-chunk costs
-/// come from the calibrated cost model, and `engine` contributes its name.
-/// With `cfg.refill` disabled this is the run-to-completion loop on one
-/// replica — byte-identical to [`serve`](crate::server::serve).
+/// come from the calibrated cost model, so `engine` must be a
+/// [`CostEngine`]. With `cfg.refill` disabled this is [`serve`] on the
+/// same engine — byte-identical — plus the padded-group occupancy.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError`] if the engine rejects a scenario as invalid
-/// (run-to-completion mode only; the slot machine prices steps analytically
-/// and cannot OOM).
+/// (run-to-completion mode; the slot machine prices steps analytically
+/// and cannot OOM), or [`EngineError::InvalidConfig`] if refill is enabled
+/// with an engine other than [`CostEngine`].
 ///
 /// # Panics
 ///
@@ -224,114 +238,52 @@ pub fn serve_continuous(
     traffic: &Traffic,
     cfg: &ContinuousConfig,
 ) -> Result<ContinuousReport, EngineError> {
-    assert!(cfg.serve.batch_size > 0, "batch_size must be positive");
-    assert!(
-        cfg.serve.policy.max_batches() > 0,
-        "group size must be positive"
-    );
     if let ClassAssign::ChatShare { chat_pct } = cfg.classes {
         assert!(chat_pct <= 100, "chat_pct must be a percentage");
     }
-    if let Traffic::Closed {
-        clients, cfg: tc, ..
-    } = traffic
-    {
-        assert!(
-            *clients > 0 || tc.num_requests == 0,
-            "closed-loop traffic needs at least one client"
-        );
+    if !cfg.refill {
+        let serve = serve(engine, spec, hw, traffic, &cfg.serve)?;
+        let occupancy = padded_occupancy(&serve, &cfg.serve);
+        return Ok(ContinuousReport {
+            serve,
+            preemptions: 0,
+            refills: 0,
+            prefill_chunks: 0,
+            occupancy,
+        });
     }
-    if cfg.refill {
-        Ok(run_slot_machine(engine, spec, hw, traffic, cfg))
-    } else {
-        run_to_completion(engine, spec, hw, traffic, cfg)
+    validate(&cfg.serve, traffic);
+    let name = engine.name();
+    if name != COST_ENGINE_NAME {
+        return Err(EngineError::InvalidConfig(format!(
+            "continuous refill prices steps with the cost model, so it needs \
+             the {COST_ENGINE_NAME} engine, not {name}"
+        )));
     }
+    Ok(run_slot_machine(spec, hw, traffic, cfg))
 }
 
-/// The disabled-refill fallback: the run-to-completion loop on a single
-/// replica, executing groups through the step-level engine boundary
-/// exactly as [`serve`](crate::server::serve) does. Kept as its own loop
-/// (rather than delegating) so the byte-identity proptest pins the
-/// continuous entry point's interleave independently.
-fn run_to_completion(
-    engine: &dyn Engine,
-    spec: &ModelSpec,
-    hw: &HardwareSpec,
-    traffic: &Traffic,
-    cfg: &ContinuousConfig,
-) -> Result<ContinuousReport, EngineError> {
-    let scfg = &cfg.serve;
-    let mut source = ArrivalSource::new(traffic);
-    let mut replica = Replica::new(0, scfg.seed);
-    let ctx = EngineCtx::new(engine, spec, hw, scfg);
-    let mut outcomes: Vec<RequestOutcome> = Vec::new();
-    let mut groups: Vec<GroupRecord> = Vec::new();
-    let mut last_arrival = SimTime::ZERO;
-
-    loop {
-        let next_arrival = source.peek();
-        let eos = next_arrival.is_none();
-        let next_form = replica.next_form_time(scfg, eos, last_arrival);
-        let Some(form_first) = formation_precedes(next_arrival, next_form) else {
-            break;
-        };
-        if form_first {
-            let t_form = next_form.expect("formation event");
-            let done = replica.run_group(t_form, eos, &ctx, &mut outcomes, &mut groups)?;
-            for c in &done {
-                source.on_complete(c.finished, c.failed);
-            }
-        } else {
-            let r = source.pop();
-            last_arrival = last_arrival.max(r.arrival);
-            replica.enqueue(r);
-        }
-    }
-
-    outcomes.sort_by_key(|o| o.id);
-    let first_arrival = outcomes
-        .iter()
-        .map(|o| o.arrival)
-        .min()
-        .unwrap_or(SimTime::ZERO);
-    let last_finish = outcomes
-        .iter()
-        .map(|o| o.finished)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let makespan = last_finish.saturating_since(first_arrival);
-    let capacity = u64::from(scfg.batch_size) * u64::from(scfg.policy.max_batches());
-    // Padded-group occupancy: useful decode-step slots over the slot
-    // capacity across every group's decode steps — the number slot refill
-    // exists to raise.
-    let steps: u64 = groups
+/// Padded-group occupancy of a run-to-completion report: useful
+/// decode-step slots over the slot capacity across every group's decode
+/// steps — the number slot refill exists to raise.
+fn padded_occupancy(report: &ServeReport, cfg: &ServeConfig) -> f64 {
+    let capacity = u64::from(cfg.batch_size) * u64::from(cfg.policy.max_batches());
+    let steps: u64 = report
+        .groups
         .iter()
         .map(|g| u64::from(g.workload.gen_len.saturating_sub(1)))
         .sum();
-    let occupied: u64 = outcomes
+    let occupied: u64 = report
+        .outcomes
         .iter()
         .filter(|o| !o.failed)
         .map(|o| u64::from(o.gen_len.saturating_sub(1)))
         .sum();
-    let occupancy = if steps == 0 {
+    if steps == 0 {
         0.0
     } else {
         occupied as f64 / (steps * capacity) as f64
-    };
-    let replicas = vec![replica.stats(first_arrival, last_finish)];
-    Ok(ContinuousReport {
-        serve: ServeReport {
-            engine: engine.name(),
-            outcomes,
-            groups,
-            replicas,
-            makespan,
-        },
-        preemptions: 0,
-        refills: 0,
-        prefill_chunks: 0,
-        occupancy,
-    })
+    }
 }
 
 /// One admission wave under construction (becomes a [`GroupRecord`] with
@@ -596,7 +548,7 @@ impl<'a> SlotMachine<'a> {
             group: wave as u32,
             replica: 0,
             failed: false,
-            retry: crate::server::RetryOutcome::FirstTry,
+            retry: RetryOutcome::FirstTry,
         });
         self.served += 1;
         self.tokens += u64::from(r.gen_len);
@@ -609,9 +561,10 @@ impl<'a> SlotMachine<'a> {
 
 /// The refill-enabled scheduler: the engine as a slot pool advanced at
 /// step granularity, priced by the calibrated cost model (the analytic
-/// pricing cannot OOM, so this path is infallible).
+/// pricing cannot OOM, so this path is infallible). The machine is one
+/// replica, so its actions are formations on slot 0 under the fleet
+/// loop's [`Event`] order.
 fn run_slot_machine(
-    engine: &dyn Engine,
     spec: &ModelSpec,
     hw: &HardwareSpec,
     traffic: &Traffic,
@@ -621,26 +574,23 @@ fn run_slot_machine(
     let mut source = ArrivalSource::new(traffic);
     let mut machine = SlotMachine::new(&cost, cfg);
 
-    loop {
-        let next_arrival = source.peek();
-        let next_act = machine.next_action_time();
-        let Some(act_first) = formation_precedes(next_arrival, next_act) else {
-            break;
-        };
-        if act_first {
-            let t = next_act.expect("action event");
-            let done = machine.act(t);
-            for c in &done {
-                source.on_complete(c.finished, c.failed);
+    while let Some((t, event)) = Event::first([
+        source.peek().map(|t| (t, Event::Arrival)),
+        machine.next_action_time().map(|t| (t, Event::Form(0))),
+    ]) {
+        if event == Event::Arrival {
+            if let Some(r) = source.pop() {
+                machine.enqueue(r);
             }
         } else {
-            let r = source.pop();
-            machine.enqueue(r);
+            for c in machine.act(t) {
+                source.on_complete(c.finished, c.failed);
+            }
         }
     }
 
     let SlotMachine {
-        mut outcomes,
+        outcomes,
         waves,
         busy,
         served,
@@ -654,18 +604,6 @@ fn run_slot_machine(
         batch_size,
         ..
     } = machine;
-    outcomes.sort_by_key(|o| o.id);
-    let first_arrival = outcomes
-        .iter()
-        .map(|o| o.arrival)
-        .min()
-        .unwrap_or(SimTime::ZERO);
-    let last_finish = outcomes
-        .iter()
-        .map(|o| o.finished)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let makespan = last_finish.saturating_since(first_arrival);
     let groups: Vec<GroupRecord> = waves
         .iter()
         .enumerate()
@@ -690,35 +628,28 @@ fn run_slot_machine(
             }
         })
         .collect();
+    let n_groups = groups.len() as u32;
+    let serve = ServeReport::assemble(COST_ENGINE_NAME.into(), outcomes, groups, |first, last| {
+        let lifetime = last.saturating_since(first);
+        vec![ReplicaUtilization {
+            replica: 0,
+            groups: n_groups,
+            requests: served,
+            busy,
+            tokens,
+            spawned: SimTime::ZERO,
+            retired: None,
+            lifetime,
+            utilization: busy_share(busy, lifetime),
+        }]
+    });
     let occupancy = if decode_steps == 0 {
         0.0
     } else {
         occupied_steps as f64 / (decode_steps * capacity as u64) as f64
     };
-    let lifetime = makespan;
-    let replicas = vec![ReplicaUtilization {
-        replica: 0,
-        groups: groups.len() as u32,
-        requests: served,
-        busy,
-        tokens,
-        spawned: SimTime::ZERO,
-        retired: None,
-        lifetime,
-        utilization: if lifetime.is_zero() {
-            0.0
-        } else {
-            busy.as_secs_f64() / lifetime.as_secs_f64()
-        },
-    }];
     ContinuousReport {
-        serve: ServeReport {
-            engine: engine.name(),
-            outcomes,
-            groups,
-            replicas,
-            makespan,
-        },
+        serve,
         preemptions,
         refills,
         prefill_chunks: chunks,
@@ -832,6 +763,30 @@ mod tests {
             rtc.serve.makespan
         );
         assert!(cont.refills > 0, "saturated stream must refill slots");
+    }
+
+    /// Refill mode prices steps with the cost model, so a run labelled
+    /// with any other engine's name would be mislabelled: it is rejected.
+    /// Run-to-completion mode runs every group on the engine itself.
+    #[test]
+    fn refill_accepts_only_the_cost_engine() {
+        use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
+        let traffic = Traffic::Open(heavy_stream(8, 3));
+        let refill = cfg(4, 2, true, 32, ClassAssign::Uniform);
+        let klotski = KlotskiEngine::new(KlotskiConfig::full());
+        let rejected = serve_continuous(&klotski, &spec(), &hw(), &traffic, &refill);
+        assert!(
+            matches!(rejected, Err(EngineError::InvalidConfig(_))),
+            "{rejected:?}"
+        );
+        let cost = CostEngine::new(&spec(), &hw());
+        let accepted =
+            serve_continuous(&cost, &spec(), &hw(), &traffic, &refill).expect("cost engine");
+        assert_eq!(accepted.serve.engine, cost.name());
+        let rtc = cfg(4, 2, false, 32, ClassAssign::Uniform);
+        let klotski_rtc =
+            serve_continuous(&klotski, &spec(), &hw(), &traffic, &rtc).expect("run-to-completion");
+        assert_eq!(klotski_rtc.serve.engine, klotski.name());
     }
 
     #[test]

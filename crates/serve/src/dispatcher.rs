@@ -5,10 +5,10 @@
 //! engine; under heavy request streams the request level must also scale
 //! *across* engines. The dispatcher routes each arriving request to one of
 //! `R` identical replicas, each running its own admission queue and
-//! serving loop (the exact per-replica state the single-engine
-//! [`serve`](crate::server::serve) loop uses). Placement policy — not just
-//! per-engine speed — dominates SLO attainment under bursty load, so the
-//! policy is a first-class axis:
+//! serving state (the exact per-replica state the single-engine
+//! [`serve`](crate::server::serve) uses) on the crate's one event loop.
+//! Placement policy — not just per-engine speed — dominates SLO
+//! attainment under bursty load, so the policy is a first-class axis:
 //!
 //! * [`DispatchPolicy::RoundRobin`] — cycle through replicas in arrival
 //!   order, blind to their state (the baseline);
@@ -25,8 +25,9 @@
 //! Results merge into one [`ServeReport`](crate::server::ServeReport) with
 //! per-replica utilization, so the request-level SLO metrics work
 //! unchanged. With `replicas == 1` every policy degenerates to the
-//! single-engine loop and the report is byte-identical to [`serve`]'s —
-//! the crate's proptests pin that equivalence.
+//! single-engine run and the report is byte-identical to
+//! [`serve`](crate::server::serve)'s — the crate's proptests pin that
+//! equivalence.
 
 use klotski_core::scenario::{Engine, EngineError};
 use klotski_model::cost::CostModel;
@@ -35,7 +36,8 @@ use klotski_model::spec::ModelSpec;
 use klotski_sim::time::SimTime;
 
 use crate::admission::estimate_group_service;
-use crate::server::{drive, Replica, ServeConfig, ServeReport, Traffic};
+use crate::cluster::fleet::Fleet;
+use crate::server::{EngineCtx, Replica, ServeConfig, ServeReport, Traffic};
 use crate::traffic::Request;
 
 /// How arriving requests are sharded over replicas.
@@ -104,23 +106,9 @@ pub fn serve_scaled(
     traffic: &Traffic,
     cfg: &ScaleConfig,
 ) -> Result<ServeReport, EngineError> {
-    assert!(cfg.replicas > 0, "need at least one replica");
-    let dispatch = cfg.dispatch;
-    let serve_cfg = cfg.serve;
-    let mut rr = RouterState::new();
-    let mut route = move |r: &Request, reps: &[Replica], cost: &CostModel| -> usize {
-        let candidates: Vec<(usize, &Replica)> = reps.iter().enumerate().collect();
-        route_pick(dispatch, &mut rr, r, &candidates, cost, &serve_cfg)
-    };
-    drive(
-        engine,
-        spec,
-        hw,
-        traffic,
-        &cfg.serve,
-        cfg.replicas,
-        &mut route,
-    )
+    let ctx = EngineCtx::new(engine, spec, hw, &cfg.serve);
+    let fleet = Fleet::fixed(ctx, traffic, cfg.replicas, cfg.dispatch);
+    Ok(fleet.run()?.serve)
 }
 
 /// Mutable routing state that outlives individual decisions (the
@@ -135,11 +123,9 @@ impl RouterState {
     }
 }
 
-/// Picks a replica for `r` among `candidates` — `(index, replica)` pairs
-/// where the index is whatever the caller routes by (position in a static
-/// fleet, fleet-slot index for a cluster). Shared by [`serve_scaled`] and
-/// the cluster loop: over a full static fleet the decisions are identical
-/// to the pre-cluster dispatcher byte for byte.
+/// Picks a replica for `r` among `candidates` — `(fleet-slot index,
+/// replica)` pairs of the warm replicas. Over a full static fleet every
+/// slot is a candidate, which is [`serve_scaled`].
 ///
 /// # Panics
 ///

@@ -12,27 +12,40 @@
 //!   fixed-`n`, deadline-triggered partial groups, and a cost-model-informed
 //!   policy that sizes groups under a latency budget using
 //!   [`CostModel`](klotski_model::cost::CostModel);
-//! * [`server`] — the serving loop: drives an engine group-by-group over
-//!   simulated time, carrying per-request queueing delay into the results;
+//! * [`server`] — single-engine serving: drives an engine group-by-group
+//!   over simulated time, carrying per-request queueing delay into the
+//!   results; also the request, outcome and report types every entry
+//!   point shares;
 //! * [`dispatcher`] — multi-replica serving: shards one request stream
-//!   over `R` engine replicas (each with its own admission queue and
-//!   serving loop) under a dispatch-policy axis — round-robin,
-//!   join-shortest-queue, or cost-model-informed placement;
+//!   over `R` engine replicas (each with its own admission queue) under a
+//!   dispatch-policy axis — round-robin, join-shortest-queue, or
+//!   cost-model-informed placement;
 //! * [`metrics`] — request-level SLO metrics: TTFT / TPOT / end-to-end
 //!   percentiles, goodput under an SLO, sustained throughput, per-replica
 //!   breakdowns;
 //! * [`cluster`] — cluster-scale serving: a dynamic fleet under a
 //!   pluggable autoscaling policy, with cold starts derived from the
 //!   cost model's weight-transfer times, drain-then-retire scale-down,
-//!   and replica-hour accounting;
+//!   replica-hour accounting, and deterministic fault injection — and
+//!   the crate's one serving event loop;
 //! * [`continuous`] — continuous batching: step-level slot refill,
-//!   chunked preemptible prefill, and chat/batch priority classes, with
-//!   the run-to-completion loop retained as a byte-identical fallback.
+//!   chunked preemptible prefill, and chat/batch priority classes; with
+//!   refill disabled it is [`serve`](server::serve), byte for byte.
+//!
+//! There is one serving event loop. [`serve`](server::serve) and
+//! [`serve_scaled`](dispatcher::serve_scaled) run it as a fixed fleet
+//! with no autoscaler (so it never ticks) and no faults; the
+//! [`cluster`] entry points add an autoscaler and a fault plan. The loop
+//! holds one state struct whose next event is the earliest pending
+//! `(time, event)`; the declaration order of the event kinds — warm-up,
+//! fault, tick, arrival, retry, formation — breaks ties at one instant,
+//! and the continuous slot machine picks its next event under the same
+//! order.
 //!
 //! Everything is deterministic under a seed: the same traffic, policy, and
 //! engine produce byte-identical reports (the `serve_sweep` and
 //! `serve_scale` bench binaries assert this), and one replica behind any
-//! dispatch policy reproduces the single-engine loop byte for byte.
+//! dispatch policy reproduces the single-engine run byte for byte.
 //!
 //! ```
 //! use klotski_core::engine::{KlotskiConfig, KlotskiEngine};

@@ -1,16 +1,16 @@
-//! The serving loop: requests in, batch groups through an engine, timed
-//! outcomes out.
+//! The serving loop's vocabulary: requests in, batch groups through an
+//! engine, timed outcomes out.
 //!
-//! The loop is built from replica-local state: a [`Replica`] owns one
-//! engine's admission queue and clock, forms batch groups with the
-//! [`AdmissionPolicy`], and runs them over simulated time. The shared
-//! [`drive`] event loop interleaves request arrivals with group
-//! formations in global time order, routing each arrival to a replica
-//! through a pluggable router. The single-engine [`serve`] entry point is
-//! one replica behind a trivial router; the multi-replica
-//! [`dispatcher`](crate::dispatcher) shards the same stream over `R`
-//! replicas — both paths execute the identical per-replica code, so their
-//! results are directly comparable.
+//! A `Replica` owns one engine's admission queue and clock, forms batch
+//! groups with the [`AdmissionPolicy`], and runs them over simulated time;
+//! an `ArrivalSource` replays the open- or closed-loop request stream.
+//! The crate has exactly one event loop that drives them, the fleet loop
+//! in [`cluster`](crate::cluster): the single-engine [`serve`] entry point
+//! is that loop over a fixed fleet of one replica, the multi-replica
+//! [`dispatcher`](crate::dispatcher) is the same fixed fleet with `R`
+//! replicas, and the cluster entry points add an autoscaler and faults.
+//! Every path executes the identical per-replica code, so their results
+//! are directly comparable.
 //!
 //! While a group runs, new requests queue; when the engine frees, the
 //! admission policy decides when to cut the next group and how large. Each
@@ -36,6 +36,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::admission::{estimate_group_service, AdmissionPolicy, GroupTrigger};
+use crate::cluster::fleet::Fleet;
+use crate::dispatcher::DispatchPolicy;
 use crate::traffic::{Request, TrafficConfig};
 
 /// Traffic fed to the serving loop.
@@ -221,6 +223,36 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// Cuts the report at the end of a run: outcomes in id order, the
+    /// makespan from the first arrival to the last finish, and the
+    /// per-replica utilization that `replicas` folds over that same
+    /// `(first arrival, last finish)` window.
+    pub(crate) fn assemble(
+        engine: String,
+        mut outcomes: Vec<RequestOutcome>,
+        groups: Vec<GroupRecord>,
+        replicas: impl FnOnce(SimTime, SimTime) -> Vec<ReplicaUtilization>,
+    ) -> ServeReport {
+        outcomes.sort_by_key(|o| o.id);
+        let first_arrival = outcomes
+            .iter()
+            .map(|o| o.arrival)
+            .min()
+            .unwrap_or(SimTime::ZERO);
+        let last_finish = outcomes
+            .iter()
+            .map(|o| o.finished)
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        ServeReport {
+            engine,
+            outcomes,
+            groups,
+            replicas: replicas(first_arrival, last_finish),
+            makespan: last_finish.saturating_since(first_arrival),
+        }
+    }
+
     /// Total replica-hours consumed: the sum of every replica's lifetime,
     /// in hours — the fleet-cost metric autoscaling trades against SLO
     /// attainment. For a static fleet this is `R × makespan`.
@@ -249,6 +281,10 @@ impl ServeReport {
 
 /// Drives `engine` over `traffic` and returns per-request outcomes.
 ///
+/// One replica on the crate's one serving event loop (see
+/// [`cluster`](crate::cluster)): a fixed fleet of size one, with no
+/// autoscaler and no faults.
+///
 /// # Errors
 ///
 /// Returns [`EngineError`] if the engine rejects a scenario as invalid
@@ -266,7 +302,30 @@ pub fn serve(
     traffic: &Traffic,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, EngineError> {
-    drive(engine, spec, hw, traffic, cfg, 1, &mut |_, _, _| 0)
+    let ctx = EngineCtx::new(engine, spec, hw, cfg);
+    let fleet = Fleet::fixed(ctx, traffic, 1, DispatchPolicy::RoundRobin);
+    Ok(fleet.run()?.serve)
+}
+
+/// The configuration checks every serving entry point shares.
+///
+/// # Panics
+///
+/// Panics if `cfg.batch_size` is zero, the policy's group size is zero,
+/// or closed-loop traffic promises requests but has no clients to issue
+/// them.
+pub(crate) fn validate(cfg: &ServeConfig, traffic: &Traffic) {
+    assert!(cfg.batch_size > 0, "batch_size must be positive");
+    assert!(cfg.policy.max_batches() > 0, "group size must be positive");
+    if let Traffic::Closed {
+        clients, cfg: tc, ..
+    } = traffic
+    {
+        assert!(
+            *clients > 0 || tc.num_requests == 0,
+            "closed-loop traffic needs at least one client"
+        );
+    }
 }
 
 /// Everything [`Replica::run_group`] needs beyond replica-local state.
@@ -305,6 +364,10 @@ impl<'a> EngineCtx<'a> {
     pub(crate) fn spec(&self) -> &ModelSpec {
         self.spec
     }
+
+    pub(crate) fn cfg(&self) -> &ServeConfig {
+        self.cfg
+    }
 }
 
 /// A completed request, reported back so closed-loop clients can react.
@@ -313,127 +376,9 @@ pub(crate) struct Completion {
     pub(crate) failed: bool,
 }
 
-/// The serving interleave's single tie rule: does the earliest pending
-/// group formation run before the earliest pending arrival? At equal
-/// instants the arrival is ingested first, so a request arriving exactly
-/// when an engine frees still joins that group. `None` means neither event
-/// exists — the run is over. Shared by [`drive`] and the cluster loop so
-/// both layers order events identically.
-pub(crate) fn formation_precedes(
-    next_arrival: Option<SimTime>,
-    next_form: Option<SimTime>,
-) -> Option<bool> {
-    match (next_arrival, next_form) {
-        (None, None) => None,
-        (Some(at), Some(tf)) => Some(tf < at),
-        (Some(_), None) => Some(false),
-        (None, Some(_)) => Some(true),
-    }
-}
-
-/// The shared serving event loop behind [`serve`] and the dispatcher.
-///
-/// Interleaves arrivals and group formations in global simulated-time
-/// order. Every arrival is routed through `route`, which sees the
-/// replicas' queues and clocks exactly as of the arrival instant (groups
-/// that would form earlier have already run). Arrivals at the same instant
-/// as a formation are ingested first, so a request arriving exactly when
-/// the engine frees still joins that group — the same ingest-then-cut
-/// order the single-engine loop has always had.
-pub(crate) fn drive(
-    engine: &dyn Engine,
-    spec: &ModelSpec,
-    hw: &HardwareSpec,
-    traffic: &Traffic,
-    cfg: &ServeConfig,
-    n_replicas: u32,
-    route: &mut dyn FnMut(&Request, &[Replica], &CostModel) -> usize,
-) -> Result<ServeReport, EngineError> {
-    assert!(cfg.batch_size > 0, "batch_size must be positive");
-    assert!(cfg.policy.max_batches() > 0, "group size must be positive");
-    assert!(n_replicas > 0, "need at least one replica");
-    if let Traffic::Closed {
-        clients, cfg: tc, ..
-    } = traffic
-    {
-        assert!(
-            *clients > 0 || tc.num_requests == 0,
-            "closed-loop traffic needs at least one client"
-        );
-    }
-
-    let mut source = ArrivalSource::new(traffic);
-    let mut replicas: Vec<Replica> = (0..n_replicas)
-        .map(|id| Replica::new(id, cfg.seed))
-        .collect();
-    let ctx = EngineCtx::new(engine, spec, hw, cfg);
-    let mut outcomes: Vec<RequestOutcome> = Vec::new();
-    let mut groups: Vec<GroupRecord> = Vec::new();
-    // The instant end-of-stream became knowable: a flush can be cut no
-    // earlier than the last arrival that proved the queue complete.
-    let mut last_arrival = SimTime::ZERO;
-
-    loop {
-        let next_arrival = source.peek();
-        // "End of stream" means no *known* future arrival; a closed-loop
-        // completion may still push more, exactly as in the single-engine
-        // loop, where flushes between think-time gaps are intended.
-        let eos = next_arrival.is_none();
-        let next_form = replicas
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.next_form_time(cfg, eos, last_arrival).map(|t| (t, i)))
-            .min();
-        let Some(form_first) = formation_precedes(next_arrival, next_form.map(|(t, _)| t)) else {
-            break;
-        };
-        if form_first {
-            let (t_form, i) = next_form.expect("formation event");
-            let done = replicas[i].run_group(t_form, eos, &ctx, &mut outcomes, &mut groups)?;
-            for c in &done {
-                source.on_complete(c.finished, c.failed);
-            }
-        } else {
-            let r = source.pop();
-            last_arrival = last_arrival.max(r.arrival);
-            let idx = route(&r, &replicas, &ctx.cost);
-            assert!(
-                idx < replicas.len(),
-                "router picked replica {idx} of {}",
-                replicas.len()
-            );
-            replicas[idx].enqueue(r);
-        }
-    }
-
-    outcomes.sort_by_key(|o| o.id);
-    let first_arrival = outcomes
-        .iter()
-        .map(|o| o.arrival)
-        .min()
-        .unwrap_or(SimTime::ZERO);
-    let last_finish = outcomes
-        .iter()
-        .map(|o| o.finished)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let makespan = last_finish.saturating_since(first_arrival);
-    let replicas = replicas
-        .iter()
-        .map(|r| r.stats(first_arrival, last_finish))
-        .collect();
-    Ok(ServeReport {
-        engine: engine.name(),
-        outcomes,
-        groups,
-        replicas,
-        makespan,
-    })
-}
-
 /// One engine replica's serving state: its admission queue, its clock, and
-/// its running utilization totals. Shared verbatim between the
-/// single-engine loop and the multi-replica dispatcher.
+/// its running utilization totals. Every fleet slot holds one, whatever
+/// entry point configured the fleet.
 pub(crate) struct Replica {
     id: u32,
     /// Per-replica scenario-seed base (replica 0 preserves the
@@ -781,12 +726,17 @@ impl Replica {
             spawned: self.spawned,
             retired: self.retired,
             lifetime,
-            utilization: if lifetime.is_zero() {
-                0.0
-            } else {
-                self.busy.as_secs_f64() / lifetime.as_secs_f64()
-            },
+            utilization: busy_share(self.busy, lifetime),
         }
+    }
+}
+
+/// `busy` over `lifetime`, or 0 when the lifetime is zero.
+pub(crate) fn busy_share(busy: SimDuration, lifetime: SimDuration) -> f64 {
+    if lifetime.is_zero() {
+        0.0
+    } else {
+        busy.as_secs_f64() / lifetime.as_secs_f64()
     }
 }
 
@@ -849,9 +799,9 @@ fn group_workload(batch: &[Request], batch_size: u32) -> Workload {
     }
 }
 
-/// The request stream feeding [`drive`] and the cluster loop:
-/// pre-generated open-loop arrivals plus the closed-loop state that issues
-/// follow-up requests as completions happen.
+/// The request stream feeding the fleet loop and the continuous slot
+/// machine: pre-generated open-loop arrivals plus the closed-loop state
+/// that issues follow-up requests as completions happen.
 ///
 /// Built on the simulator's [`EventQueue`], whose FIFO-among-ties rule is
 /// the one ordering definition the whole tree uses. Same-instant arrivals
@@ -919,14 +869,14 @@ impl ArrivalSource {
 
     /// Pops the earliest pending arrival (FIFO among ties — request-id
     /// order, the same order the single-engine queue always ingested them).
-    pub(crate) fn pop(&mut self) -> Request {
-        let (at, (id, prompt, gen)) = self.future.pop().expect("pop on an empty source");
-        Request {
+    pub(crate) fn pop(&mut self) -> Option<Request> {
+        let (at, (id, prompt, gen)) = self.future.pop()?;
+        Some(Request {
             id,
             arrival: at,
             prompt_len: prompt,
             gen_len: gen,
-        }
+        })
     }
 
     /// A request completed at `finished`; in closed-loop mode its client
