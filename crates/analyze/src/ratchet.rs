@@ -17,8 +17,8 @@
 pub const PANIC_CEILINGS: &[(&str, usize)] = &[
     ("analyze", 0),
     ("baselines", 116),
-    ("bench", 84),
-    ("core", 86),
+    ("bench", 45),
+    ("core", 83),
     // The facade crate re-exports only.
     ("klotski", 0),
     ("model", 0),

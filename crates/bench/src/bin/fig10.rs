@@ -4,8 +4,9 @@
 //! Pass `--bs128` to add the paper's §9.2 batch-128 comparison point.
 
 use klotski_bench::{fig10_engines, tps_cell, Setting, TextTable};
+use klotski_core::scenario::EngineError;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let bs128 = std::env::args().any(|a| a == "--bs128");
     let mut batch_sizes = klotski_bench::sweep_batch_sizes();
     if bs128 {
@@ -25,7 +26,7 @@ fn main() {
             let sc = setting.scenario(bs);
             let mut row = vec![bs.to_string()];
             for engine in fig10_engines() {
-                let report = engine.run(&sc).expect("engine run");
+                let report = engine.run(&sc)?;
                 row.push(tps_cell(&report));
             }
             table.row(row);
@@ -36,4 +37,5 @@ fn main() {
     println!("\n(token/s; OOM marks runs whose resident footprint exceeds VRAM, §9.2)");
     println!("paper headline: Klotski up to 85.12x / 15.45x / 2.23x / 19.06x / 9.53x over");
     println!("Accelerate / FastGen / FlexGen / MoE-Infinity / Fiddler respectively.");
+    Ok(())
 }

@@ -3,8 +3,9 @@
 //! latency) is better.
 
 use klotski_bench::{fig10_engines, Setting, TextTable};
+use klotski_core::scenario::EngineError;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     for setting in Setting::ALL {
         println!(
             "\n== Fig. 11: {} — (latency s → throughput tok/s) per batch size ==",
@@ -20,7 +21,7 @@ fn main() {
             let mut row = vec![engine.name()];
             for &bs in &batch_sizes {
                 let sc = setting.scenario(bs);
-                let report = engine.run(&sc).expect("engine run");
+                let report = engine.run(&sc)?;
                 if report.succeeded() {
                     row.push(format!(
                         "{:.0}s→{:.2}",
@@ -37,4 +38,5 @@ fn main() {
     }
     println!("\n(the paper reads these as curves: at an equal time budget, Klotski");
     println!("completes ≥3x the work of FlexGen in Env 2 and dominates the rest)");
+    Ok(())
 }

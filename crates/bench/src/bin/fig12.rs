@@ -4,14 +4,18 @@
 
 use klotski_bench::{Setting, TextTable};
 use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
-use klotski_core::scenario::{Engine, Scenario};
+use klotski_core::scenario::{Engine, EngineError, Scenario};
 
-fn run_curve(sc: &Scenario, use_spare: bool) -> (Vec<(u64, u64)>, u64, f64) {
+/// A run's prefill memory curve as (op, bytes in use), its peak VRAM
+/// and its throughput.
+type Curve = (Vec<(u64, u64)>, u64, f64);
+
+fn run_curve(sc: &Scenario, use_spare: bool) -> Result<Curve, EngineError> {
     let mut cfg = KlotskiConfig::full();
     cfg.use_spare_vram = use_spare;
     cfg.record_memory = true;
     let engine = KlotskiEngine::new(cfg);
-    let report = engine.run(sc).expect("engine run");
+    let report = engine.run(sc)?;
     assert!(report.succeeded(), "{:?}", report.oom);
     // The memory curve is sampled at every GPU compute completion; restrict
     // to the prefill portion like the paper ("the decoding phase is
@@ -27,10 +31,10 @@ fn run_curve(sc: &Scenario, use_spare: bool) -> (Vec<(u64, u64)>, u64, f64) {
         op += 1;
         curve.push((op, s.in_use));
     }
-    (curve, report.peak_vram, report.throughput_tps())
+    Ok((curve, report.peak_vram, report.throughput_tps()))
 }
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     for (setting, bs) in [(Setting::Small8x7bEnv1, 16u32), (Setting::Big8x22bEnv2, 16)] {
         let wl = klotski_bench::workload(bs, setting.n());
         let sc = Scenario::generate(setting.model(), setting.hardware(), wl, klotski_bench::SEED);
@@ -44,8 +48,8 @@ fn main() {
             vram_limit as f64 / 1e9
         );
 
-        let (complete, peak_c, tps_c) = run_curve(&sc, false);
-        let (further, peak_f, tps_f) = run_curve(&sc, true);
+        let (complete, peak_c, tps_c) = run_curve(&sc, false)?;
+        let (further, peak_f, tps_f) = run_curve(&sc, true)?;
 
         // Downsampled usage curve.
         let mut table =
@@ -80,4 +84,5 @@ fn main() {
             "paper: >94.1% reduction fully offloaded; 74.5% while sustaining ~40 tok/s (Env 2)"
         );
     }
+    Ok(())
 }

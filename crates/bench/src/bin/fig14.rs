@@ -4,10 +4,10 @@
 
 use klotski_bench::{tps_cell, Setting, TextTable, SEED};
 use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
-use klotski_core::scenario::{Engine, Scenario};
+use klotski_core::scenario::{Engine, EngineError, Scenario};
 use klotski_model::workload::Workload;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let engine = KlotskiEngine::new(KlotskiConfig::full());
     let batch_sizes = klotski_bench::sweep_batch_sizes();
     let ns: Vec<u32> = if klotski_bench::cheap_mode() {
@@ -30,7 +30,7 @@ fn main() {
             for &bs in &batch_sizes {
                 let wl = Workload::paper_default(bs).with_batches(n);
                 let sc = Scenario::generate(setting.model(), setting.hardware(), wl, SEED);
-                let report = engine.run(&sc).expect("engine run");
+                let report = engine.run(&sc)?;
                 row.push(tps_cell(&report));
             }
             table.row(row);
@@ -40,4 +40,5 @@ fn main() {
     println!("\nreading (paper §9.7): small n leaves I/O uncovered; throughput climbs");
     println!("steeply with n, faster at larger batch sizes, then flattens once the");
     println!("inter-/intra-layer bubbles are gone and extra n only amortizes I/O counts.");
+    Ok(())
 }

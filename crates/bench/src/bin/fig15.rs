@@ -6,13 +6,13 @@
 use klotski_bench::{Setting, SEED};
 use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
 use klotski_core::report::InferenceReport;
-use klotski_core::scenario::{Engine, Scenario};
+use klotski_core::scenario::{Engine, EngineError, Scenario};
 use klotski_sim::time::SimTime;
 
-fn run(cfg: KlotskiConfig, sc: &Scenario) -> InferenceReport {
+fn run(cfg: KlotskiConfig, sc: &Scenario) -> Result<InferenceReport, EngineError> {
     let mut cfg = cfg;
     cfg.record_timeline = true;
-    KlotskiEngine::new(cfg).run(sc).expect("engine run")
+    KlotskiEngine::new(cfg).run(sc)
 }
 
 /// Average time for the whole workload (all batches) to pass one MoE
@@ -43,7 +43,7 @@ fn show(label: &str, report: &InferenceReport, sc: &Scenario, per_block_batches:
     print!("{}", metrics.render_ascii(mid, window, 110));
 }
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     // The paper's Fig. 15 workload: Mixtral-8×7B in Env 1, batch 64, n=10.
     let setting = Setting::Small8x7bEnv1;
     let bs = if klotski_bench::cheap_mode() { 16 } else { 64 };
@@ -59,7 +59,7 @@ fn main() {
 
     // (a) simple overlap: single batch, whole-MoE-layer prefetch. The same
     // total workload is processed batch-by-batch.
-    let simple = run(KlotskiConfig::ablation_simple_pipeline(), &sc);
+    let simple = run(KlotskiConfig::ablation_simple_pipeline(), &sc)?;
     show(
         "(a) simple overlap, single batch",
         &simple,
@@ -68,7 +68,7 @@ fn main() {
     );
 
     // (b) Klotski's multi-batch pipeline.
-    let klotski = run(KlotskiConfig::full(), &sc);
+    let klotski = run(KlotskiConfig::full(), &sc)?;
     show(
         "(b) Klotski, expert-aware multi-batch",
         &klotski,
@@ -83,4 +83,5 @@ fn main() {
          ({:.1}× faster; paper measures the decode block only: ≈2367 ms vs ≈215 ms, 11.0×)",
         simple_block / klotski_block
     );
+    Ok(())
 }

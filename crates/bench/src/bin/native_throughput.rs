@@ -3,65 +3,54 @@
 //! (committed as `BENCH_native.json`, extended per PR, never overwritten
 //! blindly).
 //!
-//! Two sweeps, two axes:
+//! Every cell runs one workload through two sides and reports both
+//! tokens/sec and their ratio. Four comparisons:
 //!
-//! **Expert-path sweep** (the PR 3 cells, same model and workloads so the
-//! trajectory stays comparable): every cell runs the same workload through
-//! [`run_pipeline`] in four modes —
+//! * **reference** — [`MoeModel::generate`], the sequential per-token
+//!   oracle, vs the default [`run_pipeline`] (batched expert GEMMs,
+//!   group-batched attention, the worker pool), on the bench model
+//!   (prefill and decode) and on an attention-heavy shape (decode);
+//! * **workers** — the default pipeline with 1 compute worker (expert
+//!   GEMMs inline) vs the default pool;
+//! * **kernels** — the default pipeline with the tensor micro-kernels
+//!   forced to scalar (a [`BackendGuard`] held around the call) vs the
+//!   detected backend (`--features simd`: AVX2 or SSE2);
+//! * **quant** — a 4-bit expert store, staged (I/O-thread dequantize into
+//!   a dense slot, then dense GEMMs) vs fused (GEMM straight off the
+//!   packed codes).
 //!
-//! * **per-token** — `batch_experts: false`, the retained pre-batching
-//!   fallback that computes each routed token as its own matvec chain;
-//! * **batched serial / parallel** — expert-level batched GEMMs with 1
-//!   worker / the default worker pool, attention still per-token;
-//! * **attn-batched** — batched experts *plus* group-batched attention
-//!   (`batch_attention: true`): Q/K/V/O as per-group GEMMs and blocked
-//!   strided scores/AV kernels in reused scratch.
+//! Every run must reproduce its cell's first run — tokens and final hidden
+//! states, bit for bit — so the reference cells assert the pipeline equals
+//! `generate`. Pipeline sides are timed by [`NativeRunResult::elapsed`]
+//! (store build excluded); the `generate` side is timed here. Each side is
+//! the best of 2 runs.
 //!
-//! **Attention sweep** (`"model":"attn_heavy"` cells): decode-heavy cells
-//! on an attention-dominated shape (wide d_model, modest d_ff, longer
-//! contexts — the regime of real large models, where attention is a
-//! material share of step time), comparing per-token vs batched attention
-//! with the expert path fixed at its best. Full mode gates the ≥1.3×
-//! decode win at 32 sequences.
+//! Full mode gates: decode at ≥ 8 sequences runs ≥ 2× faster on the
+//! default pipeline than on `generate`, on both models; with AVX2
+//! available, the detected kernels decode ≥ 1.5× faster than scalar at 32
+//! sequences; fused beats staged at the largest batch. Output ends with
+//! one JSON line per cell; everything in it is deterministic except the
+//! wall-clock-derived `*_tps` / `speedup` fields.
 //!
-//! **Kernel-backend sweep** (`"model":"kernel_backend"` cells): decode
-//! cells with the tensor micro-kernels forced to the scalar reference vs
-//! the detected SIMD backend (`--features simd`; AVX2 or SSE2), everything
-//! else fixed at the default pipeline. Full mode gates the ≥1.5× decode
-//! win at 32 sequences when the AVX2 backend is available.
-//!
-//! **Quantized-GEMM sweep** (`"model":"quant_gemm"` cells): decode cells
-//! with a 4-bit quantized expert store, comparing the staged path
-//! (I/O-thread dequantize into a full-precision slot, then dense GEMMs)
-//! against the fused path (packed bytes in the slot, dequantization fused
-//! into the GEMM panel loop). Full mode gates fused > staged at the
-//! largest batch.
-//!
-//! The bin asserts all modes produce byte-identical tokens and final
-//! hidden states (both batching axes are numerics-neutral). Output ends
-//! with one JSON line per cell; everything in it is deterministic except
-//! the wall-clock-derived `*_tps` / `speedup_*` fields, which are excluded
-//! from any determinism assertion.
-//!
-//! `KLOTSKI_CHEAP=1` shrinks the model and sweeps to CI-smoke scale while
-//! still executing **both** attention modes with byte-identity asserted —
-//! the bit-exactness gate runs on every PR — and only smoke-checks the
+//! `KLOTSKI_CHEAP=1` shrinks the models and sweeps to CI-smoke scale while
+//! still asserting byte-identity on every side, and only smoke-checks the
 //! speedups (shared CI runners make tight ratio asserts flaky).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use klotski_bench::{cheap_mode, TextTable};
-use klotski_core::native::{run_pipeline, NativePipelineConfig, NativeRunResult};
+use klotski_core::native::{run_pipeline, NativePipelineConfig};
+use klotski_moe::attention::AttnMask;
 use klotski_moe::config::MoeConfig;
 use klotski_moe::model::MoeModel;
 use klotski_tensor::quant::QuantConfig;
-use klotski_tensor::simd::{cpu_features, detected_backend, KernelBackend};
+use klotski_tensor::simd::{cpu_features, detected_backend, BackendGuard, KernelBackend};
 
-/// The expert-sweep benchmark model (identical to the PR 3 entries so the
-/// trajectory stays comparable). Bigger than the test presets on purpose:
-/// each expert is ~3 MB (full) / ~0.75 MB (cheap), so the per-token path
-/// actually re-streams weights out of cache and the batched path's
-/// amortization is measured, not simulated.
+/// The bench model (unchanged across `BENCH_native.json` so the trajectory
+/// stays comparable). Bigger than the test presets on purpose: each expert is
+/// ~3 MB (full) / ~0.75 MB (cheap), so per-token compute actually
+/// re-streams weights out of cache and the batched path's amortization is
+/// measured, not simulated.
 fn bench_model(cheap: bool) -> MoeConfig {
     if cheap {
         MoeConfig {
@@ -90,7 +79,7 @@ fn bench_model(cheap: bool) -> MoeConfig {
     }
 }
 
-/// The attention-sweep model: wide attention (d_model 512, 16 heads)
+/// The attention-heavy model: wide attention (d_model 512, 16 heads)
 /// against modest experts, the regime where the attention block is a
 /// material share of decode step time (as it is in real large models).
 fn attn_heavy_model(cheap: bool) -> MoeConfig {
@@ -135,470 +124,279 @@ fn tps(tokens: usize, d: Duration) -> f64 {
     tokens as f64 / d.as_secs_f64().max(1e-9)
 }
 
-fn ratio(slow: Duration, fast: Duration) -> f64 {
-    slow.as_secs_f64() / fast.as_secs_f64().max(1e-9)
+/// A run's generated tokens and final hidden states.
+type Output = (Vec<Vec<u32>>, Vec<Vec<f32>>);
+
+/// One side of a comparison.
+#[derive(Clone, Copy)]
+struct Side {
+    label: &'static str,
+    /// The pipeline configuration; `None` runs [`MoeModel::generate`].
+    pipeline: Option<NativePipelineConfig>,
+    /// Kernel backend forced for the run (`None`: the detected one).
+    backend: Option<KernelBackend>,
 }
 
+impl Side {
+    fn pipeline(label: &'static str, cfg: NativePipelineConfig) -> Self {
+        Side {
+            label,
+            pipeline: Some(cfg),
+            backend: None,
+        }
+    }
+
+    /// One run: its wall time and its output.
+    fn run(&self, model: &MoeModel, p: &[Vec<u32>], gen_len: usize) -> (Duration, Output) {
+        let _pinned = self.backend.map(BackendGuard::force);
+        match &self.pipeline {
+            Some(cfg) => {
+                let r = run_pipeline(model, p, gen_len, cfg);
+                (r.elapsed, (r.tokens, r.final_hidden))
+            }
+            None => {
+                // analyze: allow(determinism) -- times the reference side; the duration is reported, never branched on
+                let start = Instant::now();
+                let r = model.generate(p, gen_len, AttnMask::Dense);
+                (start.elapsed(), (r.tokens, r.final_hidden))
+            }
+        }
+    }
+}
+
+/// A comparison's axis name and its two sides: `base`, then `new`.
+type Comparison = (&'static str, Side, Side);
+
+/// A workload's phase, prompt length and generated tokens per sequence.
+type Shape = (&'static str, usize, usize);
+
+/// One workload through two sides: `base` (the slower or reference side)
+/// and `new`.
 struct Cell {
+    axis: &'static str,
+    model: &'static str,
     phase: &'static str,
     n_seqs: usize,
     /// Total forward-pass tokens the run processes (prompt + generated).
     tokens: usize,
-    per_token: Duration,
-    batched_serial: Duration,
-    batched_parallel: Duration,
-    attn_batched: Duration,
+    base: &'static str,
+    new: &'static str,
+    base_time: Duration,
+    new_time: Duration,
 }
 
-/// One attention-sweep cell: per-token vs batched attention, expert path
-/// fixed at batched + default workers.
-struct AttnCell {
-    n_seqs: usize,
-    tokens: usize,
-    attn_off: Duration,
-    attn_on: Duration,
-}
-
-/// One kernel-backend cell: scalar-forced vs detected-SIMD micro-kernels,
-/// pipeline otherwise at its default best.
-struct KernelCell {
-    n_seqs: usize,
-    tokens: usize,
-    scalar: Duration,
-    simd: Duration,
-}
-
-/// One quantized-GEMM cell: staged (dequantize-then-GEMM) vs fused
-/// (GEMM straight off the packed codes) on a 4-bit expert store.
-struct QuantCell {
-    n_seqs: usize,
-    tokens: usize,
-    staged: Duration,
-    fused: Duration,
-}
-
-/// The environment fields recorded in every JSON entry: what the CPU
-/// offers and which micro-kernel backend the run actually used.
-fn env_json() -> String {
-    format!(
-        "\"kernel_backend\":\"{}\",\"cpu_features\":\"{}\"",
-        detected_backend().name(),
-        cpu_features()
-    )
-}
-
-/// Best-of-2 runs (wall-clock noise) of one pipeline config; asserts the
-/// result matches `reference` bit-for-bit before timing counts.
-fn timed(
-    model: &MoeModel,
-    p: &[Vec<u32>],
-    gen_len: usize,
-    cfg: &NativePipelineConfig,
-    reference: &NativeRunResult,
-    label: &str,
-) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..2 {
-        let r = run_pipeline(model, p, gen_len, cfg);
-        assert_eq!(r.tokens, reference.tokens, "{label}: tokens diverged");
-        assert_eq!(
-            r.final_hidden, reference.final_hidden,
-            "{label}: hidden states diverged"
-        );
-        best = best.min(r.elapsed);
-    }
-    best
-}
-
-fn json_line(mode: &str, c: &Cell) -> String {
-    format!(
-        "{{\"bench\":\"native_throughput\",\"mode\":\"{}\",\"phase\":\"{}\",\"seqs\":{},\
-         \"tokens\":{},\"per_token_tps\":{:.1},\"batched_serial_tps\":{:.1},\
-         \"batched_parallel_tps\":{:.1},\"attn_batched_tps\":{:.1},\"speedup_serial\":{:.2},\
-         \"speedup_parallel\":{:.2},\"speedup_attn\":{:.2},{}}}",
-        mode,
-        c.phase,
-        c.n_seqs,
-        c.tokens,
-        tps(c.tokens, c.per_token),
-        tps(c.tokens, c.batched_serial),
-        tps(c.tokens, c.batched_parallel),
-        tps(c.tokens, c.attn_batched),
-        ratio(c.per_token, c.batched_serial),
-        ratio(c.per_token, c.batched_parallel),
-        ratio(c.batched_parallel, c.attn_batched),
-        env_json(),
-    )
-}
-
-fn attn_json_line(mode: &str, c: &AttnCell) -> String {
-    format!(
-        "{{\"bench\":\"native_throughput\",\"mode\":\"{}\",\"model\":\"attn_heavy\",\
-         \"phase\":\"decode\",\"seqs\":{},\"tokens\":{},\"attn_off_tps\":{:.1},\
-         \"attn_on_tps\":{:.1},\"speedup_attn\":{:.2},{}}}",
-        mode,
-        c.n_seqs,
-        c.tokens,
-        tps(c.tokens, c.attn_off),
-        tps(c.tokens, c.attn_on),
-        ratio(c.attn_off, c.attn_on),
-        env_json(),
-    )
-}
-
-fn kernel_json_line(mode: &str, c: &KernelCell) -> String {
-    format!(
-        "{{\"bench\":\"native_throughput\",\"mode\":\"{}\",\"model\":\"kernel_backend\",\
-         \"phase\":\"decode\",\"seqs\":{},\"tokens\":{},\"scalar_tps\":{:.1},\
-         \"simd_tps\":{:.1},\"speedup_simd\":{:.2},{}}}",
-        mode,
-        c.n_seqs,
-        c.tokens,
-        tps(c.tokens, c.scalar),
-        tps(c.tokens, c.simd),
-        ratio(c.scalar, c.simd),
-        env_json(),
-    )
-}
-
-fn quant_json_line(mode: &str, c: &QuantCell) -> String {
-    format!(
-        "{{\"bench\":\"native_throughput\",\"mode\":\"{}\",\"model\":\"quant_gemm\",\
-         \"phase\":\"decode\",\"seqs\":{},\"tokens\":{},\"staged_tps\":{:.1},\
-         \"fused_tps\":{:.1},\"speedup_fused\":{:.2},{}}}",
-        mode,
-        c.n_seqs,
-        c.tokens,
-        tps(c.tokens, c.staged),
-        tps(c.tokens, c.fused),
-        ratio(c.staged, c.fused),
-        env_json(),
-    )
-}
-
-fn expert_sweep(cheap: bool) -> Vec<Cell> {
-    let mcfg = bench_model(cheap);
-    let model = MoeModel::new(mcfg);
-    let batch_sizes: Vec<usize> = if cheap {
-        vec![2, 8]
-    } else {
-        vec![1, 8, 16, 32]
-    };
-    // Prefill cells are prompt-dominated, decode cells generation-dominated.
-    let (prefill_prompt, decode_prompt, decode_gen) = if cheap { (16, 2, 6) } else { (48, 4, 12) };
-
-    println!(
-        "== native_throughput: {} layers x {} experts (top-{}), d_model {}, d_ff {} ({}) ==",
-        mcfg.n_layers,
-        mcfg.n_experts,
-        mcfg.top_k,
-        mcfg.d_model,
-        mcfg.d_ff,
-        if cheap { "cheap" } else { "full" },
-    );
-    println!(
-        "per-token = retained matvec fallback; batched = expert-level GEMMs; \
-         attn-batched = + group-batched attention"
-    );
-
-    let per_token_cfg = NativePipelineConfig {
-        batch_experts: false,
-        batch_attention: false,
-        ..Default::default()
-    };
-    let serial_cfg = NativePipelineConfig {
-        compute_workers: 1,
-        batch_attention: false,
-        ..Default::default()
-    };
-    let parallel_cfg = NativePipelineConfig {
-        batch_attention: false,
-        ..Default::default()
-    };
-    let attn_cfg = NativePipelineConfig::default();
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for &n_seqs in &batch_sizes {
-        for (phase, prompt_len, gen_len) in [
-            ("prefill", prefill_prompt, 1usize),
-            ("decode", decode_prompt, decode_gen),
-        ] {
-            let p = prompts(n_seqs, prompt_len, mcfg.vocab);
-            let reference = run_pipeline(&model, &p, gen_len, &per_token_cfg);
-            let per_token = timed(&model, &p, gen_len, &per_token_cfg, &reference, "per-token");
-            let batched_serial = timed(
-                &model,
-                &p,
-                gen_len,
-                &serial_cfg,
-                &reference,
-                "batched serial",
-            );
-            let batched_parallel = timed(
-                &model,
-                &p,
-                gen_len,
-                &parallel_cfg,
-                &reference,
-                "batched parallel",
-            );
-            let attn_batched = timed(&model, &p, gen_len, &attn_cfg, &reference, "attn batched");
-            cells.push(Cell {
-                phase,
-                n_seqs,
-                tokens: n_seqs * (prompt_len + gen_len),
-                per_token,
-                batched_serial,
-                batched_parallel,
-                attn_batched,
-            });
+impl Cell {
+    /// Times both sides, best of 2 runs each, asserting every run matches
+    /// the first one bit for bit.
+    fn measure(
+        (axis, base, new): Comparison,
+        (model_name, model): (&'static str, &MoeModel),
+        n_seqs: usize,
+        (phase, prompt_len, gen_len): Shape,
+    ) -> Self {
+        let p = prompts(n_seqs, prompt_len, model.config().vocab);
+        let mut expected: Option<Output> = None;
+        let mut best = |side: &Side| {
+            let mut fastest = Duration::MAX;
+            for _ in 0..2 {
+                let (elapsed, out) = side.run(model, &p, gen_len);
+                fastest = fastest.min(elapsed);
+                let Some(e) = &expected else {
+                    expected = Some(out);
+                    continue;
+                };
+                let what = format!("{axis}/{model_name} {phase} {n_seqs} seqs, {}", side.label);
+                assert_eq!(out.0, e.0, "{what}: tokens diverged");
+                assert_eq!(out.1, e.1, "{what}: hidden states diverged");
+            }
+            fastest
+        };
+        let base_time = best(&base);
+        let new_time = best(&new);
+        Cell {
+            axis,
+            model: model_name,
+            phase,
+            n_seqs,
+            tokens: n_seqs * (prompt_len + gen_len),
+            base: base.label,
+            new: new.label,
+            base_time,
+            new_time,
         }
     }
 
-    let mut table = TextTable::new([
-        "phase",
-        "seqs",
-        "tokens",
-        "per-token tok/s",
-        "batched tok/s",
-        "batched(par) tok/s",
-        "attn-batched tok/s",
-        "speedup",
-    ]);
-    for c in &cells {
-        table.row([
-            c.phase.to_owned(),
-            c.n_seqs.to_string(),
-            c.tokens.to_string(),
-            format!("{:.0}", tps(c.tokens, c.per_token)),
-            format!("{:.0}", tps(c.tokens, c.batched_serial)),
-            format!("{:.0}", tps(c.tokens, c.batched_parallel)),
-            format!("{:.0}", tps(c.tokens, c.attn_batched)),
-            format!("{:.2}x", ratio(c.per_token, c.attn_batched)),
-        ]);
+    fn speedup(&self) -> f64 {
+        self.base_time.as_secs_f64() / self.new_time.as_secs_f64().max(1e-9)
     }
-    table.print();
-    cells
+
+    fn json_line(&self, mode: &str) -> String {
+        format!(
+            "{{\"bench\":\"native_throughput\",\"mode\":\"{mode}\",\"axis\":\"{}\",\
+             \"model\":\"{}\",\"phase\":\"{}\",\"seqs\":{},\"tokens\":{},\"base\":\"{}\",\
+             \"new\":\"{}\",\"base_tps\":{:.1},\"new_tps\":{:.1},\"speedup\":{:.2},\
+             \"kernel_backend\":\"{}\",\"cpu_features\":\"{}\"}}",
+            self.axis,
+            self.model,
+            self.phase,
+            self.n_seqs,
+            self.tokens,
+            self.base,
+            self.new,
+            tps(self.tokens, self.base_time),
+            tps(self.tokens, self.new_time),
+            self.speedup(),
+            detected_backend().name(),
+            cpu_features(),
+        )
+    }
 }
 
-fn attn_sweep(cheap: bool) -> Vec<AttnCell> {
-    let mcfg = attn_heavy_model(cheap);
-    let model = MoeModel::new(mcfg);
-    let batch_sizes: Vec<usize> = if cheap { vec![2, 8] } else { vec![8, 32] };
-    let (prompt_len, gen_len) = if cheap { (8, 8) } else { (24, 24) };
-
-    println!(
-        "\n== attention sweep: {} layers x {} experts (top-{}), d_model {} ({} heads), d_ff {} ==",
-        mcfg.n_layers, mcfg.n_experts, mcfg.top_k, mcfg.d_model, mcfg.n_heads, mcfg.d_ff,
-    );
-    println!("decode, prompt {prompt_len} + gen {gen_len}; expert path fixed at batched");
-
-    let off_cfg = NativePipelineConfig {
-        batch_attention: false,
-        ..Default::default()
-    };
-    let on_cfg = NativePipelineConfig::default();
-
-    let mut cells = Vec::new();
-    for &n_seqs in &batch_sizes {
-        let p = prompts(n_seqs, prompt_len, mcfg.vocab);
-        let reference = run_pipeline(&model, &p, gen_len, &off_cfg);
-        let attn_off = timed(&model, &p, gen_len, &off_cfg, &reference, "attn per-token");
-        let attn_on = timed(&model, &p, gen_len, &on_cfg, &reference, "attn batched");
-        cells.push(AttnCell {
-            n_seqs,
-            tokens: n_seqs * (prompt_len + gen_len),
-            attn_off,
-            attn_on,
-        });
-    }
-
-    let mut table = TextTable::new([
-        "seqs",
-        "tokens",
-        "attn per-token tok/s",
-        "attn batched tok/s",
-        "speedup",
-    ]);
-    for c in &cells {
-        table.row([
-            c.n_seqs.to_string(),
-            c.tokens.to_string(),
-            format!("{:.0}", tps(c.tokens, c.attn_off)),
-            format!("{:.0}", tps(c.tokens, c.attn_on)),
-            format!("{:.2}x", ratio(c.attn_off, c.attn_on)),
-        ]);
-    }
-    table.print();
+/// The best decode speedup among `axis` cells on `model` with at least
+/// `min_seqs` sequences (0 when there are none).
+fn gate(cells: &[Cell], axis: &str, model: &str, min_seqs: usize) -> f64 {
     cells
+        .iter()
+        .filter(|c| c.axis == axis && c.model == model && c.phase == "decode")
+        .filter(|c| c.n_seqs >= min_seqs)
+        .map(Cell::speedup)
+        .fold(0.0, f64::max)
 }
 
-fn kernel_sweep(cheap: bool) -> Vec<KernelCell> {
-    let mcfg = bench_model(cheap);
-    let model = MoeModel::new(mcfg);
-    let batch_sizes: Vec<usize> = if cheap { vec![2] } else { vec![8, 32] };
-    let (prompt_len, gen_len) = if cheap { (2, 6) } else { (4, 12) };
-
+fn describe(name: &str, m: &MoeConfig) {
     println!(
-        "\n== kernel-backend sweep: scalar vs {} micro-kernels (decode, cpu: {}) ==",
-        detected_backend(),
-        cpu_features(),
+        "{name}: {} layers x {} experts (top-{}), d_model {} ({} heads), d_ff {}",
+        m.n_layers, m.n_experts, m.top_k, m.d_model, m.n_heads, m.d_ff,
     );
-    println!("same pipeline config both sides; only the tensor micro-kernels switch");
-
-    let scalar_cfg = NativePipelineConfig {
-        kernel_backend: Some(KernelBackend::Scalar),
-        ..Default::default()
-    };
-    let simd_cfg = NativePipelineConfig {
-        kernel_backend: Some(detected_backend()),
-        ..Default::default()
-    };
-
-    let mut cells = Vec::new();
-    for &n_seqs in &batch_sizes {
-        let p = prompts(n_seqs, prompt_len, mcfg.vocab);
-        let reference = run_pipeline(&model, &p, gen_len, &scalar_cfg);
-        let scalar = timed(
-            &model,
-            &p,
-            gen_len,
-            &scalar_cfg,
-            &reference,
-            "scalar kernels",
-        );
-        let simd = timed(&model, &p, gen_len, &simd_cfg, &reference, "simd kernels");
-        cells.push(KernelCell {
-            n_seqs,
-            tokens: n_seqs * (prompt_len + gen_len),
-            scalar,
-            simd,
-        });
-    }
-
-    let mut table = TextTable::new(["seqs", "tokens", "scalar tok/s", "simd tok/s", "speedup"]);
-    for c in &cells {
-        table.row([
-            c.n_seqs.to_string(),
-            c.tokens.to_string(),
-            format!("{:.0}", tps(c.tokens, c.scalar)),
-            format!("{:.0}", tps(c.tokens, c.simd)),
-            format!("{:.2}x", ratio(c.scalar, c.simd)),
-        ]);
-    }
-    table.print();
-    cells
-}
-
-fn quant_sweep(cheap: bool) -> Vec<QuantCell> {
-    let mcfg = bench_model(cheap);
-    let model = MoeModel::new(mcfg);
-    let batch_sizes: Vec<usize> = if cheap { vec![2] } else { vec![8, 32] };
-    let (prompt_len, gen_len) = if cheap { (2, 6) } else { (4, 12) };
-    let qcfg = QuantConfig::paper_default();
-
-    println!(
-        "\n== quantized-GEMM sweep: staged dequant-then-GEMM vs fused ({}-bit experts) ==",
-        qcfg.bits,
-    );
-    println!("staged = I/O thread dequantizes into a dense slot; fused = GEMM off packed codes");
-
-    let staged_cfg = NativePipelineConfig {
-        quant: Some(qcfg),
-        fused_quant: false,
-        ..Default::default()
-    };
-    let fused_cfg = NativePipelineConfig {
-        quant: Some(qcfg),
-        fused_quant: true,
-        ..Default::default()
-    };
-
-    let mut cells = Vec::new();
-    for &n_seqs in &batch_sizes {
-        let p = prompts(n_seqs, prompt_len, mcfg.vocab);
-        let reference = run_pipeline(&model, &p, gen_len, &staged_cfg);
-        let staged = timed(&model, &p, gen_len, &staged_cfg, &reference, "staged quant");
-        let fused = timed(&model, &p, gen_len, &fused_cfg, &reference, "fused quant");
-        cells.push(QuantCell {
-            n_seqs,
-            tokens: n_seqs * (prompt_len + gen_len),
-            staged,
-            fused,
-        });
-    }
-
-    let mut table = TextTable::new(["seqs", "tokens", "staged tok/s", "fused tok/s", "speedup"]);
-    for c in &cells {
-        table.row([
-            c.n_seqs.to_string(),
-            c.tokens.to_string(),
-            format!("{:.0}", tps(c.tokens, c.staged)),
-            format!("{:.0}", tps(c.tokens, c.fused)),
-            format!("{:.2}x", ratio(c.staged, c.fused)),
-        ]);
-    }
-    table.print();
-    cells
 }
 
 fn main() {
     let cheap = cheap_mode();
-    let cells = expert_sweep(cheap);
-    let attn_cells = attn_sweep(cheap);
-    let kernel_cells = kernel_sweep(cheap);
-    let quant_cells = quant_sweep(cheap);
+    let mode = if cheap { "cheap" } else { "full" };
+    let bench_cfg = bench_model(cheap);
+    let attn_cfg = attn_heavy_model(cheap);
+    let bench = ("bench", &MoeModel::new(bench_cfg));
+    let attn_heavy = ("attn_heavy", &MoeModel::new(attn_cfg));
 
-    println!("\nall modes byte-identical (tokens + final hidden): confirmed");
+    println!("== native_throughput ({mode}) ==");
+    describe("bench model", &bench_cfg);
+    describe("attn_heavy model", &attn_cfg);
+    println!(
+        "kernels: scalar vs {} (cpu: {})",
+        detected_backend(),
+        cpu_features()
+    );
 
-    // Expert-path bar (unchanged since PR 3): on a >= 8-sequence batch,
-    // decode must run >= 2x faster batched than per-token. Cheap/CI mode
-    // only smoke-checks execution (shared-runner wall clocks are too
-    // noisy to gate on).
-    let expert_gate = cells
-        .iter()
-        .filter(|c| c.phase == "decode" && c.n_seqs >= 8)
-        .map(|c| ratio(c.per_token, c.batched_parallel))
-        .fold(0.0f64, f64::max);
-    // Attention-path bar: at 32 sequences on the attention-heavy shape,
-    // batched attention must win >= 1.3x over the per-token walk.
-    let attn_gate = attn_cells
-        .iter()
-        .filter(|c| c.n_seqs >= 32)
-        .map(|c| ratio(c.attn_off, c.attn_on))
-        .fold(0.0f64, f64::max);
-    // Kernel-backend bar: at 32 sequences, the SIMD micro-kernels must
-    // decode >= 1.5x faster than the scalar reference — gated only when
-    // the AVX2 backend is actually available (the `simd` feature is on
-    // and the CPU has AVX2).
-    let simd_gate = kernel_cells
-        .iter()
-        .filter(|c| c.n_seqs >= 32)
-        .map(|c| ratio(c.scalar, c.simd))
-        .fold(0.0f64, f64::max);
-    // Quantized-GEMM bar: at the largest batch, the fused path must beat
-    // staged dequantize-then-GEMM.
-    let quant_gate = quant_cells
-        .iter()
-        .map(|c| (c.n_seqs, ratio(c.staged, c.fused)))
-        .max_by_key(|&(n, _)| n)
-        .map_or(0.0, |(_, r)| r);
-    if cheap {
-        println!("decode speedup at >=8 seqs: {expert_gate:.2}x (cheap mode: not gated)");
-        println!("attention speedup: cheap mode, not gated");
-        println!("kernel-backend and quantized-GEMM speedups: cheap mode, not gated");
+    let default = Side::pipeline("pipeline", NativePipelineConfig::default());
+    let generate = Side {
+        label: "generate",
+        pipeline: None,
+        backend: None,
+    };
+    let reference = ("reference", generate, default);
+    let one_worker = NativePipelineConfig {
+        compute_workers: 1,
+        ..Default::default()
+    };
+    let workers = ("workers", Side::pipeline("1_worker", one_worker), default);
+    let scalar = Side {
+        label: "scalar",
+        backend: Some(KernelBackend::Scalar),
+        ..default
+    };
+    let detected = Side {
+        label: "detected",
+        ..default
+    };
+    let kernels = ("kernels", scalar, detected);
+    let quantized = |fused_quant| NativePipelineConfig {
+        quant: Some(QuantConfig::paper_default()),
+        fused_quant,
+        ..Default::default()
+    };
+    let staged = Side::pipeline("staged", quantized(false));
+    let fused = Side::pipeline("fused", quantized(true));
+    let quant = ("quant", staged, fused);
+
+    let (sweep_sizes, pair_sizes, heavy_sizes): (&[usize], &[usize], &[usize]) = if cheap {
+        (&[2, 8], &[2], &[2, 8])
     } else {
-        println!("decode speedup at >=8 seqs: {expert_gate:.2}x (gate: >=2.00x)");
-        assert!(
-            expert_gate >= 2.0,
-            "batched expert path must be >=2x over per-token decode, got {expert_gate:.2}x"
-        );
-        println!("batched-attention decode speedup at 32 seqs: {attn_gate:.2}x (gate: >=1.30x)");
-        assert!(
-            attn_gate >= 1.3,
-            "batched attention must be >=1.3x over per-token attention decode at 32 seqs, \
-             got {attn_gate:.2}x"
-        );
+        (&[1, 8, 16, 32], &[8, 32], &[8, 32])
+    };
+    // Prefill cells are prompt-dominated, decode cells generation-dominated.
+    let (prefill, decode, long_decode): (Shape, Shape, Shape) = if cheap {
+        (("prefill", 16, 1), ("decode", 2, 6), ("decode", 8, 8))
+    } else {
+        (("prefill", 48, 1), ("decode", 4, 12), ("decode", 24, 24))
+    };
+
+    let mut cells = Vec::new();
+    for &n in sweep_sizes {
+        for shape in [prefill, decode] {
+            cells.push(Cell::measure(reference, bench, n, shape));
+            cells.push(Cell::measure(workers, bench, n, shape));
+        }
+    }
+    for &n in heavy_sizes {
+        cells.push(Cell::measure(reference, attn_heavy, n, long_decode));
+    }
+    for &n in pair_sizes {
+        cells.push(Cell::measure(kernels, bench, n, decode));
+        cells.push(Cell::measure(quant, bench, n, decode));
+    }
+
+    let mut table = TextTable::new([
+        "axis",
+        "model",
+        "phase",
+        "seqs",
+        "tokens",
+        "base",
+        "new",
+        "base tok/s",
+        "new tok/s",
+        "speedup",
+    ]);
+    for c in &cells {
+        table.row([
+            c.axis.to_owned(),
+            c.model.to_owned(),
+            c.phase.to_owned(),
+            c.n_seqs.to_string(),
+            c.tokens.to_string(),
+            c.base.to_owned(),
+            c.new.to_owned(),
+            format!("{:.0}", tps(c.tokens, c.base_time)),
+            format!("{:.0}", tps(c.tokens, c.new_time)),
+            format!("{:.2}x", c.speedup()),
+        ]);
+    }
+    table.print();
+    println!(
+        "\nevery side byte-identical to its cell's first run (tokens + final hidden): confirmed"
+    );
+
+    // The original decode bar, now against the sequential oracle: on >= 8-sequence
+    // batches, the default pipeline decodes >= 2x faster than `generate`,
+    // on both models.
+    let reference_gate = gate(&cells, "reference", "bench", 8);
+    let heavy_gate = gate(&cells, "reference", "attn_heavy", 8);
+    // At 32 sequences the SIMD kernels decode >= 1.5x faster than scalar,
+    // gated only when the AVX2 backend is available.
+    let simd_gate = gate(&cells, "kernels", "bench", 32);
+    // At the largest batch, fused beats staged dequantize-then-GEMM.
+    let quant_gate = gate(&cells, "quant", "bench", 32);
+    if cheap {
+        println!("decode speedup over generate at >=8 seqs: {reference_gate:.2}x (not gated)");
+        println!("attn_heavy, kernel-backend and quantized-GEMM speedups: cheap mode, not gated");
+    } else {
+        for (what, got) in [("bench", reference_gate), ("attn_heavy", heavy_gate)] {
+            println!("{what} decode speedup over generate at >=8 seqs: {got:.2}x (gate: >=2.00x)");
+            assert!(
+                got >= 2.0,
+                "{what}: the pipeline must decode >=2x faster than generate, got {got:.2}x"
+            );
+        }
         if KernelBackend::Avx2.is_available() {
             println!("SIMD kernel decode speedup at 32 seqs: {simd_gate:.2}x (gate: >=1.50x)");
             assert!(
@@ -621,17 +419,7 @@ fn main() {
     }
 
     println!("\n-- JSON --");
-    let mode = if cheap { "cheap" } else { "full" };
     for c in &cells {
-        println!("{}", json_line(mode, c));
-    }
-    for c in &attn_cells {
-        println!("{}", attn_json_line(mode, c));
-    }
-    for c in &kernel_cells {
-        println!("{}", kernel_json_line(mode, c));
-    }
-    for c in &quant_cells {
-        println!("{}", quant_json_line(mode, c));
+        println!("{}", c.json_line(mode));
     }
 }

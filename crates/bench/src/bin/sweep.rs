@@ -11,10 +11,10 @@ use klotski_bench::{Setting, TextTable, SEED};
 use klotski_core::compress::{Compression, SparseAttention};
 use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
 use klotski_core::prefetcher::{measure_accuracy, measure_accuracy_l2};
-use klotski_core::scenario::{Engine, Scenario};
+use klotski_core::scenario::{Engine, EngineError, Scenario};
 use klotski_model::trace::{GatingModel, TraceConfig};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let setting = Setting::Small8x7bEnv1;
 
     println!("== Sweep 1: prefetch depth K (Mixtral-8x7B Env 1, bs 16, n 15) ==");
@@ -23,7 +23,7 @@ fn main() {
     for k in [1u32, 2, 3, 4] {
         let mut cfg = KlotskiConfig::full();
         cfg.prefetch_k = Some(k);
-        let r = KlotskiEngine::new(cfg).run(&sc).expect("run");
+        let r = KlotskiEngine::new(cfg).run(&sc)?;
         t.row([
             k.to_string(),
             format!("{:.2}", r.throughput_tps()),
@@ -112,7 +112,7 @@ fn main() {
             quant: None,
             sparse_attention: sparse,
         };
-        let r = KlotskiEngine::new(cfg).run(&sc).expect("run");
+        let r = KlotskiEngine::new(cfg).run(&sc)?;
         t.row([
             label.to_owned(),
             format!("{:.2}", r.throughput_tps()),
@@ -130,9 +130,7 @@ fn main() {
         hw.disk_bw = disk_gbps * 1e9;
         let wl = klotski_bench::workload(16, 10);
         let sc = Scenario::generate(Setting::Big8x22bEnv1.model(), hw, wl, SEED);
-        let r = KlotskiEngine::new(KlotskiConfig::full())
-            .run(&sc)
-            .expect("run");
+        let r = KlotskiEngine::new(KlotskiConfig::full()).run(&sc)?;
         t.row([
             format!("{disk_gbps:.1}"),
             format!("{:.2}", r.throughput_tps()),
@@ -140,4 +138,5 @@ fn main() {
     }
     t.print();
     println!("(Env 1's 8x22B runs are staging-bound: throughput tracks disk bandwidth)");
+    Ok(())
 }

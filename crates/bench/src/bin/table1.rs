@@ -8,12 +8,12 @@
 
 use klotski_bench::{tps_cell, TextTable, SEED};
 use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
-use klotski_core::scenario::{Engine, Scenario};
+use klotski_core::scenario::{Engine, EngineError, Scenario};
 use klotski_model::hardware::HardwareSpec;
 use klotski_model::spec::ModelSpec;
 use klotski_model::workload::Workload;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     println!("== Table 1: I/O-overlap strategy on dense vs MoE models ==");
     println!("(batch size 4, sequence length 512, Environment 1)\n");
 
@@ -47,8 +47,8 @@ fn main() {
             Workload::new(4, n, 512, 32)
         };
         let sc = Scenario::generate(spec.clone(), HardwareSpec::env1_rtx3090(), wl, SEED);
-        let base = original.run(&sc).expect("original run");
-        let plus = strategy.run(&sc).expect("strategy run");
+        let base = original.run(&sc)?;
+        let plus = strategy.run(&sc)?;
         let improvement = (plus.throughput_tps() / base.throughput_tps() - 1.0) * 100.0;
         let bubbles = plus.bubble_fraction() * 100.0;
         if spec.is_moe() {
@@ -85,4 +85,5 @@ fn main() {
         "(note: raw improvement ratios differ from the paper's because multi-batch \
          amortization itself favours the I/O-bound MoE runs; see EXPERIMENTS.md)"
     );
+    Ok(())
 }

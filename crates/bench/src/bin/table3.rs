@@ -3,9 +3,9 @@
 
 use klotski_bench::{tps_cell, Setting, TextTable};
 use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
-use klotski_core::scenario::Engine;
+use klotski_core::scenario::{Engine, EngineError};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     println!("== Table 3: ablation study (throughput, token/s) ==\n");
 
     // The paper's Table 3 measures at the settings' best batch sizes; we
@@ -35,7 +35,7 @@ fn main() {
         };
         let sc = setting.scenario(bs);
         for (_, cfg) in &rows {
-            let report = KlotskiEngine::new(*cfg).run(&sc).expect("ablation run");
+            let report = KlotskiEngine::new(*cfg).run(&sc)?;
             columns[i].push(tps_cell(&report));
         }
     }
@@ -52,4 +52,5 @@ fn main() {
     println!("\npaper (Table 3):   5.721 → 18.24 → 19.07 → 22.41 → 22.60   (8x7B Env1)");
     println!("                   0.010 →  0.97 →  1.13 →  1.33 →  1.37   (8x22B Env1)");
     println!("                   1.149 → 34.07 → 44.17 → 52.85 → 53.13   (8x22B Env2)");
+    Ok(())
 }

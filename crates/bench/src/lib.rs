@@ -19,7 +19,7 @@
 //! | `serve_cluster` | cluster serving: autoscaler × traffic pattern → SLO attainment vs replica-hours (`BENCH_serve_cluster.json`) |
 //! | `serve_continuous` | continuous batching vs run-to-completion: slot refill, chunked prefill, priority classes (`BENCH_serve_continuous.json`) |
 //! | `serve_faults` | fault-tolerant cluster serving: fault tier × recovery posture → goodput, loss, SLO attainment (`BENCH_serve_faults.json`) |
-//! | `native_throughput` | native path tokens/sec: batched expert GEMMs vs the per-token fallback (`BENCH_native.json`) |
+//! | `native_throughput` | native path tokens/sec: the pipeline vs `MoeModel::generate`, 1 worker vs the pool, scalar vs SIMD kernels, staged vs fused 4-bit GEMMs (`BENCH_native.json`) |
 //!
 //! Run e.g. `cargo run --release -p klotski-bench --bin fig10`.
 //! Criterion microbenchmarks live under `benches/`.

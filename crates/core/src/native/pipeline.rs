@@ -22,10 +22,7 @@
 //! * **Batched expert GEMMs** ([`ExpertWeights::forward_batch`]): all
 //!   tokens routed to an arrived expert are stacked into one matrix and
 //!   pushed through the FFN as two GEMMs, streaming the weights once per
-//!   group instead of once per token. Disable with
-//!   [`NativePipelineConfig::batch_experts`] to get the retained
-//!   per-token fallback (the pre-batching behavior, kept in-tree for
-//!   benchmark comparisons).
+//!   group instead of once per token.
 //! * **Batched attention** ([`MoeModel::attn_block_batch`]): each step's
 //!   attention runs over the whole group at once — Q/K/V and the output
 //!   projection are single GEMMs (the projection weights are shared by
@@ -33,10 +30,9 @@
 //!   token) and per-sequence scores/AV go through blocked strided kernels
 //!   over the contiguous KV slabs, all in a reused
 //!   [`AttnScratch`](klotski_moe::attention::AttnScratch) — zero heap
-//!   allocations in the attention block at steady state. Disable with
-//!   [`NativePipelineConfig::batch_attention`] for the retained per-token
-//!   walk; the `h2o` policy always attends per token (its heavy-hitter
-//!   state updates are sequential by design).
+//!   allocations in the attention block at steady state. Only the `h2o`
+//!   policy attends per token ([`MoeModel::attn_block_h2o`]): its
+//!   heavy-hitter state updates are sequential by design.
 //! * **A compute worker pool**: independent arrived experts are computed
 //!   in parallel by `compute_workers` crossbeam workers sharing one task
 //!   queue — a pull model, so load balances itself by token count (an
@@ -44,8 +40,14 @@
 //!   rest; see He et al., 2025 on imbalanced per-expert loads).
 //!
 //! No lever changes a single bit of output: every per-element
-//! accumulation order is identical to the per-token reference, and expert
-//! contributions are still combined in fixed expert-index order.
+//! accumulation order is identical to the sequential reference
+//! ([`MoeModel::generate`]), and expert contributions are still combined
+//! in fixed expert-index order.
+//!
+//! The kernels run on the process's active backend
+//! ([`klotski_tensor::simd::active_backend`]); a caller that wants a fixed
+//! one holds a [`BackendGuard`](klotski_tensor::simd::BackendGuard) around
+//! the call. Every backend is bit-identical, so only wall-clock changes.
 
 use std::time::{Duration, Instant};
 
@@ -58,7 +60,6 @@ use klotski_moe::model::MoeModel;
 use klotski_moe::weights::{ExpertWeights, FfnScratch, QuantizedExpertWeights};
 use klotski_tensor::matrix::Matrix;
 use klotski_tensor::quant::QuantConfig;
-use klotski_tensor::simd::{BackendGuard, KernelBackend};
 
 use super::store::ExpertStore;
 
@@ -79,38 +80,16 @@ pub struct NativePipelineConfig {
     /// it replaces `mask`, and bit-exactness is checked against
     /// [`MoeModel::generate_h2o`].
     pub h2o: Option<H2oConfig>,
-    /// Compute each expert's token group as batched GEMMs (`true`, the
-    /// default) or with the retained per-token matvec fallback (`false`,
-    /// the pre-batching path kept for benchmark comparison). Output is
-    /// bit-identical either way.
-    pub batch_experts: bool,
     /// Compute workers for parallel expert execution (≤ 1 computes inline
-    /// on the inference thread). Only effective with `batch_experts`;
-    /// output is bit-identical at any worker count.
+    /// on the inference thread). Output is bit-identical at any worker
+    /// count.
     pub compute_workers: usize,
-    /// Run each step's attention over the whole group at once (`true`,
-    /// the default): Q/K/V/O become per-group GEMMs and scores/AV go
-    /// through the blocked strided kernels, all in reused scratch —
-    /// versus the retained per-token `attend_one` walk (`false`, kept for
-    /// benchmark comparison). Output is bit-identical either way. The
-    /// `h2o` policy always attends per token: its heavy-hitter state
-    /// updates are sequential by design.
-    pub batch_attention: bool,
-    /// Kernel backend to force for the run (`None` uses the detected
-    /// best). All backends are bit-identical, so this axis only moves
-    /// wall-clock — it exists for scalar-vs-SIMD benchmarking. The force
-    /// is process-global for the duration of the run (a scoped guard
-    /// restores the previous setting afterwards); concurrent pipelines in
-    /// one process would share it harmlessly, because outputs don't
-    /// depend on the backend.
-    pub kernel_backend: Option<KernelBackend>,
-    /// With `quant` set and `batch_experts` on: keep experts **packed**
-    /// in the VRAM slots and compute through the fused quantized GEMM
-    /// (`true`, the default) — no full-precision slab ever exists on the
-    /// fetch path — versus staging a dequantized copy into the slot and
-    /// running dense GEMMs (`false`, the pre-fusion path kept for
-    /// benchmark comparison). Output is bit-identical either way; the
-    /// axis only changes where dequantization happens.
+    /// With `quant` set: keep experts **packed** in the VRAM slots and
+    /// compute through the fused quantized GEMM (`true`, the default) — no
+    /// full-precision slab ever exists on the fetch path — versus staging
+    /// a dequantized copy into the slot and running dense GEMMs (`false`,
+    /// the staged path). Output is bit-identical either way; the axis only
+    /// changes where dequantization happens.
     pub fused_quant: bool,
 }
 
@@ -133,10 +112,7 @@ impl Default for NativePipelineConfig {
             quant: None,
             mask: AttnMask::Dense,
             h2o: None,
-            batch_experts: true,
             compute_workers: default_compute_workers(),
-            batch_attention: true,
-            kernel_backend: None,
             fused_quant: true,
         }
     }
@@ -207,18 +183,6 @@ impl VramExpert {
             VramExpert::Packed(q) => q.forward_batch_into(xs, out, scratch),
         }
     }
-
-    /// The dense weights, for the retained per-token fallback — which
-    /// never runs with packed slots (the pool is only packed when
-    /// `batch_experts` is on).
-    fn as_dense(&self) -> &ExpertWeights {
-        match self {
-            VramExpert::Dense(w) => w,
-            VramExpert::Packed(_) => {
-                unreachable!("per-token fallback requires dense slots")
-            }
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -277,15 +241,14 @@ pub fn run_pipeline(
 ) -> NativeRunResult {
     assert!(cfg.vram_slots >= 1, "need at least one VRAM slot");
     assert!(!prompts.is_empty(), "no prompts");
+    for (s, prompt) in prompts.iter().enumerate() {
+        assert!(!prompt.is_empty(), "empty prompt for sequence {s}");
+    }
     let mcfg = *model.config();
     let n_seqs = prompts.len();
-    // Pin the kernel backend for the run if the config asks for one. The
-    // force is process-global, but every backend is bit-identical, so a
-    // concurrent pipeline sharing it can only change in wall-clock.
-    let _backend_guard = cfg.kernel_backend.map(BackendGuard::force);
     let store = ExpertStore::from_model(model, cfg.quant);
     // Time the pipeline itself; store construction is model loading.
-    // analyze: allow(determinism) -- the one sanctioned timing site: elapsed is reported, never branched on
+    // analyze: allow(determinism) -- the pipeline's one timing site: elapsed is reported, never branched on
     let start = Instant::now();
 
     let (req_tx, req_rx) = unbounded::<FetchRequest>();
@@ -298,11 +261,12 @@ pub fn run_pipeline(
     // and the fused GEMM on, the slots hold the packed codes themselves —
     // the fetch copies `bits/8 + metadata` bytes per parameter and no
     // full-precision slab ever exists on the path.
-    let packed_slots = cfg.batch_experts && cfg.fused_quant && cfg.quant.is_some();
     let (slot_tx, slot_rx) = bounded::<VramExpert>(cfg.vram_slots);
     for _ in 0..cfg.vram_slots {
-        let slot = match (packed_slots, cfg.quant) {
-            (true, Some(qcfg)) => VramExpert::Packed(QuantizedExpertWeights::placeholder(qcfg)),
+        let slot = match cfg.quant {
+            Some(qcfg) if cfg.fused_quant => {
+                VramExpert::Packed(QuantizedExpertWeights::placeholder(qcfg))
+            }
             _ => VramExpert::Dense(ExpertWeights::placeholder()),
         };
         slot_tx.send(slot).expect("filling fresh slot pool");
@@ -350,7 +314,7 @@ pub fn run_pipeline(
 
         // --- Compute worker pool (pull model: a shared task queue
         // load-balances by token count without central scheduling).
-        let task_tx: Option<Sender<ComputeTask>> = if cfg.batch_experts && cfg.compute_workers > 1 {
+        let task_tx: Option<Sender<ComputeTask>> = if cfg.compute_workers > 1 {
             let (tx, rx) = unbounded::<ComputeTask>();
             for _ in 0..cfg.compute_workers {
                 let rx = rx.clone();
@@ -402,9 +366,12 @@ pub fn run_pipeline(
             .iter()
             .map(|p| model.new_cache_with_capacity(p.len() + gen_len))
             .collect();
-        let mut h2o_states: Vec<Option<H2oState>> = (0..n_seqs)
-            .map(|_| cfg.h2o.map(|c| H2oState::new(mcfg.n_layers, c)))
-            .collect();
+        // Per-sequence heavy-hitter state, only under the h2o policy.
+        let mut h2o_states: Vec<H2oState> = cfg.h2o.map_or_else(Vec::new, |c| {
+            (0..n_seqs)
+                .map(|_| H2oState::new(mcfg.n_layers, c))
+                .collect()
+        });
 
         // Hot-loop state, allocated once and reused across all steps and
         // layers: per-sequence working + carry hidden states, the per-layer
@@ -453,10 +420,9 @@ pub fn run_pipeline(
         let total_steps = max_prompt + gen_len;
         // Pre-size the attention scratch to the run's high-water shapes
         // (full group, longest possible cache) so the attention block of
-        // every step is allocation-free. Skipped when the batched path is
-        // off (per-token fallback or h2o): the scratch is never touched.
-        let batched_attn = cfg.batch_attention && cfg.h2o.is_none();
-        if batched_attn {
+        // every step is allocation-free. Skipped under h2o, which never
+        // touches the scratch.
+        if cfg.h2o.is_none() {
             attn_scratch.reserve(n_seqs, total_steps);
         }
 
@@ -501,11 +467,15 @@ pub fn run_pipeline(
                 }
 
                 // (2) Attention for every active sequence (weights
-                // shared). The batched path runs the whole group through
-                // one set of Q/K/V/O GEMMs; the per-token fallback (and
-                // the inherently sequential h2o policy) walks sequences
-                // one at a time. Both are bit-identical.
-                if batched_attn {
+                // shared): the whole group through one set of Q/K/V/O
+                // GEMMs — except under h2o, whose heavy-hitter updates are
+                // sequential, so it walks sequences one at a time.
+                if cfg.h2o.is_some() {
+                    for &s in &active {
+                        h[s] =
+                            model.attn_block_h2o(layer, &h[s], &mut caches[s], &mut h2o_states[s]);
+                    }
+                } else {
                     model.attn_block_batch(
                         layer,
                         &mut h,
@@ -514,15 +484,6 @@ pub fn run_pipeline(
                         cfg.mask,
                         &mut attn_scratch,
                     );
-                } else {
-                    for &s in &active {
-                        h[s] = match h2o_states[s].as_mut() {
-                            Some(state) => {
-                                model.attn_block_h2o(layer, &h[s], &mut caches[s], state)
-                            }
-                            None => model.attn_block(layer, &h[s], &mut caches[s], cfg.mask),
-                        };
-                    }
                 }
 
                 // (3) Gate every token; group tokens by expert.
@@ -575,23 +536,6 @@ pub fn run_pipeline(
                             }
                             if hot.contains(&e) {
                                 result.prefetch_hits += 1;
-                            }
-                            if !cfg.batch_experts {
-                                // Retained per-token fallback: one matvec
-                                // per routed token, weights re-streamed
-                                // every time (the pre-batching path). The
-                                // per-token `forward` allocates; only the
-                                // batched default path is pinned
-                                // allocation-free.
-                                let rows = &mut expert_rows[e];
-                                rows.resize(tokens_of[e].len(), mcfg.d_model);
-                                for (r, &(s, _)) in tokens_of[e].iter().enumerate() {
-                                    let out = fetched.weights.as_dense().forward(&normed[s]);
-                                    rows.row_mut(r).copy_from_slice(&out);
-                                }
-                                rows_ready[e] = true;
-                                slot_tx.send(fetched.weights).expect("returning slot");
-                                continue;
                             }
                             // Stack the expert's routed tokens row-major
                             // into its pooled input matrix.
@@ -692,6 +636,7 @@ fn top_k_by_into(counts: &[u64], k: usize, idx: &mut Vec<usize>, out: &mut Vec<u
 mod tests {
     use super::*;
     use klotski_moe::config::MoeConfig;
+    use klotski_tensor::simd::{BackendGuard, KernelBackend};
 
     fn prompts(n: usize, len: usize, vocab: usize) -> Vec<Vec<u32>> {
         (0..n)
@@ -826,15 +771,10 @@ mod tests {
         // kernel-level byte-identity proptests.
         let model = MoeModel::new(MoeConfig::tiny(27));
         let p = prompts(3, 6, model.config().vocab);
-        let scalar = run_pipeline(
-            &model,
-            &p,
-            4,
-            &NativePipelineConfig {
-                kernel_backend: Some(KernelBackend::Scalar),
-                ..Default::default()
-            },
-        );
+        let scalar = {
+            let _scalar = BackendGuard::force(KernelBackend::Scalar);
+            run_pipeline(&model, &p, 4, &NativePipelineConfig::default())
+        };
         let detected = run_pipeline(&model, &p, 4, &NativePipelineConfig::default());
         assert_eq!(scalar.tokens, detected.tokens);
         assert_eq!(scalar.final_hidden, detected.final_hidden);
@@ -880,45 +820,35 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_per_token_paths_are_bit_identical() {
-        // The tentpole invariant: batching an expert's token group into
-        // GEMMs (with or without the worker pool) changes nothing but
-        // wall-clock versus the retained per-token fallback.
+    fn every_worker_count_matches_reference_bit_exactly() {
+        // Batching an expert's token group into GEMMs, inline or on the
+        // worker pool, changes nothing but wall-clock.
         let model = MoeModel::new(MoeConfig::tiny(23));
         let p = prompts(5, 7, model.config().vocab);
-        let fallback = run_pipeline(
-            &model,
-            &p,
-            4,
-            &NativePipelineConfig {
-                batch_experts: false,
-                ..Default::default()
-            },
-        );
+        let reference = model.generate(&p, 4, AttnMask::Dense);
         for workers in [1usize, 2, 4] {
-            let batched = run_pipeline(
+            let piped = run_pipeline(
                 &model,
                 &p,
                 4,
                 &NativePipelineConfig {
-                    batch_experts: true,
                     compute_workers: workers,
                     ..Default::default()
                 },
             );
-            assert_eq!(batched.tokens, fallback.tokens, "workers={workers}");
+            assert_eq!(piped.tokens, reference.tokens, "workers={workers}");
             assert_eq!(
-                batched.final_hidden, fallback.final_hidden,
+                piped.final_hidden, reference.final_hidden,
                 "workers={workers}"
             );
         }
     }
 
     #[test]
-    fn attention_paths_are_bit_identical() {
-        // Batched attention (the default) versus the retained per-token
-        // walk: nothing but wall-clock may change, on dense and streaming
-        // masks alike, including a batch of one.
+    fn batched_attention_matches_reference_bit_exactly() {
+        // Group-batched attention versus the sequential reference's
+        // per-token walk, on dense and streaming masks alike, including
+        // a group of one.
         let model = MoeModel::new(MoeConfig::tiny(31));
         for (n_seqs, mask) in [
             (1usize, AttnMask::Dense),
@@ -932,32 +862,30 @@ mod tests {
             ),
         ] {
             let p = prompts(n_seqs, 9, model.config().vocab);
-            let per_token = run_pipeline(
+            let reference = model.generate(&p, 4, mask);
+            let piped = run_pipeline(
                 &model,
                 &p,
                 4,
                 &NativePipelineConfig {
-                    batch_attention: false,
                     mask,
                     ..Default::default()
                 },
             );
-            let batched = run_pipeline(
-                &model,
-                &p,
-                4,
-                &NativePipelineConfig {
-                    batch_attention: true,
-                    mask,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(batched.tokens, per_token.tokens, "{n_seqs} seqs {mask:?}");
+            assert_eq!(piped.tokens, reference.tokens, "{n_seqs} seqs {mask:?}");
             assert_eq!(
-                batched.final_hidden, per_token.final_hidden,
+                piped.final_hidden, reference.final_hidden,
                 "{n_seqs} seqs {mask:?}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty prompt")]
+    fn empty_prompt_is_rejected() {
+        let model = MoeModel::new(MoeConfig::tiny(3));
+        let p = vec![vec![1, 2, 3], Vec::new()];
+        run_pipeline(&model, &p, 0, &NativePipelineConfig::default());
     }
 
     #[test]

@@ -157,8 +157,10 @@ pub fn active_backend() -> KernelBackend {
 }
 
 /// Scoped [`force_backend`]: forces on construction, restores the previous
-/// override on drop. Used by `run_pipeline` to honor its `kernel_backend`
-/// config axis for the duration of a run.
+/// override on drop. Hold one around a call — a whole native pipeline run,
+/// say, whose I/O and worker threads read the same global — to pin its
+/// backend for that scope; `native_throughput` times scalar against the
+/// detected backend this way.
 #[derive(Debug)]
 pub struct BackendGuard {
     prev: u8,

@@ -129,36 +129,34 @@ fn prefetch_hit_rate_reflects_skewed_routing() {
 #[test]
 fn batched_experts_and_worker_pool_are_numerics_neutral() {
     // The compute-side levers — batched expert GEMMs and the parallel
-    // worker pool — must be invisible in the output: every combination is
-    // bit-identical to the sequential reference (and hence to the retained
-    // per-token fallback).
+    // worker pool — must be invisible in the output: every worker count is
+    // bit-identical to the sequential reference.
     let model = MoeModel::new(MoeConfig::small(48));
     let p = prompts(6, 9, model.config().vocab, 7);
     let reference = model.generate(&p, 4, AttnMask::Dense);
-    for (batch_experts, compute_workers) in [(false, 1), (true, 1), (true, 2), (true, 4)] {
+    for compute_workers in [1usize, 2, 4] {
         let cfg = NativePipelineConfig {
-            batch_experts,
             compute_workers,
             ..Default::default()
         };
         let piped = run_pipeline(&model, &p, 4, &cfg);
         assert_eq!(
             piped.tokens, reference.tokens,
-            "batch={batch_experts} workers={compute_workers}: tokens"
+            "workers={compute_workers}: tokens"
         );
         assert_eq!(
             piped.final_hidden, reference.final_hidden,
-            "batch={batch_experts} workers={compute_workers}: hidden"
+            "workers={compute_workers}: hidden"
         );
     }
 }
 
 #[test]
 fn batched_attention_is_numerics_neutral() {
-    // The attention-path axis: group-batched Q/K/V/O GEMMs + strided
-    // scores/AV kernels versus the retained per-token `attend_one` walk —
-    // bit-identical to the sequential reference on ragged prompts, dense
-    // and streaming masks, and in combination with the expert-path axis.
+    // Group-batched Q/K/V/O GEMMs + strided scores/AV kernels versus the
+    // sequential reference's per-token `attend_one` walk: bit-identical on
+    // ragged prompts, dense and streaming masks, with expert compute
+    // inline and on the worker pool.
     let model = MoeModel::new(MoeConfig::small(49));
     let vocab = model.config().vocab;
     let p = vec![
@@ -175,21 +173,20 @@ fn batched_attention_is_numerics_neutral() {
         },
     ] {
         let reference = model.generate(&p, 5, mask);
-        for (batch_attention, batch_experts) in [(false, true), (true, true), (true, false)] {
+        for compute_workers in [1usize, 4] {
             let cfg = NativePipelineConfig {
-                batch_attention,
-                batch_experts,
                 mask,
+                compute_workers,
                 ..Default::default()
             };
             let piped = run_pipeline(&model, &p, 5, &cfg);
             assert_eq!(
                 piped.tokens, reference.tokens,
-                "attn={batch_attention} experts={batch_experts} {mask:?}: tokens"
+                "workers={compute_workers} {mask:?}: tokens"
             );
             assert_eq!(
                 piped.final_hidden, reference.final_hidden,
-                "attn={batch_attention} experts={batch_experts} {mask:?}: hidden"
+                "workers={compute_workers} {mask:?}: hidden"
             );
         }
     }
