@@ -85,6 +85,22 @@ fn bench_prefetcher(c: &mut Criterion) {
             black_box(t.total_records())
         })
     });
+    // The engine's 4096-token pre-run on either side of the walk's size
+    // rule: Mixtral's 8 experts draw by threshold lookup, switch-base-128's
+    // 128 experts by scan.
+    for (name, spec) in [
+        ("mixtral_8x7b", ModelSpec::mixtral_8x7b()),
+        ("switch_base_128", ModelSpec::switch_base(128)),
+    ] {
+        let gating = GatingModel::new(&TraceConfig::for_model(&spec, 1));
+        c.bench_function(&format!("core/correlation_warmup_4k_tokens_{name}"), |b| {
+            b.iter(|| {
+                let mut t = CorrelationTable::new(spec.n_moe_layers(), spec.n_experts);
+                t.warm_up(&gating, 4096, 0xC0FFEE);
+                black_box(t.total_records())
+            })
+        });
+    }
 }
 
 fn bench_quantizer(c: &mut Criterion) {

@@ -9,6 +9,19 @@
 //! prefetch set for the layer. The table keeps learning online; updates are
 //! deliberately not persisted, so one task's tendencies never leak into the
 //! next (§6.2).
+//!
+//! The pre-run is [`GatingModel::for_each_token_walk`], and every
+//! `KlotskiEngine::run` replays it (4096 tokens by default), so the
+//! simulator pays for it per engine call. The walk is exact and cheap:
+//! it tabulates each layer's conditional distributions once, and draws
+//! by counting per-distribution `f64` thresholds. The reference sampler's
+//! rounded running-remainder scan is a non-decreasing step function of
+//! its uniform draw, so the count returns exactly the scan's pick from
+//! the same random stream, and warm-up tables match a direct sampler's
+//! count for count. Thresholds cost `O(E²)` scan steps per distribution,
+//! so the walk builds them only when it draws at least eight picks per
+//! threshold: Mixtral's 4096-token warm-up does, while switch-base-128's
+//! scans the tabulated rows.
 
 use klotski_model::trace::GatingModel;
 

@@ -181,16 +181,17 @@ impl GatingModel {
         idx
     }
 
-    /// Routing distribution at layer `l` conditioned on the previous MoE
-    /// layer's first choice, over base distribution `pop`.
-    fn conditional_over(&self, l: u32, prev: Option<u16>, pop: &[f64]) -> Vec<f64> {
+    /// Writes layer `l`'s routing distribution conditioned on the previous
+    /// MoE layer's first choice, over base distribution `pop`, into `out`.
+    fn conditional_into(&self, l: u32, prev: Option<u16>, pop: &[f64], out: &mut [f64]) {
         match prev {
-            None => pop.to_vec(),
+            None => out.copy_from_slice(pop),
             Some(p) => {
                 let aligned = self.affinity_map[l as usize][p as usize] as usize;
-                let mut dist: Vec<f64> = pop.iter().map(|w| w * (1.0 - self.correlation)).collect();
-                dist[aligned] += self.correlation;
-                dist
+                for (o, w) in out.iter_mut().zip(pop) {
+                    *o = w * (1.0 - self.correlation);
+                }
+                out[aligned] += self.correlation;
             }
         }
     }
@@ -216,39 +217,79 @@ impl GatingModel {
         pop
     }
 
-    /// Samples the top-k choices of one token at layer `l` from the
-    /// long-run distribution.
-    fn sample_choices(&self, l: u32, prev: Option<u16>, rng: &mut StdRng) -> Vec<u16> {
-        self.sample_from(
-            self.conditional_over(l, prev, &self.popularity[l as usize]),
-            rng,
-        )
-    }
-
-    fn sample_from(&self, mut dist: Vec<f64>, rng: &mut StdRng) -> Vec<u16> {
-        let mut out = Vec::with_capacity(self.top_k as usize);
-        for _ in 0..self.top_k {
-            let idx = sample_index(&dist, rng);
-            out.push(idx as u16);
-            dist[idx] = 0.0;
-        }
-        out
-    }
-
     /// Walks `n_tokens` tokens through all MoE layers, invoking `visit`
     /// with `(moe_layer, previous_first_choice, choices)` at every layer.
     ///
     /// This is the "pre-run" primitive the correlation-aware prefetcher
     /// uses to build its expert correlation table (§6.2 / §8 of the paper).
-    pub fn for_each_token_walk<F>(&self, n_tokens: u32, seed: u64, mut visit: F)
+    ///
+    /// # Exactness
+    ///
+    /// Each pick is the draw of a direct implementation: build the layer's
+    /// distribution conditioned on the previous first choice, sum it in
+    /// order, set `x = u · sum` from one `next_u64`, and return the first
+    /// expert at which `x − w_0 − … − w_i` reaches zero. Later picks zero
+    /// the experts already drawn and repeat. The walk makes the same picks
+    /// from the same random stream without rebuilding anything per token:
+    ///
+    /// * It tabulates every conditional distribution once, with its
+    ///   sequential sum: one row for layer 0, and one per previous first
+    ///   choice for each later layer.
+    /// * Rounded subtraction is monotone, so the scan's answer is a
+    ///   non-decreasing step function of `x`. The scan returns `i` or later
+    ///   exactly when `x` is at or above a threshold `t_i`, the least `f64`
+    ///   at which it does, so its answer is the number of thresholds at or
+    ///   below `x`. The walk finds each of a row's `E − 1` thresholds once,
+    ///   by searching `f64` bit patterns with the scan as the predicate,
+    ///   and draws first picks by counting them. A second pick counts the
+    ///   thresholds of the row with the first pick zeroed, against that
+    ///   row's own sum. Later picks use the scan.
+    ///
+    /// # Size rule
+    ///
+    /// Finding a threshold takes a few scans of up to `E` steps, and a
+    /// layer holds `E · (E − 1)` first-pick thresholds, `E + 1` times as
+    /// many with second picks. The walk builds them only when it draws at
+    /// least eight picks from the tables per threshold: from about 2k
+    /// tokens at Mixtral's 8 experts, and not at switch-base-128's
+    /// 4096-token warm-up. Smaller walks draw every pick with the scan
+    /// from the tabulated rows.
+    pub fn for_each_token_walk<F>(&self, n_tokens: u32, seed: u64, visit: F)
     where
         F: FnMut(u32, Option<u16>, &[u16]),
     {
+        let lookups = u64::from(n_tokens) >= self.lookup_min_tokens();
+        self.walk(n_tokens, seed, lookups, visit);
+    }
+
+    /// The fewest walk tokens that repay threshold lookups. Each of a
+    /// layer's `E` rows holds `E − 1` first-pick thresholds, plus
+    /// `E · (E − 1)` second-pick ones at top-k ≥ 2, and the layer draws
+    /// one or two picks per token from them.
+    fn lookup_min_tokens(&self) -> u64 {
+        let e = u64::from(self.n_experts);
+        let (picks, per_row) = match self.top_k {
+            1 => (1, e - 1),
+            _ => (2, (e - 1) * (1 + e)),
+        };
+        (DRAWS_PER_THRESHOLD * e * per_row).div_ceil(picks)
+    }
+
+    /// [`for_each_token_walk`](GatingModel::for_each_token_walk), with the
+    /// size rule's verdict on threshold lookups given.
+    fn walk<F>(&self, n_tokens: u32, seed: u64, lookups: bool, mut visit: F)
+    where
+        F: FnMut(u32, Option<u16>, &[u16]),
+    {
+        let tables = WalkTables::build(self, lookups);
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut choices = vec![0u16; self.top_k as usize];
+        let mut dist = vec![0.0; self.n_experts as usize];
+        // analyze: no_alloc
         for _ in 0..n_tokens {
             let mut prev: Option<u16> = None;
             for l in 0..self.n_layers {
-                let choices = self.sample_choices(l, prev, &mut rng);
+                tables.draw(l, prev, &mut rng, &mut choices, &mut dist);
                 visit(l, prev, &choices);
                 prev = Some(choices[0]);
             }
@@ -283,8 +324,9 @@ impl GatingModel {
         }
 
         // Decode: exact per-sequence sampling with inter-layer correlation
-        // and step-level popularity wobble.
+        // and step-level popularity wobble, drawn straight into the trace.
         let mut decode = vec![0u16; gen_len as usize * layers * n_seqs as usize * k];
+        let mut dist = vec![0.0; e];
         for step in 0..gen_len {
             let step_pops: Vec<Vec<f64>> = (0..layers as u32)
                 .map(|l| self.step_popularity(l, step))
@@ -292,10 +334,10 @@ impl GatingModel {
             for seq in 0..n_seqs as usize {
                 let mut prev: Option<u16> = None;
                 for (l, pops) in step_pops.iter().enumerate() {
-                    let dist = self.conditional_over(l as u32, prev, pops);
-                    let choices = self.sample_from(dist, &mut rng);
+                    self.conditional_into(l as u32, prev, pops, &mut dist);
                     let base = ((step as usize * layers + l) * n_seqs as usize + seq) * k;
-                    decode[base..base + k].copy_from_slice(&choices);
+                    let choices = &mut decode[base..base + k];
+                    sample_into(&mut dist, choices, &mut rng);
                     prev = Some(choices[0]);
                 }
             }
@@ -310,6 +352,133 @@ impl GatingModel {
             gen_len,
             prefill_counts,
             decode,
+        }
+    }
+}
+
+/// A walk builds threshold lookups only when it makes at least this many
+/// table draws per threshold it builds (see
+/// [`GatingModel::for_each_token_walk`]). On a 2-core x86-64 host,
+/// lookups broke even at 1–4 draws per threshold on Mixtral-8×7B and
+/// switch-base-16/32.
+const DRAWS_PER_THRESHOLD: u64 = 8;
+
+/// The conditional distributions of one token walk, tabulated once per
+/// walk. Row 0 is layer 0, which has no previous choice; row
+/// `1 + (l − 1)·E + p` is layer `l ≥ 1` after first choice `p`.
+struct WalkTables {
+    n_experts: usize,
+    /// `[row][expert]` weights, as `conditional_into` builds them.
+    weights: Vec<f64>,
+    /// `[row]` sequential sums of the weights.
+    totals: Vec<f64>,
+    /// `[row][i − 1]` first-pick thresholds; empty when lookups do not pay.
+    first: Vec<f64>,
+    /// `[row][c]` sums with first pick `c` zeroed; empty when `second` is.
+    totals_without: Vec<f64>,
+    /// `[row][c][i − 1]` second-pick thresholds after first pick `c`;
+    /// empty when lookups do not pay or `top_k` is 1.
+    second: Vec<f64>,
+}
+
+impl WalkTables {
+    fn build(model: &GatingModel, lookups: bool) -> Self {
+        let e = model.n_experts as usize;
+        let n_rows = match model.n_layers as usize {
+            0 => 0,
+            l => 1 + (l - 1) * e,
+        };
+        let mut weights = vec![0.0; n_rows * e];
+        for (r, row) in weights.chunks_exact_mut(e).enumerate() {
+            let (l, prev) = match r {
+                0 => (0, None),
+                r => (1 + (r - 1) / e, Some(((r - 1) % e) as u16)),
+            };
+            model.conditional_into(l as u32, prev, &model.popularity[l], row);
+        }
+        let totals = weights
+            .chunks_exact(e)
+            .map(|row| row.iter().sum())
+            .collect();
+        let mut tables = WalkTables {
+            n_experts: e,
+            weights,
+            totals,
+            first: Vec::new(),
+            totals_without: Vec::new(),
+            second: Vec::new(),
+        };
+        if !lookups || e < 2 {
+            return tables;
+        }
+        tables.first = vec![0.0; n_rows * (e - 1)];
+        for (row, out) in tables
+            .weights
+            .chunks_exact(e)
+            .zip(tables.first.chunks_exact_mut(e - 1))
+        {
+            thresholds_into(row, out);
+        }
+        if model.top_k < 2 {
+            return tables;
+        }
+        tables.totals_without = vec![0.0; n_rows * e];
+        tables.second = vec![0.0; n_rows * e * (e - 1)];
+        let mut dist = vec![0.0; e];
+        let mut outs = tables.second.chunks_exact_mut(e - 1);
+        for (row, sums) in tables
+            .weights
+            .chunks_exact(e)
+            .zip(tables.totals_without.chunks_exact_mut(e))
+        {
+            for ((c, sum), out) in sums.iter_mut().enumerate().zip(&mut outs) {
+                dist.copy_from_slice(row);
+                dist[c] = 0.0;
+                *sum = dist.iter().sum();
+                thresholds_into(&dist, out);
+            }
+        }
+        tables
+    }
+
+    /// Draws one token's `choices` at MoE layer `l` after first choice
+    /// `prev`, exactly as [`sample_into`] draws them from that row's
+    /// distribution. `dist` is scratch space of one row.
+    // analyze: no_alloc
+    fn draw(
+        &self,
+        l: u32,
+        prev: Option<u16>,
+        rng: &mut StdRng,
+        choices: &mut [u16],
+        dist: &mut [f64],
+    ) {
+        let e = self.n_experts;
+        let row = match prev {
+            None => 0,
+            Some(p) => 1 + (l as usize - 1) * e + p as usize,
+        };
+        let weights = &self.weights[row * e..(row + 1) * e];
+        let x = rng.gen::<f64>() * self.totals[row];
+        let first = if self.first.is_empty() {
+            scan(weights, x)
+        } else {
+            threshold_count(&self.first[row * (e - 1)..(row + 1) * (e - 1)], x)
+        };
+        choices[0] = first as u16;
+        let mut drawn = 1;
+        if !self.second.is_empty() {
+            let at = row * e + first;
+            let x = rng.gen::<f64>() * self.totals_without[at];
+            choices[1] = threshold_count(&self.second[at * (e - 1)..(at + 1) * (e - 1)], x) as u16;
+            drawn = 2;
+        }
+        if drawn < choices.len() {
+            dist.copy_from_slice(weights);
+            for &c in &choices[..drawn] {
+                dist[c as usize] = 0.0;
+            }
+            sample_into(dist, &mut choices[drawn..], rng);
         }
     }
 }
@@ -458,17 +627,104 @@ fn normalize(weights: &mut [f64]) {
     }
 }
 
+/// The reference draw from `weights` at `x = u · total`: the first
+/// positive-weight index at which the running remainder
+/// `x − w_0 − … − w_i` reaches zero. Zero weights are skipped, so an
+/// expert already drawn (and zeroed) is never drawn again, not even at
+/// `x = 0`; a remainder that rounding leaves above zero falls back to
+/// the last positive weight (index 0 if there is none).
+fn scan(weights: &[f64], mut x: f64) -> usize {
+    let mut last = 0;
+    for (i, &w) in weights.iter().enumerate() {
+        if w > 0.0 {
+            last = i;
+            x -= w;
+            if x <= 0.0 {
+                return i;
+            }
+        }
+    }
+    last
+}
+
+/// One draw from `weights`: one `next_u64`, scaled by the sequential sum.
 fn sample_index(weights: &[f64], rng: &mut StdRng) -> usize {
     let total: f64 = weights.iter().sum();
     debug_assert!(total > 0.0, "cannot sample from all-zero weights");
-    let mut x = rng.gen::<f64>() * total;
-    for (i, w) in weights.iter().enumerate() {
-        x -= w;
-        if x <= 0.0 {
-            return i;
+    scan(weights, rng.gen::<f64>() * total)
+}
+
+/// Draws `out.len()` distinct experts from `dist` without replacement,
+/// zeroing each one in `dist` as it is drawn.
+fn sample_into(dist: &mut [f64], out: &mut [u16], rng: &mut StdRng) {
+    for o in out.iter_mut() {
+        let i = sample_index(dist, rng);
+        *o = i as u16;
+        dist[i] = 0.0;
+    }
+}
+
+/// Bit pattern of `+∞`, the top of the non-negative `f64` range. For
+/// non-negative floats, bit-pattern order is numeric order.
+const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
+
+/// Fills `out[i − 1]`, for each `i` in `1..weights.len()`, with the least
+/// `x ≥ 0` at which [`scan`] returns `i` or later (`+∞` when no positive
+/// weight sits at or after `i`). The scan is non-decreasing in `x`, since
+/// each rounded subtraction is, so afterwards
+/// `scan(weights, x) == threshold_count(out, x)` for every finite `x ≥ 0`.
+fn thresholds_into(weights: &[f64], out: &mut [f64]) {
+    let last = weights.iter().rposition(|&w| w > 0.0).unwrap_or(0);
+    let mut lo = 0;
+    let mut prefix = 0.0;
+    for (i, t) in (1..).zip(out.iter_mut()) {
+        prefix += weights[i - 1];
+        if i > last {
+            *t = f64::INFINITY;
+            continue;
+        }
+        lo = least_true(lo, prefix.to_bits(), |bits| {
+            scan(weights, f64::from_bits(bits)) >= i
+        });
+        *t = f64::from_bits(lo);
+    }
+}
+
+/// The least bit pattern `b ≥ lo` with `reaches(b)`, for a predicate that
+/// is monotone in `b` and true at [`INF_BITS`]. Doubling steps out from
+/// `guess` bracket the boundary, and bisection closes the bracket.
+fn least_true(mut lo: u64, guess: u64, reaches: impl Fn(u64) -> bool) -> u64 {
+    if reaches(lo) {
+        return lo;
+    }
+    let mut hi = INF_BITS;
+    let mut probe = guess.max(lo + 1);
+    let mut step = 1u64;
+    while lo < probe && probe < hi {
+        if reaches(probe) {
+            hi = probe;
+            probe = probe.saturating_sub(step);
+        } else {
+            lo = probe;
+            probe = probe.saturating_add(step);
+        }
+        step = step.saturating_mul(2);
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
         }
     }
-    weights.len() - 1
+    hi
+}
+
+/// The number of `thresholds` at or below `x`: the scan's answer at `x`,
+/// for thresholds built by [`thresholds_into`].
+fn threshold_count(thresholds: &[f64], x: f64) -> usize {
+    thresholds.iter().map(|&t| usize::from(x >= t)).sum()
 }
 
 /// Fisher–Yates shuffle (local, to avoid depending on rand's `slice` feature
@@ -634,6 +890,152 @@ mod tests {
     fn mixtral_model() -> GatingModel {
         let cfg = TraceConfig::for_model(&ModelSpec::mixtral_8x7b(), 42);
         GatingModel::new(&cfg)
+    }
+
+    /// The walk as first written: it rebuilds, re-sums and re-draws every
+    /// token's distribution from scratch. The table-driven walk must
+    /// match it draw for draw.
+    fn reference_walk(
+        m: &GatingModel,
+        n_tokens: u32,
+        seed: u64,
+        mut visit: impl FnMut(u32, Option<u16>, &[u16]),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..n_tokens {
+            let mut prev: Option<u16> = None;
+            for l in 0..m.n_layers {
+                let pop = &m.popularity[l as usize];
+                let mut dist = match prev {
+                    None => pop.to_vec(),
+                    Some(p) => {
+                        let aligned = m.affinity_map[l as usize][p as usize] as usize;
+                        let mut dist: Vec<f64> =
+                            pop.iter().map(|w| w * (1.0 - m.correlation)).collect();
+                        dist[aligned] += m.correlation;
+                        dist
+                    }
+                };
+                let mut choices = Vec::with_capacity(m.top_k as usize);
+                for _ in 0..m.top_k {
+                    let idx = sample_index(&dist, &mut rng);
+                    choices.push(idx as u16);
+                    dist[idx] = 0.0;
+                }
+                visit(l, prev, &choices);
+                prev = Some(choices[0]);
+            }
+        }
+    }
+
+    /// A visitor that flattens every `(layer, prev, choices)` visit.
+    fn record(out: &mut Vec<u32>) -> impl FnMut(u32, Option<u16>, &[u16]) + '_ {
+        move |l, prev, choices| {
+            out.push(l);
+            out.push(prev.map_or(u32::MAX, u32::from));
+            out.extend(choices.iter().map(|&c| u32::from(c)));
+        }
+    }
+
+    /// Asserts that the walk, with and without threshold lookups and as
+    /// the size rule picks, visits exactly what the reference walk does.
+    fn assert_walks_match(m: &GatingModel, n_tokens: u32, seed: u64) {
+        let mut want = Vec::new();
+        reference_walk(m, n_tokens, seed, record(&mut want));
+        let mut walks: Vec<(&str, Vec<u32>)> = Vec::new();
+        for (name, lookups) in [("scan", false), ("lookup", true)] {
+            let mut got = Vec::new();
+            m.walk(n_tokens, seed, lookups, record(&mut got));
+            walks.push((name, got));
+        }
+        let mut got = Vec::new();
+        m.for_each_token_walk(n_tokens, seed, record(&mut got));
+        walks.push(("sized", got));
+        for (name, got) in walks {
+            let first_diff = got.iter().zip(&want).position(|(a, b)| a != b);
+            assert!(
+                got.len() == want.len() && first_diff.is_none(),
+                "{name} walk of {n_tokens} tokens, seed {seed}, E = {}: lengths {} vs {}, \
+                 first difference at {first_diff:?}",
+                m.n_experts,
+                got.len(),
+                want.len(),
+            );
+        }
+    }
+
+    #[test]
+    fn walks_match_the_reference_on_mixtral() {
+        for spec in [ModelSpec::mixtral_8x7b(), ModelSpec::mixtral_8x22b()] {
+            for seed in [1, 42] {
+                let m = GatingModel::new(&TraceConfig::for_model(&spec, seed));
+                let edge = m.lookup_min_tokens() as u32;
+                assert_walks_match(&m, edge - 1, 0xC0FFEE ^ seed);
+                assert_walks_match(&m, edge, seed + 3);
+                assert_walks_match(&m.drifted(0.35, seed), edge, seed + 5);
+            }
+        }
+    }
+
+    #[test]
+    fn walks_match_the_reference_on_switch_base() {
+        for seed in [2, 9] {
+            let m = GatingModel::new(&TraceConfig::for_model(&ModelSpec::switch_base(16), seed));
+            let edge = m.lookup_min_tokens() as u32;
+            assert_walks_match(&m, edge - 1, seed);
+            assert_walks_match(&m, edge, seed + 1);
+            // At 128 experts the rule's edge is about 130k tokens; the
+            // forced lookups cover that side.
+            let m = GatingModel::new(&TraceConfig::for_model(&ModelSpec::switch_base(128), seed));
+            assert_walks_match(&m, 400, seed + 2);
+        }
+    }
+
+    #[test]
+    fn walks_match_the_reference_at_top_3() {
+        for seed in [3, 11, 12] {
+            let cfg = TraceConfig {
+                n_moe_layers: 6,
+                n_experts: 8,
+                top_k: 3,
+                skew: 1.15,
+                correlation: 0.55,
+                drift: 0.0,
+                step_drift: 0.0,
+                seed,
+            };
+            let m = GatingModel::new(&cfg);
+            let edge = m.lookup_min_tokens() as u32;
+            assert_walks_match(&m, edge - 1, seed);
+            assert_walks_match(&m, edge, seed + 1);
+        }
+    }
+
+    #[test]
+    fn size_rule_at_the_engines_4096_token_warm_up() {
+        let min_tokens = |spec: ModelSpec| {
+            GatingModel::new(&TraceConfig::for_model(&spec, 1)).lookup_min_tokens()
+        };
+        assert!(min_tokens(ModelSpec::mixtral_8x7b()) <= 4096);
+        assert!(min_tokens(ModelSpec::mixtral_8x22b()) <= 4096);
+        assert!(min_tokens(ModelSpec::switch_base(16)) <= 4096);
+        assert!(min_tokens(ModelSpec::switch_base(128)) > 4096);
+    }
+
+    #[test]
+    fn scan_never_redraws_a_zeroed_expert_at_zero() {
+        // `0 − 0 <= 0` once returned the zeroed expert 0 here.
+        assert_eq!(scan(&[0.0, 0.5, 0.5], 0.0), 1);
+        assert_eq!(scan(&[0.0, 0.0, 0.5], 0.0), 2);
+    }
+
+    #[test]
+    fn scan_falls_back_to_the_last_positive_weight() {
+        // A remainder left above zero once fell back to the zeroed last
+        // expert.
+        assert_eq!(scan(&[0.25, 0.75, 0.0], 2.0), 1);
+        assert_eq!(scan(&[0.25, 0.75, 0.0, 0.0], f64::INFINITY), 1);
+        assert_eq!(scan(&[0.0, 0.0], 1.0), 0, "no positive weight at all");
     }
 
     #[test]
@@ -829,6 +1231,36 @@ mod proptests {
                 let i = sample_index(&w, &mut rng);
                 prop_assert!(i < 8);
                 prop_assert_ne!(i, zero_at);
+            }
+        }
+
+        /// Counting thresholds reproduces the scan at random `x` (below and
+        /// above the sum), at every threshold, and one ulp either side of
+        /// it, for weights with zeros and tiny entries among them.
+        #[test]
+        fn threshold_count_equals_scan(
+            raw in proptest::collection::vec((0u32..5, 0.0f64..1.0), 1..24),
+            us in proptest::collection::vec(0.0f64..1.25, 16),
+        ) {
+            let weights: Vec<f64> = raw
+                .iter()
+                .map(|&(kind, w)| match kind {
+                    0 => 0.0,
+                    1 => w * 1e-17,
+                    2 => w * 1e-300,
+                    _ => w,
+                })
+                .collect();
+            let mut thresholds = vec![0.0; weights.len() - 1];
+            thresholds_into(&weights, &mut thresholds);
+            let total: f64 = weights.iter().sum();
+            let mut xs: Vec<f64> = us.iter().map(|u| u * total).collect();
+            xs.extend([0.0, total, f64::MAX]);
+            for &t in thresholds.iter().filter(|t| t.is_finite()) {
+                xs.extend([t.next_down(), t, t.next_up()]);
+            }
+            for x in xs.into_iter().filter(|&x| x >= 0.0) {
+                prop_assert_eq!(threshold_count(&thresholds, x), scan(&weights, x));
             }
         }
 
