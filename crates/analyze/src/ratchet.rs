@@ -16,9 +16,9 @@
 
 pub const PANIC_CEILINGS: &[(&str, usize)] = &[
     ("analyze", 0),
-    ("baselines", 116),
+    ("baselines", 106),
     ("bench", 45),
-    ("core", 83),
+    ("core", 59),
     // The facade crate re-exports only.
     ("klotski", 0),
     ("model", 0),
@@ -26,7 +26,7 @@ pub const PANIC_CEILINGS: &[(&str, usize)] = &[
     // a non-empty vocabulary).
     ("moe", 18),
     ("serve", 27),
-    ("sim", 40),
+    ("sim", 36),
     // One infallible `chunks_exact(8) -> try_into` conversion.
     ("tensor", 7),
 ];

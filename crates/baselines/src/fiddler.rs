@@ -111,17 +111,16 @@ impl Engine for Fiddler {
                         }
                         StepKind::Decode(_) => cost.attention_time(bs, 1, ctx),
                     };
-                    let mut attn = TaskSpec::new(
-                        Resource::GpuCompute,
-                        attn_dur,
-                        TaskMeta::of(OpClass::AttentionCompute)
-                            .layer(l)
-                            .step(step_idx),
-                    );
-                    if let Some(c) = carry {
-                        attn = attn.after(c);
-                    }
-                    let attn = sim.submit(attn);
+                    let attn = sim
+                        .task(
+                            Resource::GpuCompute,
+                            attn_dur,
+                            TaskMeta::of(OpClass::AttentionCompute)
+                                .layer(l)
+                                .step(step_idx),
+                        )
+                        .after_all(carry)
+                        .submit();
                     let mut computes = vec![attn];
 
                     if let Some(m) = spec.moe_index(l) {
@@ -129,14 +128,14 @@ impl Engine for Fiddler {
                             StepKind::Prefill => bs * wl.prompt_len as u64,
                             StepKind::Decode(_) => bs,
                         };
-                        let gate = sim.submit(
-                            TaskSpec::new(
+                        let gate = sim
+                            .task(
                                 Resource::GpuCompute,
                                 cost.gate_time(gate_tokens),
                                 TaskMeta::of(OpClass::GateCompute).layer(l).step(step_idx),
                             )
-                            .after(attn),
-                        );
+                            .after(attn)
+                            .submit();
                         computes.push(gate);
 
                         let counts = view.expert_tokens(step, m, s0, s1);
@@ -163,56 +162,47 @@ impl Engine for Fiddler {
                                 && cpu_time < move_time + gpu_time;
 
                             if use_cpu {
-                                let mut c = TaskSpec::new(
-                                    Resource::CpuCompute,
-                                    cpu_time,
-                                    TaskMeta::of(OpClass::CpuExpertCompute)
-                                        .layer(l)
-                                        .expert(e as u32)
-                                        .step(step_idx),
-                                )
-                                .after(gate);
-                                if let Some(p) = cpu_chain {
-                                    c = c.after(p);
-                                }
-                                let c = sim.submit(c);
+                                let c = sim
+                                    .task(
+                                        Resource::CpuCompute,
+                                        cpu_time,
+                                        TaskMeta::of(OpClass::CpuExpertCompute)
+                                            .layer(l)
+                                            .expert(e as u32)
+                                            .step(step_idx),
+                                    )
+                                    .after(gate)
+                                    .after_all(cpu_chain)
+                                    .submit();
                                 cpu_chain = Some(c);
                                 computes.push(c);
                             } else {
-                                let transfer = if is_resident {
-                                    None
-                                } else {
-                                    Some(
-                                        sim.submit_with_priority(
-                                            TaskSpec::new(
-                                                Resource::LinkH2d,
-                                                move_time,
-                                                TaskMeta::of(OpClass::ExpertTransfer)
-                                                    .layer(l)
-                                                    .expert(e as u32)
-                                                    .step(step_idx),
-                                            )
-                                            .after(gate),
-                                            -1,
-                                        ),
+                                let transfer = (!is_resident).then(|| {
+                                    sim.task(
+                                        Resource::LinkH2d,
+                                        move_time,
+                                        TaskMeta::of(OpClass::ExpertTransfer)
+                                            .layer(l)
+                                            .expert(e as u32)
+                                            .step(step_idx),
                                     )
-                                };
-                                let mut c = TaskSpec::new(
-                                    Resource::GpuCompute,
-                                    gpu_time,
-                                    TaskMeta::of(OpClass::ExpertCompute)
-                                        .layer(l)
-                                        .expert(e as u32)
-                                        .step(step_idx),
-                                )
-                                .after(gate);
-                                if let Some(t) = transfer {
-                                    c = c.after(t);
-                                }
-                                if let Some(p) = gpu_chain {
-                                    c = c.after(p);
-                                }
-                                let c = sim.submit(c);
+                                    .after(gate)
+                                    .priority(-1)
+                                    .submit()
+                                });
+                                let c = sim
+                                    .task(
+                                        Resource::GpuCompute,
+                                        gpu_time,
+                                        TaskMeta::of(OpClass::ExpertCompute)
+                                            .layer(l)
+                                            .expert(e as u32)
+                                            .step(step_idx),
+                                    )
+                                    .after(gate)
+                                    .after_all(transfer)
+                                    .after_all(gpu_chain)
+                                    .submit();
                                 gpu_chain = Some(c);
                                 computes.push(c);
                             }
@@ -223,25 +213,24 @@ impl Engine for Fiddler {
                             StepKind::Decode(_) => bs,
                         };
                         computes.push(
-                            sim.submit(
-                                TaskSpec::new(
-                                    Resource::GpuCompute,
-                                    cost.dense_ffn_time(tokens),
-                                    TaskMeta::of(OpClass::DenseCompute).layer(l).step(step_idx),
-                                )
-                                .after(attn),
-                            ),
+                            sim.task(
+                                Resource::GpuCompute,
+                                cost.dense_ffn_time(tokens),
+                                TaskMeta::of(OpClass::DenseCompute).layer(l).step(step_idx),
+                            )
+                            .after(attn)
+                            .submit(),
                         );
                     }
 
-                    let end = sim.submit(
-                        TaskSpec::new(
+                    let end = sim
+                        .task(
                             Resource::GpuCompute,
                             SimDuration::ZERO,
                             TaskMeta::of(OpClass::Offload).layer(l).step(step_idx),
                         )
-                        .after_all(computes),
-                    );
+                        .after_all(computes)
+                        .submit();
                     layer_ends.push(end);
                     carry = Some(end);
                 }

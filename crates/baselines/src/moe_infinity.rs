@@ -160,18 +160,18 @@ impl Engine for MoeInfinity {
                             if lru.contains((l, e)) {
                                 continue;
                             }
-                            let mut t = TaskSpec::new(
-                                Resource::LinkH2d,
-                                fetch_time(l),
-                                TaskMeta::of(OpClass::ExpertTransfer)
-                                    .layer(l)
-                                    .expert(e as u32)
-                                    .step(step_idx),
-                            );
-                            if let Some(thr) = throttle {
-                                t = t.after(thr);
-                            }
-                            transfers.insert(e, self_submit(&mut sim, t, 0));
+                            let t = sim
+                                .task(
+                                    Resource::LinkH2d,
+                                    fetch_time(l),
+                                    TaskMeta::of(OpClass::ExpertTransfer)
+                                        .layer(l)
+                                        .expert(e as u32)
+                                        .step(step_idx),
+                                )
+                                .after_all(throttle)
+                                .submit();
+                            transfers.insert(e, t);
                             lru.insert((l, e));
                         }
                     }
@@ -183,17 +183,16 @@ impl Engine for MoeInfinity {
                         }
                         StepKind::Decode(_) => cost.attention_time(bs, 1, ctx),
                     };
-                    let mut attn = TaskSpec::new(
-                        Resource::GpuCompute,
-                        attn_dur,
-                        TaskMeta::of(OpClass::AttentionCompute)
-                            .layer(l)
-                            .step(step_idx),
-                    );
-                    if let Some(c) = carry {
-                        attn = attn.after(c);
-                    }
-                    let attn = sim.submit(attn);
+                    let attn = sim
+                        .task(
+                            Resource::GpuCompute,
+                            attn_dur,
+                            TaskMeta::of(OpClass::AttentionCompute)
+                                .layer(l)
+                                .step(step_idx),
+                        )
+                        .after_all(carry)
+                        .submit();
 
                     let mut computes = vec![attn];
                     if let Some(m) = m {
@@ -201,14 +200,14 @@ impl Engine for MoeInfinity {
                             StepKind::Prefill => bs * wl.prompt_len as u64,
                             StepKind::Decode(_) => bs,
                         };
-                        let gate = sim.submit(
-                            TaskSpec::new(
+                        let gate = sim
+                            .task(
                                 Resource::GpuCompute,
                                 cost.gate_time(gate_tokens),
                                 TaskMeta::of(OpClass::GateCompute).layer(l).step(step_idx),
                             )
-                            .after(attn),
-                        );
+                            .after(attn)
+                            .submit();
                         computes.push(gate);
 
                         // Serve activated experts in gate order.
@@ -224,34 +223,34 @@ impl Engine for MoeInfinity {
                             } else if lru.contains((l, e)) {
                                 None // cache hit
                             } else {
-                                let t = TaskSpec::new(
-                                    Resource::LinkH2d,
-                                    fetch_time(l),
-                                    TaskMeta::of(OpClass::ExpertTransfer)
+                                lru.insert((l, e));
+                                let t = sim
+                                    .task(
+                                        Resource::LinkH2d,
+                                        fetch_time(l),
+                                        TaskMeta::of(OpClass::ExpertTransfer)
+                                            .layer(l)
+                                            .expert(e as u32)
+                                            .step(step_idx),
+                                    )
+                                    .after(gate)
+                                    .priority(-1)
+                                    .submit();
+                                Some(t)
+                            };
+                            let c = sim
+                                .task(
+                                    Resource::GpuCompute,
+                                    cost.expert_time(tokens as u64),
+                                    TaskMeta::of(OpClass::ExpertCompute)
                                         .layer(l)
                                         .expert(e as u32)
                                         .step(step_idx),
                                 )
-                                .after(gate);
-                                lru.insert((l, e));
-                                Some(self_submit(&mut sim, t, -1))
-                            };
-                            let mut c = TaskSpec::new(
-                                Resource::GpuCompute,
-                                cost.expert_time(tokens as u64),
-                                TaskMeta::of(OpClass::ExpertCompute)
-                                    .layer(l)
-                                    .expert(e as u32)
-                                    .step(step_idx),
-                            )
-                            .after(gate);
-                            if let Some(t) = transfer {
-                                c = c.after(t);
-                            }
-                            if let Some(p) = prev {
-                                c = c.after(p);
-                            }
-                            let c = sim.submit(c);
+                                .after(gate)
+                                .after_all(transfer)
+                                .after_all(prev)
+                                .submit();
                             prev = Some(c);
                             computes.push(c);
                         }
@@ -283,25 +282,24 @@ impl Engine for MoeInfinity {
                             StepKind::Decode(_) => bs,
                         };
                         computes.push(
-                            sim.submit(
-                                TaskSpec::new(
-                                    Resource::GpuCompute,
-                                    cost.dense_ffn_time(tokens),
-                                    TaskMeta::of(OpClass::DenseCompute).layer(l).step(step_idx),
-                                )
-                                .after(attn),
-                            ),
+                            sim.task(
+                                Resource::GpuCompute,
+                                cost.dense_ffn_time(tokens),
+                                TaskMeta::of(OpClass::DenseCompute).layer(l).step(step_idx),
+                            )
+                            .after(attn)
+                            .submit(),
                         );
                     }
 
-                    let end = sim.submit(
-                        TaskSpec::new(
+                    let end = sim
+                        .task(
                             Resource::GpuCompute,
                             SimDuration::ZERO,
                             TaskMeta::of(OpClass::Offload).layer(l).step(step_idx),
                         )
-                        .after_all(computes),
-                    );
+                        .after_all(computes)
+                        .submit();
                     layer_ends.push(end);
                     carry = Some(end);
                 }
@@ -311,10 +309,6 @@ impl Engine for MoeInfinity {
         let (stats, oom) = drain(&mut sim, false)?;
         Ok(build_report(self.name(), spec, &wl, &sim, &stats, oom))
     }
-}
-
-fn self_submit(sim: &mut Simulator, spec: TaskSpec, priority: i32) -> TaskId {
-    sim.submit_with_priority(spec, priority)
 }
 
 #[cfg(test)]

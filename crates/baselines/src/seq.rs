@@ -199,27 +199,27 @@ impl<'a> SeqBuilder<'a> {
         if !is_moe {
             attn_bytes += spec.dense_ffn_bytes();
         }
-        let mut load = TaskSpec::new(
-            Resource::LinkH2d,
-            self.h2d(attn_bytes),
-            TaskMeta::of(OpClass::WeightTransfer)
-                .layer(l)
-                .step(step_idx),
-        )
-        .alloc_on_start(Tier::Vram, attn_bytes);
+        let load_dep = if self.overlap {
+            self.throttle()
+        } else {
+            self.chain
+        };
+        let mut load = self
+            .sim
+            .task(
+                Resource::LinkH2d,
+                self.h2d(attn_bytes),
+                TaskMeta::of(OpClass::WeightTransfer)
+                    .layer(l)
+                    .step(step_idx),
+            )
+            .alloc_on_start(Tier::Vram, attn_bytes);
         // The first task of a batch also claims its resident KV region.
         if !*kv_allocated {
             load = load.alloc_on_start(Tier::Vram, kv_bytes);
             *kv_allocated = true;
         }
-        if self.overlap {
-            if let Some(t) = self.throttle() {
-                load = load.after(t);
-            }
-        } else if let Some(c) = self.chain {
-            load = load.after(c);
-        }
-        let load = self.sim.submit(load);
+        let load = load.after_all(load_dep).submit();
         if !self.overlap {
             self.chain = Some(load);
         }
@@ -229,18 +229,18 @@ impl<'a> SeqBuilder<'a> {
             StepKind::Prefill => cost.attention_time(bs, wl.prompt_len as u64, ctx / 2 + 1),
             StepKind::Decode(_) => cost.attention_time(bs, 1, ctx),
         };
-        let mut attn = TaskSpec::new(
-            Resource::GpuCompute,
-            attn_dur,
-            TaskMeta::of(OpClass::AttentionCompute)
-                .layer(l)
-                .step(step_idx),
-        )
-        .after(load);
-        if let Some(c) = self.chain {
-            attn = attn.after(c);
-        }
-        let attn = self.sim.submit(attn);
+        let attn = self
+            .sim
+            .task(
+                Resource::GpuCompute,
+                attn_dur,
+                TaskMeta::of(OpClass::AttentionCompute)
+                    .layer(l)
+                    .step(step_idx),
+            )
+            .after(load)
+            .after_all(self.chain)
+            .submit();
         self.chain = Some(attn);
 
         let mut computes = vec![attn];
@@ -252,29 +252,31 @@ impl<'a> SeqBuilder<'a> {
             let counts = view.expert_tokens(step, m, s0, s1);
 
             // Gate load + compute.
-            let mut gate_load = TaskSpec::new(
-                Resource::LinkH2d,
-                self.h2d(spec.gate_bytes()),
-                TaskMeta::of(OpClass::GateTransfer).layer(l).step(step_idx),
-            )
-            .alloc_on_start(Tier::Vram, spec.gate_bytes());
-            if self.overlap {
-                if let Some(t) = self.throttle() {
-                    gate_load = gate_load.after(t);
-                }
+            let gate_dep = if self.overlap {
+                self.throttle()
             } else {
-                gate_load = gate_load.after(attn);
-            }
-            let gate_load = self.sim.submit(gate_load);
-            let gate = self.sim.submit(
-                TaskSpec::new(
+                Some(attn)
+            };
+            let gate_load = self
+                .sim
+                .task(
+                    Resource::LinkH2d,
+                    self.h2d(spec.gate_bytes()),
+                    TaskMeta::of(OpClass::GateTransfer).layer(l).step(step_idx),
+                )
+                .alloc_on_start(Tier::Vram, spec.gate_bytes())
+                .after_all(gate_dep)
+                .submit();
+            let gate = self
+                .sim
+                .task(
                     Resource::GpuCompute,
                     cost.gate_time(tokens_per_batch(&wl, step)),
                     TaskMeta::of(OpClass::GateCompute).layer(l).step(step_idx),
                 )
                 .after(attn)
-                .after(gate_load),
-            );
+                .after(gate_load)
+                .submit();
             self.chain = Some(gate);
             computes.push(gate);
             freed += spec.gate_bytes();
@@ -299,39 +301,43 @@ impl<'a> SeqBuilder<'a> {
             };
             let mut transfers: Vec<TaskId> = Vec::with_capacity(to_load.len());
             for &e in &to_load {
-                let mut t = TaskSpec::new(
-                    Resource::LinkH2d,
-                    self.h2d(spec.expert_bytes()) + disk_penalty,
-                    TaskMeta::of(OpClass::ExpertTransfer)
-                        .layer(l)
-                        .expert(e as u32)
-                        .step(step_idx),
-                )
-                .alloc_on_start(Tier::Vram, spec.expert_bytes());
-                if self.overlap {
-                    if let Some(thr) = self.throttle() {
-                        t = t.after(thr);
-                    }
+                // Synchronous: the hook fires after the gate (and after the
+                // previous expert finished computing).
+                let dep = if self.overlap {
+                    self.throttle()
                 } else {
-                    // Synchronous: the hook fires after the gate (and after
-                    // the previous expert finished computing).
-                    t = t.after(self.chain.expect("chain populated"));
-                }
-                let t = self.sim.submit(t);
-                transfers.push(t);
-
-                let tokens = counts[e as usize] as u64;
-                if tokens > 0 {
-                    let mut c = TaskSpec::new(
-                        Resource::GpuCompute,
-                        cost.expert_time(tokens),
-                        TaskMeta::of(OpClass::ExpertCompute)
+                    self.chain
+                };
+                let t = self
+                    .sim
+                    .task(
+                        Resource::LinkH2d,
+                        self.h2d(spec.expert_bytes()) + disk_penalty,
+                        TaskMeta::of(OpClass::ExpertTransfer)
                             .layer(l)
                             .expert(e as u32)
                             .step(step_idx),
                     )
-                    .after(gate)
-                    .after(t);
+                    .alloc_on_start(Tier::Vram, spec.expert_bytes())
+                    .after_all(dep)
+                    .submit();
+                transfers.push(t);
+
+                let tokens = counts[e as usize] as u64;
+                if tokens > 0 {
+                    let chain = self.chain;
+                    let mut c = self
+                        .sim
+                        .task(
+                            Resource::GpuCompute,
+                            cost.expert_time(tokens),
+                            TaskMeta::of(OpClass::ExpertCompute)
+                                .layer(l)
+                                .expert(e as u32)
+                                .step(step_idx),
+                        )
+                        .after(gate)
+                        .after(t);
                     if self.overlap {
                         // FastGen's per-module fetch buffer is recycled as
                         // soon as the module's forward finishes.
@@ -339,10 +345,7 @@ impl<'a> SeqBuilder<'a> {
                     } else {
                         freed += spec.expert_bytes();
                     }
-                    if let Some(c0) = self.chain {
-                        c = c.after(c0);
-                    }
-                    let c = self.sim.submit(c);
+                    let c = c.after_all(chain).submit();
                     self.chain = Some(c);
                     computes.push(c);
                 } else {
@@ -356,14 +359,15 @@ impl<'a> SeqBuilder<'a> {
             computes.push(gate_load);
         } else {
             // Dense FFN (weights came with the layer transfer).
-            let ffn = self.sim.submit(
-                TaskSpec::new(
+            let ffn = self
+                .sim
+                .task(
                     Resource::GpuCompute,
                     cost.dense_ffn_time(tokens_per_batch(&wl, step)),
                     TaskMeta::of(OpClass::DenseCompute).layer(l).step(step_idx),
                 )
-                .after(attn),
-            );
+                .after(attn)
+                .submit();
             self.chain = Some(ffn);
             computes.push(ffn);
         }
@@ -371,17 +375,19 @@ impl<'a> SeqBuilder<'a> {
         // --- Layer end: free the layer's weights (and, on the very last
         // layer of a batch, its KV region).
         let is_last = step_idx == wl.gen_len.saturating_sub(1) && l == spec.n_layers - 1;
-        let mut end = TaskSpec::new(
-            Resource::GpuCompute,
-            SimDuration::ZERO,
-            TaskMeta::of(OpClass::Offload).layer(l).step(step_idx),
-        )
-        .after_all(computes.iter().copied())
-        .free_on_end(Tier::Vram, freed);
+        let mut end = self
+            .sim
+            .task(
+                Resource::GpuCompute,
+                SimDuration::ZERO,
+                TaskMeta::of(OpClass::Offload).layer(l).step(step_idx),
+            )
+            .after_all(computes.iter().copied())
+            .free_on_end(Tier::Vram, freed);
         if is_last {
             end = end.free_on_end(Tier::Vram, kv_bytes);
         }
-        let end = self.sim.submit(end);
+        let end = end.submit();
         self.layer_ends.push(end);
         self.chain = Some(end);
     }

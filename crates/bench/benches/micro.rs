@@ -44,15 +44,15 @@ fn bench_simulator(c: &mut Criterion) {
             let mut sim = Simulator::new(TierCapacities::unbounded());
             let mut prev: Option<TaskId> = None;
             for _ in 0..10_000 {
-                let mut spec = TaskSpec::new(
-                    Resource::GpuCompute,
-                    SimDuration::from_micros(5),
-                    TaskMeta::of(OpClass::Misc),
-                );
-                if let Some(p) = prev {
-                    spec = spec.after(p);
-                }
-                prev = Some(sim.submit(spec));
+                let id = sim
+                    .task(
+                        Resource::GpuCompute,
+                        SimDuration::from_micros(5),
+                        TaskMeta::of(OpClass::Misc),
+                    )
+                    .after_all(prev)
+                    .submit();
+                prev = Some(id);
             }
             while sim.step().unwrap().is_some() {}
             black_box(sim.now())
@@ -329,6 +329,21 @@ fn bench_engine_end_to_end(c: &mut Criterion) {
     );
     let engine = KlotskiEngine::new(KlotskiConfig::full());
     c.bench_function("core/klotski_sim_run_small", |b| {
+        b.iter(|| black_box(engine.run(&sc).unwrap().throughput_tps()))
+    });
+    // The serving fleet's typical batch group, without the prefetcher
+    // warm-up: DAG build plus simulator drain alone.
+    let sc = Scenario::generate(
+        ModelSpec::mixtral_8x7b(),
+        HardwareSpec::env1_rtx3090(),
+        Workload::new(8, 1, 128, 8),
+        2025,
+    );
+    let engine = KlotskiEngine::new(KlotskiConfig {
+        warmup_tokens: 0,
+        ..KlotskiConfig::full()
+    });
+    c.bench_function("core/klotski_run_fleet_group_no_warmup", |b| {
         b.iter(|| black_box(engine.run(&sc).unwrap().throughput_tps()))
     });
 }

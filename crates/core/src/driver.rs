@@ -45,6 +45,10 @@ impl StepKind {
     }
 }
 
+/// "No batch requests this expert" in
+/// [`TraceView::first_requesting_batches_into`].
+pub const NO_BATCH: u32 = u32::MAX;
+
 /// A group-aware view over the routing trace.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceView<'a> {
@@ -66,16 +70,33 @@ impl<'a> TraceView<'a> {
     /// to sequences `[s0, s1)`. Prefill counts are apportioned by share of
     /// the total sequence population.
     pub fn expert_tokens(&self, step: StepKind, m: u32, s0: u32, s1: u32) -> Vec<u32> {
+        let mut counts = Vec::new();
+        self.expert_tokens_into(step, m, s0, s1, &mut counts);
+        counts
+    }
+
+    /// [`expert_tokens`](TraceView::expert_tokens) into a reused buffer.
+    // analyze: no_alloc
+    pub fn expert_tokens_into(
+        &self,
+        step: StepKind,
+        m: u32,
+        s0: u32,
+        s1: u32,
+        counts: &mut Vec<u32>,
+    ) {
         match step {
             StepKind::Prefill => {
                 let total = self.trace.n_seqs() as u64;
-                self.trace
-                    .prefill_tokens_per_expert(m)
-                    .iter()
-                    .map(|&c| (c as u64 * (s1 - s0) as u64 / total.max(1)) as u32)
-                    .collect()
+                counts.clear();
+                counts.extend(
+                    self.trace
+                        .prefill_tokens_per_expert(m)
+                        .iter()
+                        .map(|&c| (c as u64 * (s1 - s0) as u64 / total.max(1)) as u32),
+                );
             }
-            StepKind::Decode(i) => self.trace.tokens_per_expert_in(i, m, s0, s1),
+            StepKind::Decode(i) => self.trace.tokens_per_expert_into(i, m, s0, s1, counts),
         }
     }
 
@@ -89,31 +110,39 @@ impl<'a> TraceView<'a> {
             .collect()
     }
 
-    /// The first batch (of `batch_size`-wide batches within `[s0, s1)`)
-    /// whose tokens request `expert`, if any — the gate whose completion
-    /// triggers the on-demand transfer.
-    pub fn first_requesting_batch(
+    /// Each expert's first requesting batch (of `batch_size`-wide batches
+    /// within `[s0, s1)`) — the gate whose completion triggers its
+    /// on-demand transfer — into a reused buffer: `first[e]` is a batch
+    /// index, or [`NO_BATCH`] when no batch routes a token to `e`.
+    // analyze: no_alloc
+    pub fn first_requesting_batches_into(
         &self,
         step: StepKind,
         m: u32,
         s0: u32,
         s1: u32,
         batch_size: u32,
-        expert: u16,
-    ) -> Option<u32> {
+        first: &mut Vec<u32>,
+    ) {
+        first.clear();
         match step {
             // Prefill activates experts from the first batch onwards in
             // aggregate; attribute to batch 0.
-            StepKind::Prefill => Some(0),
+            StepKind::Prefill => first.resize(self.trace.n_experts() as usize, 0),
             StepKind::Decode(i) => {
+                first.resize(self.trace.n_experts() as usize, NO_BATCH);
                 let n_batches = (s1 - s0) / batch_size;
-                (0..n_batches).find(|&b| {
-                    let from = s0 + b * batch_size;
-                    let counts = self
-                        .trace
-                        .tokens_per_expert_in(i, m, from, from + batch_size);
-                    counts[expert as usize] > 0
-                })
+                let k = (self.trace.top_k() * batch_size) as usize;
+                let from = s0 as usize * self.trace.top_k() as usize;
+                let choices = &self.trace.decode_choices(i, m)[from..];
+                for (b, batch) in choices.chunks(k).take(n_batches as usize).enumerate() {
+                    for &e in batch {
+                        let slot = &mut first[e as usize];
+                        if *slot == NO_BATCH {
+                            *slot = b as u32;
+                        }
+                    }
+                }
             }
         }
     }
@@ -121,10 +150,26 @@ impl<'a> TraceView<'a> {
     /// Per-sequence first choices at the previous MoE layer (`m − 1`) of
     /// the same decode step — the correlation-prefetcher's lookup keys.
     pub fn prev_choices(&self, decode_step: u32, m: u32, s0: u32, s1: u32) -> Vec<u16> {
+        let mut prev = Vec::new();
+        self.prev_choices_into(decode_step, m, s0, s1, &mut prev);
+        prev
+    }
+
+    /// [`prev_choices`](TraceView::prev_choices) into a reused buffer.
+    // analyze: no_alloc
+    pub fn prev_choices_into(
+        &self,
+        decode_step: u32,
+        m: u32,
+        s0: u32,
+        s1: u32,
+        prev: &mut Vec<u16>,
+    ) {
         assert!(m > 0, "layer 0 has no previous MoE layer");
-        (s0..s1)
-            .map(|s| self.trace.seq_choices(decode_step, m - 1, s)[0])
-            .collect()
+        let k = self.trace.top_k() as usize;
+        let choices = self.trace.decode_choices(decode_step, m - 1);
+        prev.clear();
+        prev.extend(choices[s0 as usize * k..s1 as usize * k].iter().step_by(k));
     }
 }
 
@@ -253,18 +298,25 @@ mod tests {
     }
 
     #[test]
-    fn first_requesting_batch_is_consistent_with_activation() {
+    fn first_requesting_batches_are_consistent_with_activation() {
         let t = trace();
         let v = TraceView::new(&t);
         let step = StepKind::Decode(0);
-        for e in v.activated(step, 2, 0, 32) {
-            let b = v
-                .first_requesting_batch(step, 2, 0, 32, 8, e)
-                .expect("activated expert must have a requesting batch");
+        let activated = v.activated(step, 2, 0, 32);
+        let mut first = Vec::new();
+        v.first_requesting_batches_into(step, 2, 0, 32, 8, &mut first);
+        for e in 0..t.n_experts() as u16 {
+            let b = first[e as usize];
+            if !activated.contains(&e) {
+                assert_eq!(b, NO_BATCH);
+                continue;
+            }
             assert!(b < 4);
-            let from = b * 8;
-            let counts = v.expert_tokens(step, 2, from, from + 8);
-            assert!(counts[e as usize] > 0);
+            for earlier in 0..=b {
+                let from = earlier * 8;
+                let counts = v.expert_tokens(step, 2, from, from + 8);
+                assert_eq!(counts[e as usize] > 0, earlier == b);
+            }
         }
     }
 

@@ -23,15 +23,13 @@
 //! Every ablation row of the paper's Table 3 is a switch on
 //! [`KlotskiConfig`].
 
-use std::collections::BTreeMap;
-
 use klotski_model::cost::CostModel;
 use klotski_model::spec::ModelSpec;
 use klotski_model::workload::Workload;
 use klotski_sim::prelude::*;
 
 use crate::compress::Compression;
-use crate::driver::{build_report, drain, StepKind, TraceView};
+use crate::driver::{build_report, drain, StepKind, TraceView, NO_BATCH};
 use crate::placement::{plan_placement, PlacementPlan};
 use crate::planner::Planner;
 use crate::prefetcher::CorrelationTable;
@@ -231,7 +229,11 @@ impl Engine for KlotskiEngine {
             t
         });
 
-        let mut sim = Simulator::new(sc.hw.tier_capacities());
+        let k_prefetch = self.cfg.prefetch_k.unwrap_or(sc.spec.top_k.max(1));
+        let mut sim = Simulator::with_capacity(
+            sc.hw.tier_capacities(),
+            task_bound(&sc.spec, &wl, group_size, k_prefetch, &self.cfg),
+        );
         sim.metrics_mut()
             .set_record_timeline(self.cfg.record_timeline);
         sim.metrics_mut().set_record_memory(self.cfg.record_memory);
@@ -268,34 +270,62 @@ impl Engine for KlotskiEngine {
             .alloc(disk_bytes.min(disk_cap))
             .expect("disk capacity is ample in both environments");
 
-        {
-            let mut b = Builder {
-                spec: &sc.spec,
-                cost: &cost,
-                cfg: &self.cfg,
-                placement: &placement,
-                view: sc.trace.as_ref().map(TraceView::new),
-                table: table.as_mut(),
-                sim: &mut sim,
-                wl: &wl,
-                k_prefetch: self.cfg.prefetch_k.unwrap_or(sc.spec.top_k.max(1)),
-                carry: Vec::new(),
-                prev_attn_tasks: Vec::new(),
-                pending_attn_w: None,
-                layer_ends: Vec::new(),
-                stage_map: BTreeMap::new(),
-            };
-            let n_groups = wl.num_batches.div_ceil(group_size);
-            for g in 0..n_groups {
-                let b0 = g * group_size;
-                let b1 = (b0 + group_size).min(wl.num_batches);
-                b.submit_group(b0, b1);
-            }
+        let mut b = Builder {
+            spec: &sc.spec,
+            cost: &cost,
+            cfg: &self.cfg,
+            placement: &placement,
+            view: sc.trace.as_ref().map(TraceView::new),
+            table: table.as_mut(),
+            sim: &mut sim,
+            wl: &wl,
+            k_prefetch,
+            costs: StepCosts::default(),
+            carry: None,
+            prev_attn_tasks: Vec::new(),
+            pending_attn_w: None,
+            layer_ends: Vec::new(),
+            stage_map: Vec::new(),
+            scratch: LayerScratch::default(),
+        };
+        let n_groups = wl.num_batches.div_ceil(group_size);
+        for g in 0..n_groups {
+            let b0 = g * group_size;
+            let b1 = (b0 + group_size).min(wl.num_batches);
+            b.submit_group(b0, b1);
         }
 
         let (stats, oom) = drain(&mut sim, self.cfg.record_memory)?;
         Ok(build_report(self.name(), &sc.spec, &wl, &sim, &stats, oom))
     }
+}
+
+/// An upper bound on the tasks [`Builder`] submits for `wl` in batch
+/// groups of `group_size`, so the simulator reserves its arenas once. Per
+/// (group, step, layer) a layer submits at most: the next layer's
+/// attention weights, the gate or whole-layer transfer, a disk stage, the
+/// layer end and a step's first weight transfer (5, plus one spare);
+/// `k_prefetch` hot-expert prefetches; one on-demand transfer per expert;
+/// four tasks per batch (KV load, attention, KV store, gate); and the
+/// expert kernels — one per expert and batch in batch-major mode, else one
+/// per expert (or one dense FFN per batch).
+fn task_bound(
+    spec: &ModelSpec,
+    wl: &Workload,
+    group_size: u32,
+    k: u32,
+    cfg: &KlotskiConfig,
+) -> usize {
+    let (n_b, experts) = (group_size as usize, spec.n_experts as usize);
+    let kernels = if cfg.batch_major_experts {
+        n_b * experts.max(1)
+    } else {
+        experts.max(n_b)
+    };
+    let per_layer = 6 + k as usize + experts + 4 * n_b + kernels;
+    let layers =
+        wl.num_batches.div_ceil(group_size) as usize * wl.gen_len as usize * spec.n_layers as usize;
+    layers * per_layer
 }
 
 fn expert_layer_bytes(spec: &ModelSpec, layer: u32) -> u64 {
@@ -306,22 +336,102 @@ fn expert_layer_bytes(spec: &ModelSpec, layer: u32) -> u64 {
     }
 }
 
-/// Scheduling context of one MoE layer's expert phase: which sequences the
-/// group spans, which experts the gates activated, which were prefetched as
-/// hot, and how many tokens each routed.
-struct ExpertPhase<'a> {
-    step: StepKind,
-    moe_layer: u32,
-    /// First sequence of the batch group (inclusive).
-    s0: u32,
-    /// Last sequence of the batch group (exclusive).
-    s1: u32,
-    /// Experts with at least one routed token, ascending id.
-    activated: &'a [u16],
-    /// The prefetched (predicted-hot) experts.
-    hot: &'a [u16],
+/// Durations and sizes that are the same for every layer of one step,
+/// computed once when the step starts.
+#[derive(Debug, Clone, Copy, Default)]
+struct StepCosts {
+    /// Attention (+ dense FFN) weights of a MoE / dense layer: VRAM bytes
+    /// and transfer time.
+    attn_w_moe: (u64, SimDuration),
+    attn_w_dense: (u64, SimDuration),
+    gate_w_time: SimDuration,
+    expert_w_time: SimDuration,
+    /// The whole-MoE-layer blob (gate + every expert): VRAM bytes, time.
+    blob: (u64, SimDuration),
+    /// One batch's KV chunk streamed in (decode only): bytes, time.
+    kv_load: (u64, SimDuration),
+    attn_time: SimDuration,
+    /// One batch's new KV entries written back: VRAM bytes, DRAM growth,
+    /// time.
+    kv_store: (u64, u64, SimDuration),
+    gate_time: SimDuration,
+    dense_time: SimDuration,
+}
+
+impl StepCosts {
+    fn new(
+        spec: &ModelSpec,
+        cost: &CostModel,
+        cfg: &KlotskiConfig,
+        wl: &Workload,
+        step: StepKind,
+    ) -> Self {
+        let comp = &cfg.compression;
+        let wf = comp.weight_factor(spec.dtype);
+        let h2d = |vram: u64| (vram, cost.h2d_time((vram as f64 * wf) as u64));
+        let bs = wl.batch_size as u64;
+        let ctx = step.context(wl.prompt_len);
+        let eff_ctx = comp.effective_context(ctx);
+        let kv_factor = comp.kv_factor(ctx);
+        let kv_per_tok = spec.kv_bytes_per_token_layer();
+        let new_tokens = match step {
+            StepKind::Prefill => wl.prompt_len as u64,
+            StepKind::Decode(_) => 1,
+        };
+        let store_bytes = bs * new_tokens * kv_per_tok;
+        let blob_vram = spec.gate_bytes() + spec.n_experts as u64 * spec.expert_bytes();
+        StepCosts {
+            attn_w_moe: h2d(spec.attn_bytes()),
+            attn_w_dense: h2d(spec.attn_bytes() + spec.dense_ffn_bytes()),
+            gate_w_time: cost.gate_h2d_time(),
+            expert_w_time: cost.expert_h2d_time(wf),
+            blob: h2d(blob_vram),
+            kv_load: (
+                (bs as f64 * ctx as f64 * kv_per_tok as f64 * kv_factor) as u64,
+                cost.kv_h2d_time(bs, ctx, kv_factor),
+            ),
+            attn_time: match step {
+                StepKind::Prefill => cost.attention_time(bs, wl.prompt_len as u64, eff_ctx / 2 + 1),
+                StepKind::Decode(_) => cost.attention_time(bs, 1, eff_ctx),
+            },
+            kv_store: (
+                store_bytes,
+                (store_bytes as f64 * kv_factor) as u64,
+                cost.kv_d2h_time(bs, new_tokens),
+            ),
+            gate_time: cost.gate_time(bs * new_tokens),
+            dense_time: cost.dense_ffn_time(bs * new_tokens),
+        }
+    }
+}
+
+/// Per-layer working buffers, reused across every layer and step of a
+/// run so that laying out a layer allocates nothing.
+#[derive(Debug, Default)]
+struct LayerScratch {
     /// Routed-token count per expert id.
-    counts: &'a [u32],
+    counts: Vec<u32>,
+    /// Experts with at least one routed token, ascending id.
+    activated: Vec<u16>,
+    /// The prefetched (predicted-hot) experts.
+    hot: Vec<u16>,
+    /// Each expert's first requesting batch (or `NO_BATCH`).
+    first_batch: Vec<u32>,
+    /// The weight transfer of each expert id this layer, if any. Iterated
+    /// in ascending id (release accounting and layer-end dependencies), so
+    /// the schedule never depends on hashing.
+    transfers: Vec<Option<TaskId>>,
+    attn_tasks: Vec<TaskId>,
+    gate_tasks: Vec<TaskId>,
+    compute_tasks: Vec<TaskId>,
+    /// Expert execution order: sort keys with the expert id in the low
+    /// 16 bits.
+    order: Vec<u64>,
+    /// One batch's routed-token counts (batch-major mode).
+    batch_counts: Vec<u32>,
+    /// Prefetcher lookup keys and scores.
+    prev: Vec<u16>,
+    scores: Vec<f64>,
 }
 
 /// DAG builder for one run.
@@ -335,8 +445,10 @@ struct Builder<'a> {
     sim: &'a mut Simulator,
     wl: &'a Workload,
     k_prefetch: u32,
-    /// Completion anchors of the previous layer (its layer-end task).
-    carry: Vec<TaskId>,
+    /// The current step's constant durations.
+    costs: StepCosts,
+    /// Completion anchor of the previous layer (its layer-end task).
+    carry: Option<TaskId>,
     /// Attention computes of the previous layer, per batch: the KV stream
     /// prefetches layer `l`'s chunk for batch `b` as soon as layer `l−1`'s
     /// attention for `b` has finished (one layer of KV double-buffering,
@@ -347,7 +459,8 @@ struct Builder<'a> {
     /// Every layer-end task, in execution order (disk staging anchors).
     layer_ends: Vec<TaskId>,
     /// Disk→DRAM stage task per layer of the current step.
-    stage_map: BTreeMap<u32, TaskId>,
+    stage_map: Vec<Option<TaskId>>,
+    scratch: LayerScratch,
 }
 
 impl<'a> Builder<'a> {
@@ -356,13 +469,19 @@ impl<'a> Builder<'a> {
         let s0 = batch0 * self.wl.batch_size;
         let s1 = batch1 * self.wl.batch_size;
         for step in StepKind::all(self.wl.gen_len) {
+            self.costs = StepCosts::new(self.spec, self.cost, self.cfg, self.wl, step);
             self.stage_map.clear();
+            self.stage_map.resize(self.spec.n_layers as usize, None);
             self.stage_initial_window(step);
             if self.pending_attn_w.is_none() {
                 self.pending_attn_w = Some(self.submit_attn_weights(0, step));
             }
+            let mut moe_layers = 0;
             for l in 0..self.spec.n_layers {
-                self.submit_layer(step, l, n_b, s0, s1);
+                // The layer's index among the MoE layers, if it is one.
+                let moe = self.spec.is_moe_layer(l).then_some(moe_layers);
+                moe_layers += u32::from(moe.is_some());
+                self.submit_layer(step, l, moe, n_b, s0, s1);
             }
         }
     }
@@ -391,19 +510,19 @@ impl<'a> Builder<'a> {
         // compute and reports that quantization barely moves the disk-bound
         // Mixtral-8×22B Env-1 numbers, which pins the quantizer to PCIe).
         let bytes = expert_layer_bytes(self.spec, layer);
-        let mut spec = TaskSpec::new(
-            Resource::LinkDisk,
-            self.cost.disk_time(bytes),
-            TaskMeta::of(OpClass::DiskStage)
-                .layer(layer)
-                .step(step.index()),
-        )
-        .alloc_on_start(Tier::Dram, bytes);
-        if let Some(d) = dep {
-            spec = spec.after(d);
-        }
-        let id = self.sim.submit(spec);
-        self.stage_map.insert(layer, id);
+        let id = self
+            .sim
+            .task(
+                Resource::LinkDisk,
+                self.cost.disk_time(bytes),
+                TaskMeta::of(OpClass::DiskStage)
+                    .layer(layer)
+                    .step(step.index()),
+            )
+            .alloc_on_start(Tier::Dram, bytes)
+            .after_all(dep)
+            .submit();
+        self.stage_map[layer as usize] = Some(id);
     }
 
     /// The prefetch throttle: weight transfers for the layer at the
@@ -421,372 +540,351 @@ impl<'a> Builder<'a> {
 
     /// Submits the attention (+ dense FFN) weight transfer for `layer`.
     fn submit_attn_weights(&mut self, layer: u32, step: StepKind) -> TaskId {
-        let wf = self.cfg.compression.weight_factor(self.spec.dtype);
-        let mut vram = self.spec.attn_bytes();
-        if !self.spec.is_moe_layer(layer) {
-            vram += self.spec.dense_ffn_bytes();
-        }
-        let bytes = (vram as f64 * wf) as u64;
-        let mut spec = TaskSpec::new(
-            Resource::LinkH2d,
-            self.cost.h2d_time(bytes),
-            TaskMeta::of(OpClass::WeightTransfer)
-                .layer(layer)
-                .step(step.index()),
-        )
-        .alloc_on_start(Tier::Vram, vram);
-        if let Some(t) = self.throttle_dep() {
-            spec = spec.after(t);
-        }
-        self.sim.submit_with_priority(spec, prio::BACKGROUND)
+        let (vram, time) = if self.spec.is_moe_layer(layer) {
+            self.costs.attn_w_moe
+        } else {
+            self.costs.attn_w_dense
+        };
+        let throttle = self.throttle_dep();
+        self.sim
+            .task(
+                Resource::LinkH2d,
+                time,
+                TaskMeta::of(OpClass::WeightTransfer)
+                    .layer(layer)
+                    .step(step.index()),
+            )
+            .alloc_on_start(Tier::Vram, vram)
+            .after_all(throttle)
+            .priority(prio::BACKGROUND)
+            .submit()
     }
 
     #[allow(clippy::too_many_lines)]
-    fn submit_layer(&mut self, step: StepKind, l: u32, n_b: u32, s0: u32, s1: u32) {
+    // analyze: no_alloc
+    fn submit_layer(
+        &mut self,
+        step: StepKind,
+        l: u32,
+        moe: Option<u32>,
+        n_b: u32,
+        s0: u32,
+        s1: u32,
+    ) {
         let spec = self.spec;
         let cost = self.cost;
-        let comp = &self.cfg.compression;
-        let bs = self.wl.batch_size as u64;
+        let c = self.costs;
+        let bs = self.wl.batch_size;
         let step_idx = step.index();
-        let ctx = step.context(self.wl.prompt_len);
-        let eff_ctx = comp.effective_context(ctx);
-        let kv_factor = comp.kv_factor(ctx);
-        let kv_per_tok = spec.kv_bytes_per_token_layer();
-        let is_moe = spec.is_moe_layer(l);
-        let resident = is_moe && self.placement.is_expert_resident(l);
-
+        // A MoE layer's index among the MoE layers, and the routing trace
+        // (`run` rejects MoE scenarios without one).
+        let moe = moe.map(|m| (m, self.view.expect("a MoE run has a trace")));
+        let resident = moe.is_some() && self.placement.is_expert_resident(l);
+        let stage_dep = self.stage_map[l as usize];
+        let throttle = self.throttle_dep();
         let attn_w = self.pending_attn_w.take().expect("attn weights prefetched");
+
+        // --- This layer's routing.
+        let s = &mut self.scratch;
+        s.counts.clear();
+        s.activated.clear();
+        s.hot.clear();
+        s.transfers.clear();
+        s.transfers.resize(spec.n_experts as usize, None);
+        s.attn_tasks.clear();
+        s.gate_tasks.clear();
+        s.compute_tasks.clear();
+        if let Some((m, view)) = moe {
+            view.expert_tokens_into(step, m, s0, s1, &mut s.counts);
+            s.activated.extend(
+                s.counts
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &c)| c > 0)
+                    .map(|(e, _)| e as u16),
+            );
+            if self.cfg.hot_expert_prefetch {
+                view.first_requesting_batches_into(step, m, s0, s1, bs, &mut s.first_batch);
+            }
+        }
 
         // --- Gate + hot-expert prefetch (issued while attention computes).
         let mut gate_w: Option<TaskId> = None;
-        // Ordered map on purpose: `transfers` is iterated below (release
-        // accounting and layer-end dependency edges), and hash-order
-        // iteration would make the simulated schedule vary across runs.
-        let mut transfers: BTreeMap<u16, TaskId> = BTreeMap::new();
-        let mut hot: Vec<u16> = Vec::new();
-        let stage_dep = self.stage_map.get(&l).copied();
-
-        let moe_idx = spec.moe_index(l);
-        let counts: Vec<u32> = match (is_moe, moe_idx, self.view.as_ref()) {
-            (true, Some(m), Some(view)) => view.expert_tokens(step, m, s0, s1),
-            _ => Vec::new(),
-        };
-        let activated: Vec<u16> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(e, _)| e as u16)
-            .collect();
-
-        let throttle = self.throttle_dep();
         // Whole-MoE-layer blob transfer (gate + every expert as one unit),
         // used when hot-expert prefetch is off: this is FlexGen's (and the
         // strawman's) granularity — no compute may start before the whole
         // layer has arrived.
         let mut layer_blob: Option<TaskId> = None;
-        if is_moe && !resident && !self.cfg.hot_expert_prefetch {
-            let wf = comp.weight_factor(spec.dtype);
-            let vram = spec.gate_bytes() + spec.n_experts as u64 * spec.expert_bytes();
-            let bytes = (vram as f64 * wf) as u64;
-            let mut t = TaskSpec::new(
-                Resource::LinkH2d,
-                cost.h2d_time(bytes),
-                TaskMeta::of(OpClass::ExpertTransfer)
-                    .layer(l)
-                    .step(step_idx),
-            )
-            .alloc_on_start(Tier::Vram, vram);
-            if let Some(d) = stage_dep {
-                t = t.after(d);
-            }
-            if let Some(d) = throttle {
-                t = t.after(d);
-            }
-            layer_blob = Some(self.sim.submit_with_priority(t, prio::PREFETCH));
-            hot = (0..spec.n_experts as u16).collect();
-        } else if is_moe && !resident {
-            let wf = comp.weight_factor(spec.dtype);
-            let mut gate_spec = TaskSpec::new(
-                Resource::LinkH2d,
-                cost.gate_h2d_time(),
-                TaskMeta::of(OpClass::GateTransfer).layer(l).step(step_idx),
-            )
-            .alloc_on_start(Tier::Vram, spec.gate_bytes());
-            if let Some(t) = throttle {
-                gate_spec = gate_spec.after(t);
-            }
-            gate_w = Some(self.sim.submit_with_priority(gate_spec, prio::PREFETCH));
-
-            let m = moe_idx.expect("moe layer has a moe index");
-            hot = self.predict_hot(step, m, s0, s1);
-            for &e in &hot {
-                let mut t = TaskSpec::new(
-                    Resource::LinkH2d,
-                    cost.expert_h2d_time(wf),
-                    TaskMeta::of(OpClass::ExpertTransfer)
-                        .layer(l)
-                        .expert(e as u32)
-                        .step(step_idx),
-                )
-                .alloc_on_start(Tier::Vram, spec.expert_bytes());
-                if let Some(d) = stage_dep {
-                    t = t.after(d);
-                }
-                if let Some(d) = throttle {
-                    t = t.after(d);
-                }
-                transfers.insert(e, self.sim.submit_with_priority(t, prio::PREFETCH));
-            }
-        } else if is_moe && resident {
-            hot = if self.cfg.hot_expert_prefetch {
-                let m = moe_idx.expect("moe layer has a moe index");
-                self.predict_hot(step, m, s0, s1)
+        if let Some((m, view)) = moe {
+            if !self.cfg.hot_expert_prefetch {
+                self.scratch.hot.extend(0..spec.n_experts as u16);
             } else {
-                (0..spec.n_experts as u16).collect()
-            };
+                self.predict_hot(view, step, m, s0, s1);
+            }
+            if !resident && !self.cfg.hot_expert_prefetch {
+                layer_blob = Some(
+                    self.sim
+                        .task(
+                            Resource::LinkH2d,
+                            c.blob.1,
+                            TaskMeta::of(OpClass::ExpertTransfer)
+                                .layer(l)
+                                .step(step_idx),
+                        )
+                        .alloc_on_start(Tier::Vram, c.blob.0)
+                        .after_all(stage_dep)
+                        .after_all(throttle)
+                        .priority(prio::PREFETCH)
+                        .submit(),
+                );
+            } else if !resident {
+                gate_w = Some(
+                    self.sim
+                        .task(
+                            Resource::LinkH2d,
+                            c.gate_w_time,
+                            TaskMeta::of(OpClass::GateTransfer).layer(l).step(step_idx),
+                        )
+                        .alloc_on_start(Tier::Vram, spec.gate_bytes())
+                        .after_all(throttle)
+                        .priority(prio::PREFETCH)
+                        .submit(),
+                );
+                let s = &mut self.scratch;
+                for &e in &s.hot {
+                    s.transfers[e as usize] = Some(
+                        self.sim
+                            .task(
+                                Resource::LinkH2d,
+                                c.expert_w_time,
+                                TaskMeta::of(OpClass::ExpertTransfer)
+                                    .layer(l)
+                                    .expert(e as u32)
+                                    .step(step_idx),
+                            )
+                            .alloc_on_start(Tier::Vram, spec.expert_bytes())
+                            .after_all(stage_dep)
+                            .after_all(throttle)
+                            .priority(prio::PREFETCH)
+                            .submit(),
+                    );
+                }
+            }
         }
 
         // --- Attention phase: KV in, attention, gate, KV out (per batch).
-        let mut attn_tasks = Vec::with_capacity(n_b as usize);
-        let mut gate_tasks = Vec::with_capacity(n_b as usize);
+        let s = &mut self.scratch;
         for b in 0..n_b {
             let kv_load = if matches!(step, StepKind::Decode(_)) {
-                let bytes = (bs as f64 * ctx as f64 * kv_per_tok as f64 * kv_factor) as u64;
-                let mut t = TaskSpec::new(
-                    Resource::LinkH2d,
-                    cost.kv_h2d_time(bs, ctx, kv_factor),
-                    TaskMeta::of(OpClass::KvLoad)
-                        .layer(l)
-                        .batch(b)
-                        .step(step_idx),
-                )
-                .alloc_on_start(Tier::Vram, bytes);
-                if let Some(&anchor) = self.prev_attn_tasks.get(b as usize) {
-                    t = t.after(anchor);
-                } else if b > 0 {
-                    t = t.after(attn_tasks[b as usize - 1]);
-                }
-                Some((self.sim.submit_with_priority(t, prio::KV), bytes))
+                // The previous layer's attention for this batch, or (on a
+                // group's first layer) the previous batch's attention.
+                let anchor = match self.prev_attn_tasks.get(b as usize) {
+                    Some(&a) => Some(a),
+                    None => b.checked_sub(1).map(|p| s.attn_tasks[p as usize]),
+                };
+                let id = self
+                    .sim
+                    .task(
+                        Resource::LinkH2d,
+                        c.kv_load.1,
+                        TaskMeta::of(OpClass::KvLoad)
+                            .layer(l)
+                            .batch(b)
+                            .step(step_idx),
+                    )
+                    .alloc_on_start(Tier::Vram, c.kv_load.0)
+                    .after_all(anchor)
+                    .priority(prio::KV)
+                    .submit();
+                Some(id)
             } else {
                 None
             };
 
-            let attn_dur = match step {
-                StepKind::Prefill => {
-                    cost.attention_time(bs, self.wl.prompt_len as u64, eff_ctx / 2 + 1)
-                }
-                StepKind::Decode(_) => cost.attention_time(bs, 1, eff_ctx),
-            };
-            let mut attn = TaskSpec::new(
-                Resource::GpuCompute,
-                attn_dur,
-                TaskMeta::of(OpClass::AttentionCompute)
-                    .layer(l)
-                    .batch(b)
-                    .step(step_idx),
-            )
-            .after(attn_w)
-            .after_all(self.carry.iter().copied());
-            if let Some((kv, _)) = kv_load {
-                attn = attn.after(kv);
-            }
-            let attn = self.sim.submit(attn);
-            attn_tasks.push(attn);
-
-            // Write back the new KV entries (and release the chunk).
-            let new_tokens = match step {
-                StepKind::Prefill => self.wl.prompt_len as u64,
-                StepKind::Decode(_) => 1,
-            };
-            let store_bytes = bs * new_tokens * kv_per_tok;
-            let dram_growth = (store_bytes as f64 * kv_factor) as u64;
-            let mut store = TaskSpec::new(
-                Resource::LinkD2h,
-                cost.kv_d2h_time(bs, new_tokens),
-                TaskMeta::of(OpClass::KvStore)
-                    .layer(l)
-                    .batch(b)
-                    .step(step_idx),
-            )
-            .after(attn)
-            .alloc_on_start(Tier::Vram, store_bytes)
-            .free_on_end(Tier::Vram, store_bytes);
-            store
-                .mem_on_end
-                .push(MemDelta::alloc(Tier::Dram, dram_growth));
-            if let Some((_, chunk_bytes)) = kv_load {
-                store
-                    .mem_on_end
-                    .push(MemDelta::free(Tier::Vram, chunk_bytes));
-            }
-            self.sim.submit(store);
-
-            if is_moe {
-                let gate_tokens = bs * new_tokens;
-                let mut gate = TaskSpec::new(
+            let attn = self
+                .sim
+                .task(
                     Resource::GpuCompute,
-                    cost.gate_time(gate_tokens),
-                    TaskMeta::of(OpClass::GateCompute)
+                    c.attn_time,
+                    TaskMeta::of(OpClass::AttentionCompute)
                         .layer(l)
                         .batch(b)
                         .step(step_idx),
                 )
-                .after(attn);
-                if let Some(g) = gate_w {
-                    gate = gate.after(g);
-                }
-                if let Some(blob) = layer_blob {
-                    gate = gate.after(blob);
-                }
-                gate_tasks.push(self.sim.submit(gate));
+                .after(attn_w)
+                .after_all(self.carry)
+                .after_all(kv_load)
+                .submit();
+            s.attn_tasks.push(attn);
+
+            // Write back the new KV entries (and release the chunk).
+            let (store_bytes, dram_growth, store_time) = c.kv_store;
+            let mut store = self
+                .sim
+                .task(
+                    Resource::LinkD2h,
+                    store_time,
+                    TaskMeta::of(OpClass::KvStore)
+                        .layer(l)
+                        .batch(b)
+                        .step(step_idx),
+                )
+                .after(attn)
+                .alloc_on_start(Tier::Vram, store_bytes)
+                .free_on_end(Tier::Vram, store_bytes)
+                .alloc_on_end(Tier::Dram, dram_growth);
+            if kv_load.is_some() {
+                store = store.free_on_end(Tier::Vram, c.kv_load.0);
+            }
+            store.submit();
+
+            if moe.is_some() {
+                let gate = self
+                    .sim
+                    .task(
+                        Resource::GpuCompute,
+                        c.gate_time,
+                        TaskMeta::of(OpClass::GateCompute)
+                            .layer(l)
+                            .batch(b)
+                            .step(step_idx),
+                    )
+                    .after(attn)
+                    .after_all(gate_w)
+                    .after_all(layer_blob)
+                    .submit();
+                s.gate_tasks.push(gate);
             }
         }
 
         // --- Expert phase (or dense FFN).
-        let mut compute_tasks: Vec<TaskId> = Vec::new();
-        if is_moe {
-            let m = moe_idx.expect("moe layer has a moe index");
+        if let Some((m, view)) = moe {
             // On-demand transfers for activated cold experts.
             if self.cfg.hot_expert_prefetch && !resident {
-                let wf = comp.weight_factor(spec.dtype);
-                for &e in &activated {
-                    if transfers.contains_key(&e) {
+                for &e in &s.activated {
+                    if s.transfers[e as usize].is_some() {
                         continue;
                     }
-                    let b_first = self
-                        .view
-                        .as_ref()
-                        .and_then(|v| {
-                            v.first_requesting_batch(step, m, s0, s1, self.wl.batch_size, e)
-                        })
-                        .unwrap_or(0);
-                    let mut t = TaskSpec::new(
-                        Resource::LinkH2d,
-                        cost.expert_h2d_time(wf),
-                        TaskMeta::of(OpClass::ExpertTransfer)
-                            .layer(l)
-                            .expert(e as u32)
-                            .step(step_idx),
-                    )
-                    .after(gate_tasks[b_first as usize])
-                    .alloc_on_start(Tier::Vram, spec.expert_bytes());
-                    if let Some(d) = stage_dep {
-                        t = t.after(d);
-                    }
-                    transfers.insert(e, self.sim.submit_with_priority(t, prio::ON_DEMAND));
+                    let b_first = match s.first_batch[e as usize] {
+                        NO_BATCH => 0,
+                        b => b,
+                    };
+                    s.transfers[e as usize] = Some(
+                        self.sim
+                            .task(
+                                Resource::LinkH2d,
+                                c.expert_w_time,
+                                TaskMeta::of(OpClass::ExpertTransfer)
+                                    .layer(l)
+                                    .expert(e as u32)
+                                    .step(step_idx),
+                            )
+                            .after(s.gate_tasks[b_first as usize])
+                            .alloc_on_start(Tier::Vram, spec.expert_bytes())
+                            .after_all(stage_dep)
+                            .priority(prio::ON_DEMAND)
+                            .submit(),
+                    );
                 }
             }
 
-            let whole_layer_deps: Vec<TaskId> = layer_blob.into_iter().collect();
             if self.cfg.batch_major_experts {
                 // FlexGen-style: each batch runs its own expert ops after
                 // its gate; weights are shared but kernels are per-batch.
-                let view = self.view.as_ref().expect("moe run has a trace");
                 let mut prev_in_chain: Option<TaskId> = None;
                 for b in 0..n_b {
-                    let from = s0 + b * self.wl.batch_size;
-                    let to = from + self.wl.batch_size;
-                    let batch_counts = view.expert_tokens(step, m, from, to);
-                    for (e, &tokens) in batch_counts.iter().enumerate() {
+                    let from = s0 + b * bs;
+                    view.expert_tokens_into(step, m, from, from + bs, &mut s.batch_counts);
+                    for (e, &tokens) in s.batch_counts.iter().enumerate() {
                         if tokens == 0 {
                             continue;
                         }
-                        let mut t = TaskSpec::new(
-                            Resource::GpuCompute,
-                            cost.expert_time(tokens as u64),
-                            TaskMeta::of(OpClass::ExpertCompute)
-                                .layer(l)
-                                .batch(b)
-                                .expert(e as u32)
-                                .step(step_idx),
-                        )
-                        .after(gate_tasks[b as usize])
-                        .after_all(whole_layer_deps.iter().copied());
-                        if let Some(&tr) = transfers.get(&(e as u16)) {
-                            t = t.after(tr);
-                        }
-                        if let Some(p) = prev_in_chain {
-                            t = t.after(p);
-                        }
-                        let id = self.sim.submit(t);
+                        let id = self
+                            .sim
+                            .task(
+                                Resource::GpuCompute,
+                                cost.expert_time(tokens as u64),
+                                TaskMeta::of(OpClass::ExpertCompute)
+                                    .layer(l)
+                                    .batch(b)
+                                    .expert(e as u32)
+                                    .step(step_idx),
+                            )
+                            .after(s.gate_tasks[b as usize])
+                            .after_all(layer_blob)
+                            .after_all(s.transfers[e])
+                            .after_all(prev_in_chain)
+                            .submit();
                         prev_in_chain = Some(id);
-                        compute_tasks.push(id);
+                        s.compute_tasks.push(id);
                     }
                 }
                 // Expert weights release at layer end (no per-expert
                 // offload: any batch may still need them).
             } else {
                 // Execution order: reordered (readiness) vs. fixed.
-                let order = self.execution_order(&ExpertPhase {
-                    step,
-                    moe_layer: m,
-                    s0,
-                    s1,
-                    activated: &activated,
-                    hot: &hot,
-                    counts: &counts,
-                });
+                self.order_experts();
+                let s = &mut self.scratch;
                 let mut prev_in_chain: Option<TaskId> = None;
-                for e in order {
-                    let tokens = counts[e as usize] as u64;
-                    let mut t = TaskSpec::new(
-                        Resource::GpuCompute,
-                        cost.expert_time(tokens),
-                        TaskMeta::of(OpClass::ExpertCompute)
-                            .layer(l)
-                            .expert(e as u32)
-                            .step(step_idx),
-                    )
-                    .after_all(gate_tasks.iter().copied());
+                for &key in &s.order {
+                    let e = key as u16;
+                    let transfer = s.transfers[e as usize];
+                    let mut t = self
+                        .sim
+                        .task(
+                            Resource::GpuCompute,
+                            cost.expert_time(s.counts[e as usize] as u64),
+                            TaskMeta::of(OpClass::ExpertCompute)
+                                .layer(l)
+                                .expert(e as u32)
+                                .step(step_idx),
+                        )
+                        .after_all(s.gate_tasks.iter().copied());
                     if self.cfg.hot_expert_prefetch {
-                        if let Some(&tr) = transfers.get(&e) {
-                            t = t.after(tr);
-                        }
+                        t = t.after_all(transfer);
                     } else {
-                        t = t.after_all(whole_layer_deps.iter().copied());
+                        t = t.after_all(layer_blob);
                     }
                     if !self.cfg.reorder_experts {
-                        if let Some(p) = prev_in_chain {
-                            t = t.after(p);
-                        }
+                        t = t.after_all(prev_in_chain);
                     }
-                    if !resident && transfers.contains_key(&e) {
+                    if !resident && transfer.is_some() {
                         // Offload immediately after this expert's computations.
                         t = t.free_on_end(Tier::Vram, spec.expert_bytes());
                     }
-                    let id = self.sim.submit(t);
+                    let id = t.submit();
                     prev_in_chain = Some(id);
-                    compute_tasks.push(id);
+                    s.compute_tasks.push(id);
                 }
             }
         } else {
             // Dense FFN per batch (weights arrived with the attention
             // transfer).
-            let tokens_per_batch = match step {
-                StepKind::Prefill => bs * self.wl.prompt_len as u64,
-                StepKind::Decode(_) => bs,
-            };
-            for (b, &attn) in attn_tasks.iter().enumerate() {
-                let t = TaskSpec::new(
-                    Resource::GpuCompute,
-                    cost.dense_ffn_time(tokens_per_batch),
-                    TaskMeta::of(OpClass::DenseCompute)
-                        .layer(l)
-                        .batch(b as u32)
-                        .step(step_idx),
-                )
-                .after(attn);
-                compute_tasks.push(self.sim.submit(t));
+            for (b, &attn) in s.attn_tasks.iter().enumerate() {
+                let id = self
+                    .sim
+                    .task(
+                        Resource::GpuCompute,
+                        c.dense_time,
+                        TaskMeta::of(OpClass::DenseCompute)
+                            .layer(l)
+                            .batch(b as u32)
+                            .step(step_idx),
+                    )
+                    .after(attn)
+                    .submit();
+                s.compute_tasks.push(id);
             }
         }
 
         // --- Layer end: free the layer's transient weights, anchor the
         // next layer, slide the disk window.
-        let mut freed = self.spec.attn_bytes();
-        if !is_moe {
-            freed += self.spec.dense_ffn_bytes();
+        let s = &mut self.scratch;
+        let mut freed = spec.attn_bytes();
+        if moe.is_none() {
+            freed += spec.dense_ffn_bytes();
         }
-        if is_moe && !resident {
+        if moe.is_some() && !resident {
             freed += spec.gate_bytes();
             if layer_blob.is_some() {
                 // The blob (gate + every expert) releases as one unit.
@@ -794,36 +892,38 @@ impl<'a> Builder<'a> {
             } else if self.cfg.batch_major_experts {
                 // Batch-major mode keeps every transferred expert until the
                 // whole layer finishes (any later batch may need it).
-                freed += spec.expert_bytes() * transfers.len() as u64;
+                let n = s.transfers.iter().filter(|t| t.is_some()).count();
+                freed += spec.expert_bytes() * n as u64;
             } else {
                 // Prefetched-but-inactive experts were never computed:
                 // release them here (the active ones freed themselves).
-                for (&e, _) in transfers.iter() {
-                    if counts.get(e as usize).copied().unwrap_or(0) == 0 {
+                for (e, t) in s.transfers.iter().enumerate() {
+                    if t.is_some() && s.counts.get(e).copied().unwrap_or(0) == 0 {
                         freed += spec.expert_bytes();
                     }
                 }
             }
         }
-        let mut end = TaskSpec::new(
-            Resource::GpuCompute,
-            SimDuration::ZERO,
-            TaskMeta::of(OpClass::Offload).layer(l).step(step_idx),
-        )
-        .after_all(compute_tasks.iter().copied())
-        .after_all(attn_tasks.iter().copied())
-        // Transfers with no dependent compute (inactive prefetched experts)
-        // must still land before their bytes can be released here.
-        .after_all(transfers.values().copied())
-        .after_all(gate_w)
-        .after_all(layer_blob)
-        .free_on_end(Tier::Vram, freed);
-        if let Some(stage) = self.stage_map.get(&l) {
+        let mut end = self
+            .sim
+            .task(
+                Resource::GpuCompute,
+                SimDuration::ZERO,
+                TaskMeta::of(OpClass::Offload).layer(l).step(step_idx),
+            )
+            .after_all(s.compute_tasks.iter().copied())
+            .after_all(s.attn_tasks.iter().copied())
+            // Transfers with no dependent compute (inactive prefetched experts)
+            // must still land before their bytes can be released here.
+            .after_all(s.transfers.iter().flatten().copied())
+            .after_all(gate_w)
+            .after_all(layer_blob)
+            .free_on_end(Tier::Vram, freed);
+        if stage_dep.is_some() {
             // The staged DRAM window slot is released once the layer is done.
             end = end.free_on_end(Tier::Dram, expert_layer_bytes(spec, l));
-            let _ = stage;
         }
-        let end = self.sim.submit(end);
+        let end = end.submit();
         self.layer_ends.push(end);
 
         // Slide the staging window.
@@ -832,92 +932,83 @@ impl<'a> Builder<'a> {
             self.submit_stage(step, l + w, Some(end));
         }
 
-        // Prefetch the next layer slot's attention weights.
-        let (next_step, next_layer) = if l + 1 < spec.n_layers {
-            (step, l + 1)
-        } else {
-            // Wraps into the next step (or the next group's prefill; the
-            // transfer is reusable since layer 0 is next either way).
-            (step, 0)
-        };
-        self.pending_attn_w = Some(self.submit_attn_weights(next_layer, next_step));
+        // Prefetch the next layer slot's attention weights. After the last
+        // layer this wraps into the next step (or the next group's
+        // prefill): the transfer is reusable since layer 0 is next either
+        // way.
+        let next_layer = if l + 1 < spec.n_layers { l + 1 } else { 0 };
+        self.pending_attn_w = Some(self.submit_attn_weights(next_layer, step));
 
         // Online correlation-table update with this layer's actual routing.
-        self.record_actuals(step, l, s0, s1);
+        if let Some((m, view)) = moe {
+            self.record_actuals(view, step, m, s0, s1);
+        }
 
-        self.carry = vec![end];
-        self.prev_attn_tasks = attn_tasks;
+        self.carry = Some(end);
+        std::mem::swap(&mut self.prev_attn_tasks, &mut self.scratch.attn_tasks);
     }
 
-    /// Predicted hot experts for (`step`, MoE layer `m`).
-    fn predict_hot(&self, step: StepKind, m: u32, s0: u32, s1: u32) -> Vec<u16> {
+    /// Predicts the hot experts of (`step`, MoE layer `m`) into
+    /// `scratch.hot`.
+    // analyze: no_alloc
+    fn predict_hot(&mut self, view: TraceView<'_>, step: StepKind, m: u32, s0: u32, s1: u32) {
+        let s = &mut self.scratch;
+        let k = self.k_prefetch;
         let Some(table) = self.table.as_deref() else {
-            return (0..self.k_prefetch.min(self.spec.n_experts) as u16).collect();
+            s.hot.clear();
+            s.hot.extend(0..k.min(self.spec.n_experts) as u16);
+            return;
         };
         match step {
-            StepKind::Prefill => table.predict_marginal(m, self.k_prefetch),
-            StepKind::Decode(i) => {
-                if m == 0 {
-                    table.predict_marginal(0, self.k_prefetch)
-                } else {
-                    let view = self.view.as_ref().expect("moe run has a trace");
-                    let prev = view.prev_choices(i, m, s0, s1);
-                    table.predict(m, &prev, self.k_prefetch)
-                }
+            StepKind::Decode(i) if m > 0 => {
+                view.prev_choices_into(i, m, s0, s1, &mut s.prev);
+                table.predict_into(m, &s.prev, k, &mut s.scores, &mut s.hot);
             }
+            // Prefill and the first MoE layer have no per-token history:
+            // the marginal is the right aggregate.
+            _ => table.predict_marginal_into(m, k, &mut s.scores, &mut s.hot),
         }
     }
 
-    /// Expert execution order for the fixed-order (non-reordered) modes;
-    /// in reorder mode the submission order is hot-first but actual start
-    /// times follow readiness.
-    fn execution_order(&self, ph: &ExpertPhase<'_>) -> Vec<u16> {
-        let mut order: Vec<u16> = ph.activated.to_vec();
-        if self.cfg.reorder_experts {
-            // Hot (prefetched) experts first, by token count descending;
-            // then the rest (their true order emerges from transfer
-            // completion via readiness).
-            order.sort_by_key(|&e| {
-                let is_hot = ph.hot.contains(&e);
-                (!is_hot, std::cmp::Reverse(ph.counts[e as usize]), e)
-            });
-        } else if self.cfg.hot_expert_prefetch {
-            // Gate-discovery order: by first requesting batch, then id —
-            // the strawman's stall-prone order (§3.2 problem (2)).
-            let view = self.view.as_ref().expect("moe run has a trace");
-            order.sort_by_key(|&e| {
-                let b = view
-                    .first_requesting_batch(
-                        ph.step,
-                        ph.moe_layer,
-                        ph.s0,
-                        ph.s1,
-                        self.wl.batch_size,
-                        e,
-                    )
-                    .unwrap_or(u32::MAX);
-                (b, e)
-            });
-        } else {
-            order.sort_unstable();
-        }
-        order
+    /// Expert execution order into `scratch.order`: in reorder mode the
+    /// submission order is hot-first but actual start times follow
+    /// readiness.
+    // analyze: no_alloc
+    fn order_experts(&mut self) {
+        let s = &mut self.scratch;
+        let (hot, counts, first_batch) = (&s.hot, &s.counts, &s.first_batch);
+        // Each expert's sort key, packed above its id in the low 16 bits.
+        let key = |e: u16| -> u64 {
+            let rank = if self.cfg.reorder_experts {
+                // Hot (prefetched) experts first, by token count
+                // descending; then the rest (their true order emerges from
+                // transfer completion via readiness).
+                let cold = !hot.contains(&e) as u64;
+                cold << 32 | (u32::MAX - counts[e as usize]) as u64
+            } else if self.cfg.hot_expert_prefetch {
+                // Gate-discovery order: by first requesting batch, then
+                // id — the strawman's stall-prone order (§3.2 problem (2)).
+                first_batch[e as usize] as u64
+            } else {
+                0
+            };
+            rank << 16 | e as u64
+        };
+        s.order.clear();
+        s.order.extend(s.activated.iter().map(|&e| key(e)));
+        s.order.sort_unstable();
     }
 
-    /// Feeds the layer's actual routing back into the correlation table.
-    fn record_actuals(&mut self, step: StepKind, l: u32, s0: u32, s1: u32) {
-        let Some(m) = self.spec.moe_index(l) else {
-            return;
-        };
-        let Some(view) = self.view else {
-            return;
-        };
+    /// Feeds MoE layer `m`'s actual routing back into the correlation
+    /// table.
+    fn record_actuals(&mut self, view: TraceView<'_>, step: StepKind, m: u32, s0: u32, s1: u32) {
         let Some(table) = self.table.as_deref_mut() else {
             return;
         };
         match step {
             StepKind::Prefill => {
-                for (e, &c) in view.expert_tokens(step, m, s0, s1).iter().enumerate() {
+                // `counts` holds this layer's group routing.
+                for (e, &c) in self.scratch.counts.iter().enumerate() {
                     if c > 0 {
                         table.record_marginal(m, e as u16, c as u64);
                     }
@@ -925,14 +1016,18 @@ impl<'a> Builder<'a> {
             }
             StepKind::Decode(i) => {
                 let trace = view.trace();
-                for s in s0..s1 {
-                    let choices = trace.seq_choices(i, m, s);
-                    let prev = if m == 0 {
-                        None
-                    } else {
-                        Some(trace.seq_choices(i, m - 1, s)[0])
-                    };
-                    table.record(m, prev, choices);
+                let k = trace.top_k() as usize;
+                let (from, to) = (s0 as usize * k, s1 as usize * k);
+                let chosen = trace.decode_choices(i, m)[from..to].chunks_exact(k);
+                if m == 0 {
+                    for choices in chosen {
+                        table.record(m, None, choices);
+                    }
+                } else {
+                    let prev = trace.decode_choices(i, m - 1)[from..to].iter().step_by(k);
+                    for (choices, &p) in chosen.zip(prev) {
+                        table.record(m, Some(p), choices);
+                    }
                 }
             }
         }

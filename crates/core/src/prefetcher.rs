@@ -123,8 +123,17 @@ impl CorrelationTable {
     /// tokens had `prev_choices` as their previous-MoE-layer first choices.
     /// Returns unnormalized scores per expert.
     pub fn tendencies(&self, layer: u32, prev_choices: &[u16]) -> Vec<f64> {
+        let mut scores = Vec::new();
+        self.tendencies_into(layer, prev_choices, &mut scores);
+        scores
+    }
+
+    /// [`tendencies`](CorrelationTable::tendencies) into a reused buffer.
+    // analyze: no_alloc
+    pub fn tendencies_into(&self, layer: u32, prev_choices: &[u16], scores: &mut Vec<f64>) {
         let e = self.n_experts as usize;
-        let mut scores = vec![0.0f64; e];
+        scores.clear();
+        scores.resize(e, 0.0);
         for &p in prev_choices {
             let row_base = self.idx(layer, p, 0);
             let row = &self.counts[row_base..row_base + e];
@@ -144,13 +153,28 @@ impl CorrelationTable {
                 *s += c as f64 / total as f64;
             }
         }
-        scores
     }
 
     /// The top-`k` predicted hot experts at `layer` given the batch group's
     /// previous-layer choices.
     pub fn predict(&self, layer: u32, prev_choices: &[u16], k: u32) -> Vec<u16> {
-        top_k_indices(&self.tendencies(layer, prev_choices), k)
+        let (mut scores, mut hot) = (Vec::new(), Vec::new());
+        self.predict_into(layer, prev_choices, k, &mut scores, &mut hot);
+        hot
+    }
+
+    /// [`predict`](CorrelationTable::predict) into `hot`, with `scores` as
+    /// scratch.
+    pub fn predict_into(
+        &self,
+        layer: u32,
+        prev_choices: &[u16],
+        k: u32,
+        scores: &mut Vec<f64>,
+        hot: &mut Vec<u16>,
+    ) {
+        self.tendencies_into(layer, prev_choices, scores);
+        top_k_indices_into(scores, k, hot);
     }
 
     /// The top-`k` experts of the first MoE layer (no history: marginals).
@@ -162,13 +186,26 @@ impl CorrelationTable {
     /// the prefill phase, where per-token history spans thousands of tokens
     /// and the marginal is the right aggregate).
     pub fn predict_marginal(&self, layer: u32, k: u32) -> Vec<u16> {
+        let (mut scores, mut hot) = (Vec::new(), Vec::new());
+        self.predict_marginal_into(layer, k, &mut scores, &mut hot);
+        hot
+    }
+
+    /// [`predict_marginal`](CorrelationTable::predict_marginal) into `hot`,
+    /// with `scores` as scratch.
+    // analyze: no_alloc
+    pub fn predict_marginal_into(
+        &self,
+        layer: u32,
+        k: u32,
+        scores: &mut Vec<f64>,
+        hot: &mut Vec<u16>,
+    ) {
         let e = self.n_experts as usize;
         let base = layer as usize * e;
-        let m: Vec<f64> = self.marginals[base..base + e]
-            .iter()
-            .map(|&c| c as f64)
-            .collect();
-        top_k_indices(&m, k)
+        scores.clear();
+        scores.extend(self.marginals[base..base + e].iter().map(|&c| c as f64));
+        top_k_indices_into(scores, k, hot);
     }
 
     /// Total recorded routing events (sanity/diagnostics).
@@ -219,14 +256,30 @@ impl CorrelationTable {
 }
 
 fn top_k_indices(scores: &[f64], k: u32) -> Vec<u16> {
-    let mut idx: Vec<u16> = (0..scores.len() as u16).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b as usize]
-            .total_cmp(&scores[a as usize])
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k as usize);
+    let mut idx = Vec::new();
+    top_k_indices_into(scores, k, &mut idx);
     idx
+}
+
+/// The indices of the `k` highest scores, best first, ties to the lower
+/// index (by `f64::total_cmp`). One pass keeps the best `k` seen so far in
+/// rank order, which is exactly the first `k` of a full sort.
+// analyze: no_alloc
+fn top_k_indices_into(scores: &[f64], k: u32, idx: &mut Vec<u16>) {
+    // Candidates arrive in index order, so a later one ranks before an
+    // earlier one only on a strictly higher score.
+    let before = |a: u16, b: u16| scores[a as usize].total_cmp(&scores[b as usize]).is_gt();
+    idx.clear();
+    for e in 0..scores.len() as u16 {
+        if idx.len() == k as usize {
+            match idx.last() {
+                Some(&worst) if before(e, worst) => idx.pop(),
+                _ => continue,
+            };
+        }
+        let at = idx.partition_point(|&x| !before(e, x));
+        idx.insert(at, e);
+    }
 }
 
 /// A correlation table with activation-path length `l = 2`: tendencies are
@@ -683,6 +736,27 @@ mod proptests {
             let scores = t.tendencies(1, &query);
             let total: f64 = scores.iter().sum();
             prop_assert!((total - query.len() as f64).abs() < 1e-6);
+        }
+
+        /// The one-pass top-k equals the first k of a full sort by
+        /// (score descending, index ascending), ties and all.
+        #[test]
+        fn top_k_matches_a_full_sort(
+            raw in proptest::collection::vec(0u8..6, 0..40),
+            k in 0u32..45,
+        ) {
+            let mut scores: Vec<f64> = raw.iter().map(|&r| r as f64 * 0.5).collect();
+            if let Some(s) = scores.get_mut(3) {
+                *s = -0.0;
+            }
+            let mut sorted: Vec<u16> = (0..scores.len() as u16).collect();
+            sorted.sort_by(|&a, &b| {
+                scores[b as usize]
+                    .total_cmp(&scores[a as usize])
+                    .then(a.cmp(&b))
+            });
+            sorted.truncate(k as usize);
+            prop_assert_eq!(top_k_indices(&scores, k), sorted);
         }
 
         /// predict returns k distinct in-range experts.

@@ -162,11 +162,6 @@ impl CostModel {
         self.link(bytes as f64, self.hw.h2d_bw * self.hw.unpinned_factor)
     }
 
-    /// Device→host time for `bytes`.
-    pub fn d2h_time(&self, bytes: u64) -> SimDuration {
-        self.link(bytes as f64, self.hw.d2h_bw)
-    }
-
     /// Disk→DRAM staging time for `bytes`.
     pub fn disk_time(&self, bytes: u64) -> SimDuration {
         self.link(bytes as f64, self.hw.disk_bw)

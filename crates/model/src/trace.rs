@@ -562,7 +562,24 @@ impl GatingTrace {
         seq_from: u32,
         seq_to: u32,
     ) -> Vec<u32> {
-        let mut counts = vec![0u32; self.n_experts as usize];
+        let mut counts = Vec::new();
+        self.tokens_per_expert_into(step, moe_layer, seq_from, seq_to, &mut counts);
+        counts
+    }
+
+    /// [`tokens_per_expert_in`](GatingTrace::tokens_per_expert_in) into a
+    /// reused buffer: `counts` is overwritten with one count per expert.
+    // analyze: no_alloc
+    pub fn tokens_per_expert_into(
+        &self,
+        step: u32,
+        moe_layer: u32,
+        seq_from: u32,
+        seq_to: u32,
+        counts: &mut Vec<u32>,
+    ) {
+        counts.clear();
+        counts.resize(self.n_experts as usize, 0);
         let k = self.top_k as usize;
         let all = self.decode_choices(step, moe_layer);
         for seq in seq_from..seq_to {
@@ -570,7 +587,6 @@ impl GatingTrace {
                 counts[e as usize] += 1;
             }
         }
-        counts
     }
 
     /// Routed-token counts per expert at decode (`step`, `moe_layer`) over

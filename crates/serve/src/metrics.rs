@@ -11,7 +11,6 @@
 
 use klotski_sim::time::SimDuration;
 
-use crate::continuous::{ClassAssign, RequestClass};
 use crate::server::{RequestOutcome, RetryOutcome, ServeReport};
 
 /// A per-request service-level objective.
@@ -133,19 +132,6 @@ pub fn summarize_where(
 ) -> SloSummary {
     let kept: Vec<&RequestOutcome> = report.outcomes.iter().filter(|o| keep(o)).collect();
     summarize_outcomes(&kept, report, slo)
-}
-
-/// Summarizes one priority class of a run — the per-class shed/retry/
-/// lost-work view of a fault-tolerant cluster run: a degradation policy
-/// shedding batch load shows up as `shed` here for
-/// [`RequestClass::Batch`] while the chat class stays clean.
-pub fn summarize_class(
-    report: &ServeReport,
-    slo: &SloSpec,
-    classes: ClassAssign,
-    class: RequestClass,
-) -> SloSummary {
-    summarize_where(report, slo, &|o| classes.class_of(o.id) == class)
 }
 
 fn summarize_outcomes(

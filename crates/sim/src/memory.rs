@@ -72,6 +72,7 @@ impl MemDelta {
     /// # Panics
     ///
     /// Panics if `bytes` exceeds `i64::MAX`.
+    #[inline]
     pub fn alloc(tier: Tier, bytes: u64) -> Self {
         MemDelta {
             tier,
@@ -84,6 +85,7 @@ impl MemDelta {
     /// # Panics
     ///
     /// Panics if `bytes` exceeds `i64::MAX`.
+    #[inline]
     pub fn free(tier: Tier, bytes: u64) -> Self {
         MemDelta {
             tier,

@@ -67,12 +67,14 @@ impl Metrics {
         self.record_memory = on;
     }
 
+    #[inline]
     pub(crate) fn record_task(&mut self, entry: TimelineEntry) {
         if self.record_timeline {
             self.timeline.push(entry);
         }
     }
 
+    #[inline]
     pub(crate) fn record_memory(&mut self, time: SimTime, tier: Tier, in_use: u64) {
         if self.record_memory {
             self.memory.push(MemorySample { time, tier, in_use });

@@ -9,9 +9,10 @@ use std::fmt;
 
 use crate::memory::{MemDelta, Tier};
 use crate::resource::Resource;
+use crate::sim::Simulator;
 use crate::time::SimDuration;
 
-/// Identifier of a submitted task, unique within one [`Simulator`](crate::sim::Simulator).
+/// Identifier of a submitted task, unique within one [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub(crate) u32);
 
@@ -192,76 +193,138 @@ impl fmt::Display for TaskMeta {
     }
 }
 
-/// Specification of a task to submit to the simulator.
+/// A task being specified, borrowed from the [`Simulator`] it will run on.
 ///
-/// Build one with [`TaskSpec::new`] and the chained setters, then pass it to
-/// [`Simulator::submit`](crate::sim::Simulator::submit).
+/// Start one with [`Simulator::task`], chain the setters, and finish with
+/// [`TaskSpec::submit`]. The spec owns no buffers: its dependencies and
+/// memory effects are staged in the simulator's own, and a spec dropped
+/// without being submitted leaves no trace.
 ///
 /// # Examples
 ///
 /// ```
-/// use klotski_sim::resource::Resource;
-/// use klotski_sim::task::{OpClass, TaskMeta, TaskSpec};
-/// use klotski_sim::time::SimDuration;
+/// use klotski_sim::prelude::*;
 ///
-/// let spec = TaskSpec::new(
-///     Resource::LinkH2d,
-///     SimDuration::from_millis(21),
-///     TaskMeta::of(OpClass::ExpertTransfer).layer(3).expert(5),
-/// );
-/// assert_eq!(spec.resource, Resource::LinkH2d);
+/// let mut sim = Simulator::new(TierCapacities::unbounded());
+/// let load = sim
+///     .task(
+///         Resource::LinkH2d,
+///         SimDuration::from_millis(21),
+///         TaskMeta::of(OpClass::ExpertTransfer).layer(3).expert(5),
+///     )
+///     .alloc_on_start(Tier::Vram, 100)
+///     .submit();
+/// let spec = sim
+///     .task(
+///         Resource::GpuCompute,
+///         SimDuration::from_millis(1),
+///         TaskMeta::of(OpClass::ExpertCompute).layer(3).expert(5),
+///     )
+///     .after(load)
+///     .free_on_end(Tier::Vram, 100);
+/// assert_eq!(spec.resource, Resource::GpuCompute);
+/// assert_eq!(spec.deps(), [load]);
+/// spec.submit();
 /// ```
-#[derive(Debug, Clone)]
-pub struct TaskSpec {
+#[derive(Debug)]
+#[must_use = "a task spec does nothing until it is submitted"]
+pub struct TaskSpec<'s> {
+    sim: &'s mut Simulator,
     /// The serial resource that services this task.
     pub resource: Resource,
     /// Service time on the resource.
     pub duration: SimDuration,
     /// Semantic label.
     pub meta: TaskMeta,
-    /// Tasks that must complete before this one may start.
-    pub deps: Vec<TaskId>,
-    /// Memory deltas applied when the task starts (allocation point).
-    pub mem_on_start: Vec<MemDelta>,
-    /// Memory deltas applied when the task ends (release point).
-    pub mem_on_end: Vec<MemDelta>,
+    priority: i32,
 }
 
-impl TaskSpec {
-    /// Creates a task spec with no dependencies and no memory effects.
-    pub fn new(resource: Resource, duration: SimDuration, meta: TaskMeta) -> Self {
+impl<'s> TaskSpec<'s> {
+    #[inline]
+    pub(crate) fn new(
+        sim: &'s mut Simulator,
+        resource: Resource,
+        duration: SimDuration,
+        meta: TaskMeta,
+    ) -> Self {
         TaskSpec {
+            sim,
             resource,
             duration,
             meta,
-            deps: Vec::new(),
-            mem_on_start: Vec::new(),
-            mem_on_end: Vec::new(),
+            priority: 0,
         }
     }
 
     /// Adds one dependency.
-    pub fn after(mut self, dep: TaskId) -> Self {
-        self.deps.push(dep);
+    #[inline]
+    pub fn after(self, dep: TaskId) -> Self {
+        self.sim.staged_deps.push(dep);
         self
     }
 
     /// Adds many dependencies.
-    pub fn after_all<I: IntoIterator<Item = TaskId>>(mut self, deps: I) -> Self {
-        self.deps.extend(deps);
+    #[inline]
+    pub fn after_all<I: IntoIterator<Item = TaskId>>(self, deps: I) -> Self {
+        self.sim.staged_deps.extend(deps);
         self
     }
 
     /// Allocates `bytes` on `tier` when the task starts.
-    pub fn alloc_on_start(mut self, tier: Tier, bytes: u64) -> Self {
-        self.mem_on_start.push(MemDelta::alloc(tier, bytes));
+    #[inline]
+    pub fn alloc_on_start(self, tier: Tier, bytes: u64) -> Self {
+        self.sim.deltas.push(MemDelta::alloc(tier, bytes));
         self
     }
 
     /// Frees `bytes` on `tier` when the task ends.
-    pub fn free_on_end(mut self, tier: Tier, bytes: u64) -> Self {
-        self.mem_on_end.push(MemDelta::free(tier, bytes));
+    #[inline]
+    pub fn free_on_end(self, tier: Tier, bytes: u64) -> Self {
+        self.sim.staged_ends.push(MemDelta::free(tier, bytes));
         self
+    }
+
+    /// Allocates `bytes` on `tier` when the task ends (e.g. data the task
+    /// writes back to a slower tier).
+    #[inline]
+    pub fn alloc_on_end(self, tier: Tier, bytes: u64) -> Self {
+        self.sim.staged_ends.push(MemDelta::alloc(tier, bytes));
+        self
+    }
+
+    /// Sets the service priority: lower values are serviced first among
+    /// tasks ready on the same resource (urgent on-demand expert transfers
+    /// overtake background prefetches). The default is 0.
+    #[inline]
+    pub fn priority(mut self, priority: i32) -> Self {
+        self.priority = priority;
+        self
+    }
+
+    /// The dependencies added so far, in order.
+    pub fn deps(&self) -> &[TaskId] {
+        &self.sim.staged_deps
+    }
+
+    /// The start-of-task memory effects added so far, in order.
+    pub fn mem_on_start(&self) -> &[MemDelta] {
+        &self.sim.deltas[self.sim.committed_deltas()..]
+    }
+
+    /// The end-of-task memory effects added so far, in order.
+    pub fn mem_on_end(&self) -> &[MemDelta] {
+        &self.sim.staged_ends
+    }
+
+    /// Submits the task and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dependency refers to a task that was never submitted.
+    #[inline]
+    pub fn submit(self) -> TaskId {
+        self.sim
+            .commit(self.resource, self.duration, self.meta, self.priority)
     }
 }
 
@@ -328,18 +391,28 @@ mod tests {
 
     #[test]
     fn spec_builder_accumulates() {
-        let spec = TaskSpec::new(
-            Resource::GpuCompute,
-            SimDuration::from_micros(10),
-            TaskMeta::of(OpClass::GateCompute),
-        )
-        .after(TaskId(0))
-        .after_all([TaskId(1), TaskId(2)])
-        .alloc_on_start(Tier::Vram, 100)
-        .free_on_end(Tier::Vram, 100);
-        assert_eq!(spec.deps, vec![TaskId(0), TaskId(1), TaskId(2)]);
-        assert_eq!(spec.mem_on_start.len(), 1);
-        assert_eq!(spec.mem_on_end.len(), 1);
+        let mut sim = Simulator::new(crate::sim::TierCapacities::unbounded());
+        for _ in 0..3 {
+            sim.task(
+                Resource::GpuCompute,
+                SimDuration::ZERO,
+                TaskMeta::of(OpClass::Misc),
+            )
+            .submit();
+        }
+        let spec = sim
+            .task(
+                Resource::GpuCompute,
+                SimDuration::from_micros(10),
+                TaskMeta::of(OpClass::GateCompute),
+            )
+            .after(TaskId(0))
+            .after_all([TaskId(1), TaskId(2)])
+            .alloc_on_start(Tier::Vram, 100)
+            .free_on_end(Tier::Vram, 100);
+        assert_eq!(spec.deps(), vec![TaskId(0), TaskId(1), TaskId(2)]);
+        assert_eq!(spec.mem_on_start().len(), 1);
+        assert_eq!(spec.mem_on_end().len(), 1);
     }
 
     #[test]

@@ -710,13 +710,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Maximum absolute element difference versus `rhs`.
     ///
     /// # Panics
