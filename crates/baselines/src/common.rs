@@ -1,6 +1,5 @@
 //! Shared accounting for the baseline engines.
 
-use klotski_core::driver::StepKind;
 use klotski_model::spec::ModelSpec;
 use klotski_model::workload::Workload;
 
@@ -71,12 +70,10 @@ impl ResidentFootprint {
         vram.checked_sub(self.total())
     }
 
-    /// OOM message when the footprint does not fit `vram`.
-    pub fn oom_message(&self, vram: u64) -> Option<String> {
-        if self.total() <= vram {
-            return None;
-        }
-        Some(format!(
+    /// The OOM message for a `vram` the footprint does not fit (see
+    /// [`spare`](ResidentFootprint::spare)).
+    pub fn oom_message(&self, vram: u64) -> String {
+        format!(
             "resident footprint {:.1} GB (weights {:.1} + KV {:.1} + activations {:.1} \
              + expert buffers {:.1}) exceeds VRAM {:.1} GB",
             self.total() as f64 / 1e9,
@@ -85,7 +82,7 @@ impl ResidentFootprint {
             self.activations as f64 / 1e9,
             self.expert_reserve as f64 / 1e9,
             vram as f64 / 1e9,
-        ))
+        )
     }
 }
 
@@ -122,15 +119,6 @@ pub fn dram_expert_cutoff(spec: &ModelSpec, dram_bytes: u64) -> u32 {
     spec.n_layers
 }
 
-/// Tokens processed per batch at `step` (prompt length for prefill, one per
-/// sequence for decode).
-pub fn tokens_per_batch(wl: &Workload, step: StepKind) -> u64 {
-    match step {
-        StepKind::Prefill => wl.batch_size as u64 * wl.prompt_len as u64,
-        StepKind::Decode(_) => wl.batch_size as u64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,9 +140,9 @@ mod tests {
         let spec = ModelSpec::mixtral_8x22b();
         let vram = 24_000_000_000;
         let ok = ResidentFootprint::for_single_batch(&spec, &Workload::paper_default(16));
-        assert!(ok.oom_message(vram).is_none(), "{:?}", ok.oom_message(vram));
+        assert!(ok.spare(vram).is_some(), "{}", ok.oom_message(vram));
         let bad = ResidentFootprint::for_single_batch(&spec, &Workload::paper_default(32));
-        assert!(bad.oom_message(vram).is_some(), "{bad:?}");
+        assert!(bad.spare(vram).is_none(), "{bad:?}");
     }
 
     #[test]
@@ -162,7 +150,7 @@ mod tests {
         // The paper evaluates these systems on 8×7B up to batch 64.
         let spec = ModelSpec::mixtral_8x7b();
         let f = ResidentFootprint::for_single_batch(&spec, &Workload::paper_default(64));
-        assert!(f.oom_message(24_000_000_000).is_none(), "{f:?}");
+        assert!(f.spare(24_000_000_000).is_some(), "{f:?}");
     }
 
     #[test]
@@ -177,12 +165,5 @@ mod tests {
         assert!(cutoff > 30, "cutoff = {cutoff}");
         // Env 2's 800 GB holds everything.
         assert_eq!(dram_expert_cutoff(&big, 800_000_000_000), 56);
-    }
-
-    #[test]
-    fn tokens_per_batch_by_phase() {
-        let wl = Workload::paper_default(8);
-        assert_eq!(tokens_per_batch(&wl, StepKind::Prefill), 8 * 512);
-        assert_eq!(tokens_per_batch(&wl, StepKind::Decode(3)), 8);
     }
 }

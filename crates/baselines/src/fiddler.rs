@@ -11,7 +11,10 @@
 
 use std::collections::BTreeSet;
 
-use klotski_core::driver::{build_report, drain, StepKind, TraceView};
+use klotski_core::compress::Compression;
+use klotski_core::driver::{
+    build_report, drain, rejected_report, trace_view, StepCompute, StepKind,
+};
 use klotski_core::report::InferenceReport;
 use klotski_core::scenario::{Engine, EngineError, Scenario};
 use klotski_sim::prelude::*;
@@ -28,45 +31,34 @@ impl Engine for Fiddler {
     }
 
     fn run(&self, sc: &Scenario) -> Result<InferenceReport, EngineError> {
-        if !sc.spec.is_moe() {
-            return Err(EngineError::InvalidConfig(
-                "Fiddler serves MoE models only".into(),
-            ));
-        }
-        let Some(trace) = sc.trace.as_ref() else {
-            return Err(EngineError::InvalidConfig(
-                "MoE scenario without a gating trace".into(),
-            ));
+        let view = match trace_view(sc)? {
+            Some(view) if sc.spec.is_moe() => view,
+            _ => {
+                return Err(EngineError::InvalidConfig(
+                    "Fiddler serves MoE models only".into(),
+                ))
+            }
         };
         let cost = sc.cost_model();
         let wl = sc.workload;
         let spec = &sc.spec;
-        let mut sim = Simulator::new(sc.hw.tier_capacities());
 
         let footprint = ResidentFootprint::for_single_batch(spec, &wl);
-        if let Some(msg) = footprint.oom_message(sc.hw.vram_bytes) {
-            let stats = klotski_core::driver::RunStats::default();
-            return Ok(build_report(
-                self.name(),
-                spec,
-                &wl,
-                &sim,
-                &stats,
-                Some(msg),
-            ));
-        }
+        let Some(spare) = footprint.spare(sc.hw.vram_bytes) else {
+            let reason = footprint.oom_message(sc.hw.vram_bytes);
+            return Ok(rejected_report(self.name(), spec, &wl, reason));
+        };
+        let mut sim = Simulator::new(sc.hw.tier_capacities());
 
         // Initial placement: fill spare VRAM with the globally most popular
-        // experts (by warm-up statistics).
-        let spare = footprint.spare(sc.hw.vram_bytes).expect("checked above");
+        // experts (by warm-up statistics), keyed by (MoE layer, expert).
         let resident_slots = (spare / 10 * 9 / spec.expert_bytes().max(1)) as usize;
         let resident: BTreeSet<(u32, u16)> = match &sc.base_gating {
             Some(base) => {
                 let mut scored: Vec<((u32, u16), f64)> = Vec::new();
                 for m in 0..base.n_moe_layers() {
-                    let layer = moe_to_block(spec, m);
                     for (e, &p) in base.popularity(m).iter().enumerate() {
-                        scored.push(((layer, e as u16), p));
+                        scored.push(((m, e as u16), p));
                     }
                 }
                 scored.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -87,7 +79,6 @@ impl Engine for Fiddler {
             .alloc(spec.total_bytes().min(dram_cap))
             .expect("weights fit DRAM");
 
-        let view = TraceView::new(trace);
         let mut carry: Option<TaskId> = None;
         let mut layer_ends: Vec<TaskId> = Vec::new();
 
@@ -100,21 +91,13 @@ impl Engine for Fiddler {
             let s0 = batch * wl.batch_size;
             let s1 = s0 + wl.batch_size;
             for step in StepKind::all(wl.gen_len) {
+                let step_idx = step.index();
+                let prices = StepCompute::new(&cost, &wl, step, &Compression::none());
                 for l in 0..spec.n_layers {
-                    let step_idx = step.index();
-                    let bs = wl.batch_size as u64;
-                    let ctx = step.context(wl.prompt_len);
-
-                    let attn_dur = match step {
-                        StepKind::Prefill => {
-                            cost.attention_time(bs, wl.prompt_len as u64, ctx / 2 + 1)
-                        }
-                        StepKind::Decode(_) => cost.attention_time(bs, 1, ctx),
-                    };
                     let attn = sim
                         .task(
                             Resource::GpuCompute,
-                            attn_dur,
+                            prices.attention,
                             TaskMeta::of(OpClass::AttentionCompute)
                                 .layer(l)
                                 .step(step_idx),
@@ -124,14 +107,10 @@ impl Engine for Fiddler {
                     let mut computes = vec![attn];
 
                     if let Some(m) = spec.moe_index(l) {
-                        let gate_tokens = match step {
-                            StepKind::Prefill => bs * wl.prompt_len as u64,
-                            StepKind::Decode(_) => bs,
-                        };
                         let gate = sim
                             .task(
                                 Resource::GpuCompute,
-                                cost.gate_time(gate_tokens),
+                                prices.gate,
                                 TaskMeta::of(OpClass::GateCompute).layer(l).step(step_idx),
                             )
                             .after(attn)
@@ -146,7 +125,7 @@ impl Engine for Fiddler {
                                 continue;
                             }
                             let e16 = e as u16;
-                            let is_resident = resident.contains(&(l, e16));
+                            let is_resident = resident.contains(&(m, e16));
                             let disk_penalty = if l >= disk_cutoff {
                                 cost.disk_time(spec.expert_bytes())
                             } else {
@@ -208,14 +187,10 @@ impl Engine for Fiddler {
                             }
                         }
                     } else {
-                        let tokens = match step {
-                            StepKind::Prefill => bs * wl.prompt_len as u64,
-                            StepKind::Decode(_) => bs,
-                        };
                         computes.push(
                             sim.task(
                                 Resource::GpuCompute,
-                                cost.dense_ffn_time(tokens),
+                                prices.dense_ffn,
                                 TaskMeta::of(OpClass::DenseCompute).layer(l).step(step_idx),
                             )
                             .after(attn)
@@ -240,14 +215,6 @@ impl Engine for Fiddler {
         let (stats, oom) = drain(&mut sim, false)?;
         Ok(build_report(self.name(), spec, &wl, &sim, &stats, oom))
     }
-}
-
-/// Block index of MoE layer `m`.
-fn moe_to_block(spec: &klotski_model::spec::ModelSpec, m: u32) -> u32 {
-    (0..spec.n_layers)
-        .filter(|&l| spec.is_moe_layer(l))
-        .nth(m as usize)
-        .expect("moe index in range")
 }
 
 #[cfg(test)]

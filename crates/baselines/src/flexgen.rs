@@ -21,15 +21,11 @@ use klotski_core::scenario::{Engine, EngineError, Scenario};
 pub struct FlexGen;
 
 impl FlexGen {
-    /// The engine configuration FlexGen corresponds to.
+    /// The engine configuration FlexGen corresponds to: Table 3's row 2,
+    /// multi-batch weight sharing with whole-layer prefetch and batch-major
+    /// expert compute.
     pub fn config() -> KlotskiConfig {
-        KlotskiConfig {
-            multi_batch: true,
-            hot_expert_prefetch: false,
-            reorder_experts: false,
-            batch_major_experts: true,
-            ..KlotskiConfig::default()
-        }
+        KlotskiConfig::ablation_multi_batch()
     }
 }
 

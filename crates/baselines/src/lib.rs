@@ -16,6 +16,20 @@
 //! * [`fiddler::Fiddler`] — CPU-GPU orchestration: cold experts compute on
 //!   the CPU when that beats moving them.
 //!
+//! What the engines share is defined once, in `klotski-core`, not restated
+//! per engine: [`driver`](klotski_core::driver) gives every engine the
+//! trace check ([`trace_view`](klotski_core::driver::trace_view)), a
+//! step's attention, gate and dense-FFN prices
+//! ([`StepCompute`](klotski_core::driver::StepCompute)), the double
+//! buffering of weight transfers
+//! ([`throttle`](klotski_core::driver::throttle)), the drain loop and
+//! report, and the report of a run rejected before simulation
+//! ([`rejected_report`](klotski_core::driver::rejected_report)).
+//! MoE-Infinity predicts and learns through the same per-layer
+//! [`CorrelationTable`](klotski_core::prefetcher::CorrelationTable) step
+//! operations as Klotski. [`common`] adds only the accounting of the
+//! experts-only engines.
+//!
 //! ```
 //! use klotski_baselines::all_engines;
 //!
@@ -48,6 +62,44 @@ pub fn all_engines() -> Vec<Box<dyn Engine>> {
         Box::new(MoeInfinity),
         Box::new(Fiddler),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use klotski_core::engine::KlotskiEngine;
+    use klotski_core::scenario::{EngineError, Scenario};
+    use klotski_model::hardware::HardwareSpec;
+    use klotski_model::spec::ModelSpec;
+    use klotski_model::workload::Workload;
+
+    #[test]
+    fn every_engine_rejects_a_moe_scenario_without_a_trace() {
+        let sc = Scenario {
+            trace: None,
+            ..Scenario::generate(
+                ModelSpec::mixtral_8x7b(),
+                HardwareSpec::env1_rtx3090(),
+                Workload::new(2, 1, 16, 2),
+                1,
+            )
+        };
+        let mut engines = all_engines();
+        engines.push(Box::new(KlotskiEngine::default()));
+        for engine in engines {
+            match engine.run(&sc) {
+                Err(EngineError::InvalidConfig(msg)) => {
+                    assert_eq!(
+                        msg,
+                        "MoE scenario without a gating trace",
+                        "{}",
+                        engine.name()
+                    );
+                }
+                other => panic!("{}: {other:?}", engine.name()),
+            }
+        }
+    }
 }
 
 #[cfg(test)]

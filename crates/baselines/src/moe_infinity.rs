@@ -12,8 +12,11 @@
 
 use std::collections::BTreeMap;
 
-use klotski_core::driver::{build_report, drain, StepKind, TraceView};
-use klotski_core::prefetcher::CorrelationTable;
+use klotski_core::compress::Compression;
+use klotski_core::driver::{
+    build_report, drain, rejected_report, throttle, trace_view, StepCompute, StepKind,
+};
+use klotski_core::prefetcher::{CorrelationTable, HotSet};
 use klotski_core::report::InferenceReport;
 use klotski_core::scenario::{Engine, EngineError, Scenario};
 use klotski_sim::prelude::*;
@@ -68,35 +71,25 @@ impl Engine for MoeInfinity {
     }
 
     fn run(&self, sc: &Scenario) -> Result<InferenceReport, EngineError> {
-        if !sc.spec.is_moe() {
-            return Err(EngineError::InvalidConfig(
-                "MoE-Infinity serves MoE models only".into(),
-            ));
-        }
-        let Some(trace) = sc.trace.as_ref() else {
-            return Err(EngineError::InvalidConfig(
-                "MoE scenario without a gating trace".into(),
-            ));
+        let view = match trace_view(sc)? {
+            Some(view) if sc.spec.is_moe() => view,
+            _ => {
+                return Err(EngineError::InvalidConfig(
+                    "MoE-Infinity serves MoE models only".into(),
+                ))
+            }
         };
         let cost = sc.cost_model();
         let wl = sc.workload;
         let spec = &sc.spec;
-        let mut sim = Simulator::new(sc.hw.tier_capacities());
 
         // Experts-only offloading: everything else is resident.
         let footprint = ResidentFootprint::for_single_batch(spec, &wl);
-        if let Some(msg) = footprint.oom_message(sc.hw.vram_bytes) {
-            let stats = klotski_core::driver::RunStats::default();
-            return Ok(build_report(
-                self.name(),
-                spec,
-                &wl,
-                &sim,
-                &stats,
-                Some(msg),
-            ));
-        }
-        let spare = footprint.spare(sc.hw.vram_bytes).expect("checked above");
+        let Some(spare) = footprint.spare(sc.hw.vram_bytes) else {
+            let reason = footprint.oom_message(sc.hw.vram_bytes);
+            return Ok(rejected_report(self.name(), spec, &wl, reason));
+        };
+        let mut sim = Simulator::new(sc.hw.tier_capacities());
         let cache_bytes = footprint.expert_reserve + spare / 10 * 9;
         let cache_capacity = (cache_bytes / spec.expert_bytes().max(1)) as usize;
         let static_vram = footprint.total() - footprint.expert_reserve + cache_bytes;
@@ -114,7 +107,7 @@ impl Engine for MoeInfinity {
             table.warm_up(base, 4096, 0xBEEF);
         }
 
-        let view = TraceView::new(trace);
+        let mut hot = HotSet::default();
         let mut lru = ExpertLru::new(cache_capacity);
         let mut carry: Option<TaskId> = None;
         let mut layer_ends: Vec<TaskId> = Vec::new();
@@ -135,28 +128,16 @@ impl Engine for MoeInfinity {
             let s0 = batch * wl.batch_size;
             let s1 = s0 + wl.batch_size;
             for step in StepKind::all(wl.gen_len) {
+                let step_idx = step.index();
+                let prices = StepCompute::new(&cost, &wl, step, &Compression::none());
                 for l in 0..spec.n_layers {
-                    let step_idx = step.index();
-                    let bs = wl.batch_size as u64;
-                    let ctx = step.context(wl.prompt_len);
-
                     // Prefetch predicted experts before attention.
                     let mut transfers: BTreeMap<u16, TaskId> = BTreeMap::new();
                     let m = spec.moe_index(l);
                     if let Some(m) = m {
-                        let predicted = match step {
-                            StepKind::Prefill => table.predict_marginal(m, spec.top_k),
-                            StepKind::Decode(i) => {
-                                if m == 0 {
-                                    table.predict_marginal(0, spec.top_k)
-                                } else {
-                                    let prev = view.prev_choices(i, m, s0, s1);
-                                    table.predict(m, &prev, spec.top_k)
-                                }
-                            }
-                        };
-                        let throttle = layer_ends.len().checked_sub(2).map(|i| layer_ends[i]);
-                        for e in predicted {
+                        table.predict_step(view, step, m, s0..s1, spec.top_k, &mut hot);
+                        let throttle = throttle(&layer_ends);
+                        for &e in &hot.experts {
                             if lru.contains((l, e)) {
                                 continue;
                             }
@@ -177,16 +158,10 @@ impl Engine for MoeInfinity {
                     }
 
                     // Attention (weights resident, KV resident).
-                    let attn_dur = match step {
-                        StepKind::Prefill => {
-                            cost.attention_time(bs, wl.prompt_len as u64, ctx / 2 + 1)
-                        }
-                        StepKind::Decode(_) => cost.attention_time(bs, 1, ctx),
-                    };
                     let attn = sim
                         .task(
                             Resource::GpuCompute,
-                            attn_dur,
+                            prices.attention,
                             TaskMeta::of(OpClass::AttentionCompute)
                                 .layer(l)
                                 .step(step_idx),
@@ -196,14 +171,10 @@ impl Engine for MoeInfinity {
 
                     let mut computes = vec![attn];
                     if let Some(m) = m {
-                        let gate_tokens = match step {
-                            StepKind::Prefill => bs * wl.prompt_len as u64,
-                            StepKind::Decode(_) => bs,
-                        };
                         let gate = sim
                             .task(
                                 Resource::GpuCompute,
-                                cost.gate_time(gate_tokens),
+                                prices.gate,
                                 TaskMeta::of(OpClass::GateCompute).layer(l).step(step_idx),
                             )
                             .after(attn)
@@ -256,35 +227,12 @@ impl Engine for MoeInfinity {
                         }
 
                         // Online activation tracing.
-                        match step {
-                            StepKind::Prefill => {
-                                for (e, &c) in counts.iter().enumerate() {
-                                    if c > 0 {
-                                        table.record_marginal(m, e as u16, c as u64);
-                                    }
-                                }
-                            }
-                            StepKind::Decode(i) => {
-                                for s in s0..s1 {
-                                    let choices = trace.seq_choices(i, m, s);
-                                    let prev_choice = if m == 0 {
-                                        None
-                                    } else {
-                                        Some(trace.seq_choices(i, m - 1, s)[0])
-                                    };
-                                    table.record(m, prev_choice, choices);
-                                }
-                            }
-                        }
+                        table.record_step(view, step, m, s0..s1);
                     } else {
-                        let tokens = match step {
-                            StepKind::Prefill => bs * wl.prompt_len as u64,
-                            StepKind::Decode(_) => bs,
-                        };
                         computes.push(
                             sim.task(
                                 Resource::GpuCompute,
-                                cost.dense_ffn_time(tokens),
+                                prices.dense_ffn,
                                 TaskMeta::of(OpClass::DenseCompute).layer(l).step(step_idx),
                             )
                             .after(attn)

@@ -15,13 +15,16 @@
 //!
 //! Neither offloads the KV cache: it stays in VRAM, like the paper's runs.
 
-use klotski_core::driver::{build_report, drain, StepKind, TraceView};
+use klotski_core::compress::Compression;
+use klotski_core::driver::{
+    build_report, drain, rejected_report, throttle, trace_view, StepCompute, StepKind, TraceView,
+};
 use klotski_core::report::InferenceReport;
 use klotski_core::scenario::{Engine, EngineError, Scenario};
 use klotski_model::cost::CostModel;
 use klotski_sim::prelude::*;
 
-use crate::common::{dram_expert_cutoff, tokens_per_batch};
+use crate::common::dram_expert_cutoff;
 
 /// Extra per-module host-side dispatch overhead of Accelerate's hook path.
 const ACCELERATE_MODULE_OVERHEAD: SimDuration = SimDuration::from_millis(2);
@@ -55,11 +58,7 @@ impl Engine for FastGen {
 }
 
 fn run_seq(sc: &Scenario, name: String, overlap: bool) -> Result<InferenceReport, EngineError> {
-    if sc.spec.is_moe() && sc.trace.is_none() {
-        return Err(EngineError::InvalidConfig(
-            "MoE scenario without a gating trace".into(),
-        ));
-    }
+    let view = trace_view(sc)?;
     let cost = sc.cost_model();
     let wl = sc.workload;
     let spec = &sc.spec;
@@ -69,30 +68,23 @@ fn run_seq(sc: &Scenario, name: String, overlap: bool) -> Result<InferenceReport
     let act_ws = 4 * spec.hidden_bytes(wl.batch_size as u64 * wl.prompt_len as u64);
     let static_vram = spec.embed_bytes() + act_ws + 800_000_000;
     if sim.pool_mut(Tier::Vram).alloc(static_vram).is_err() {
-        let stats = klotski_core::driver::RunStats::default();
-        return Ok(build_report(
-            name,
-            spec,
-            &wl,
-            &sim,
-            &stats,
-            Some("activation workspace exceeds VRAM".into()),
-        ));
+        let reason = "activation workspace exceeds VRAM".into();
+        return Ok(rejected_report(name, spec, &wl, reason));
     }
     let dram_cap = sim.pool(Tier::Dram).capacity();
     sim.pool_mut(Tier::Dram)
         .alloc(spec.total_bytes().min(dram_cap))
         .expect("model weights fit DRAM in both environments");
 
-    let view = sc.trace.as_ref().map(TraceView::new);
-    let disk_cutoff = dram_expert_cutoff(spec, sc.hw.dram_bytes);
     let mut b = SeqBuilder {
         sim: &mut sim,
         cost: &cost,
         sc,
         view,
         overlap,
-        disk_cutoff,
+        disk_cutoff: dram_expert_cutoff(spec, sc.hw.dram_bytes),
+        kv_bytes: spec.kv_bytes_total(wl.batch_size as u64, wl.max_context()),
+        prices: StepCompute::default(),
         chain: None,
         layer_ends: Vec::new(),
     };
@@ -104,22 +96,6 @@ fn run_seq(sc: &Scenario, name: String, overlap: bool) -> Result<InferenceReport
     Ok(build_report(name, spec, &wl, &sim, &stats, oom))
 }
 
-/// One (step, layer) submission of one batch: the identifiers and sizes
-/// [`SeqBuilder::submit_layer`] needs, bundled so the call stays within
-/// clippy's argument budget.
-#[derive(Debug, Clone, Copy)]
-struct LayerSubmission {
-    step: StepKind,
-    /// Layer index.
-    l: u32,
-    /// First sequence of the batch (inclusive).
-    s0: u32,
-    /// Last sequence of the batch (exclusive).
-    s1: u32,
-    /// The batch's resident KV bytes (claimed once, freed at batch end).
-    kv_bytes: u64,
-}
-
 struct SeqBuilder<'a> {
     sim: &'a mut Simulator,
     cost: &'a CostModel,
@@ -129,6 +105,10 @@ struct SeqBuilder<'a> {
     /// First layer whose experts spill to disk (no tiered placement: the
     /// fetch path pays the disk read for those layers).
     disk_cutoff: u32,
+    /// A batch's resident KV bytes (claimed once, freed at batch end).
+    kv_bytes: u64,
+    /// The current step's compute prices.
+    prices: StepCompute,
     /// The tail of the synchronous chain (Accelerate) or the last compute
     /// (FastGen's pacing anchor).
     chain: Option<TaskId>,
@@ -144,63 +124,35 @@ impl<'a> SeqBuilder<'a> {
         }
     }
 
-    /// Transfer throttle for the overlapped engine (double buffering).
-    fn throttle(&self) -> Option<TaskId> {
-        self.layer_ends
-            .len()
-            .checked_sub(2)
-            .map(|i| self.layer_ends[i])
-    }
-
+    /// Submits every (step, layer) of one batch: sequences
+    /// `[batch · bs, (batch + 1) · bs)`.
     fn submit_batch(&mut self, batch: u32) {
         let wl = self.sc.workload;
         let s0 = batch * wl.batch_size;
         let s1 = s0 + wl.batch_size;
-        let spec = &self.sc.spec;
-        let kv_bytes = spec.kv_bytes_total(wl.batch_size as u64, wl.max_context());
-
         let mut kv_allocated = false;
         for step in StepKind::all(wl.gen_len) {
-            for l in 0..spec.n_layers {
-                let layer = LayerSubmission {
-                    step,
-                    l,
-                    s0,
-                    s1,
-                    kv_bytes,
-                };
-                self.submit_layer(&layer, &mut kv_allocated);
+            self.prices = StepCompute::new(self.cost, &wl, step, &Compression::none());
+            for l in 0..self.sc.spec.n_layers {
+                self.submit_layer(step, l, s0, s1, &mut kv_allocated);
             }
-        }
-        // Release this batch's resident KV on the final layer end.
-        if let Some(&last) = self.layer_ends.last() {
-            let _ = last; // freed via the layer-end task's memory effect below
         }
     }
 
-    fn submit_layer(&mut self, layer: &LayerSubmission, kv_allocated: &mut bool) {
-        let LayerSubmission {
-            step,
-            l,
-            s0,
-            s1,
-            kv_bytes,
-        } = *layer;
+    fn submit_layer(&mut self, step: StepKind, l: u32, s0: u32, s1: u32, kv_allocated: &mut bool) {
         let spec = &self.sc.spec;
         let cost = self.cost;
         let wl = self.sc.workload;
         let step_idx = step.index();
-        let is_moe = spec.is_moe_layer(l);
-        let bs = wl.batch_size as u64;
-        let ctx = step.context(wl.prompt_len);
+        let moe = spec.moe_index(l);
 
         // --- Layer weight transfer(s).
         let mut attn_bytes = spec.attn_bytes();
-        if !is_moe {
+        if moe.is_none() {
             attn_bytes += spec.dense_ffn_bytes();
         }
         let load_dep = if self.overlap {
-            self.throttle()
+            throttle(&self.layer_ends)
         } else {
             self.chain
         };
@@ -216,7 +168,7 @@ impl<'a> SeqBuilder<'a> {
             .alloc_on_start(Tier::Vram, attn_bytes);
         // The first task of a batch also claims its resident KV region.
         if !*kv_allocated {
-            load = load.alloc_on_start(Tier::Vram, kv_bytes);
+            load = load.alloc_on_start(Tier::Vram, self.kv_bytes);
             *kv_allocated = true;
         }
         let load = load.after_all(load_dep).submit();
@@ -225,15 +177,11 @@ impl<'a> SeqBuilder<'a> {
         }
 
         // --- Attention compute.
-        let attn_dur = match step {
-            StepKind::Prefill => cost.attention_time(bs, wl.prompt_len as u64, ctx / 2 + 1),
-            StepKind::Decode(_) => cost.attention_time(bs, 1, ctx),
-        };
         let attn = self
             .sim
             .task(
                 Resource::GpuCompute,
-                attn_dur,
+                self.prices.attention,
                 TaskMeta::of(OpClass::AttentionCompute)
                     .layer(l)
                     .step(step_idx),
@@ -246,14 +194,13 @@ impl<'a> SeqBuilder<'a> {
         let mut computes = vec![attn];
         let mut freed = attn_bytes;
 
-        if is_moe {
-            let m = spec.moe_index(l).expect("moe layer");
+        if let Some(m) = moe {
             let view = self.view.as_ref().expect("moe run has a trace");
             let counts = view.expert_tokens(step, m, s0, s1);
 
             // Gate load + compute.
             let gate_dep = if self.overlap {
-                self.throttle()
+                throttle(&self.layer_ends)
             } else {
                 Some(attn)
             };
@@ -271,7 +218,7 @@ impl<'a> SeqBuilder<'a> {
                 .sim
                 .task(
                     Resource::GpuCompute,
-                    cost.gate_time(tokens_per_batch(&wl, step)),
+                    self.prices.gate,
                     TaskMeta::of(OpClass::GateCompute).layer(l).step(step_idx),
                 )
                 .after(attn)
@@ -304,7 +251,7 @@ impl<'a> SeqBuilder<'a> {
                 // Synchronous: the hook fires after the gate (and after the
                 // previous expert finished computing).
                 let dep = if self.overlap {
-                    self.throttle()
+                    throttle(&self.layer_ends)
                 } else {
                     self.chain
                 };
@@ -363,7 +310,7 @@ impl<'a> SeqBuilder<'a> {
                 .sim
                 .task(
                     Resource::GpuCompute,
-                    cost.dense_ffn_time(tokens_per_batch(&wl, step)),
+                    self.prices.dense_ffn,
                     TaskMeta::of(OpClass::DenseCompute).layer(l).step(step_idx),
                 )
                 .after(attn)
@@ -385,7 +332,7 @@ impl<'a> SeqBuilder<'a> {
             .after_all(computes.iter().copied())
             .free_on_end(Tier::Vram, freed);
         if is_last {
-            end = end.free_on_end(Tier::Vram, kv_bytes);
+            end = end.free_on_end(Tier::Vram, self.kv_bytes);
         }
         let end = end.submit();
         self.layer_ends.push(end);

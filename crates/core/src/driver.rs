@@ -1,16 +1,36 @@
-//! Shared plumbing for engines: step/group bookkeeping, trace views,
-//! the simulation drain loop and report assembly.
+//! The per-layer vocabulary every simulated engine shares: step and group
+//! bookkeeping, trace views, step prices, the simulation drain loop and
+//! report assembly.
 //!
-//! Both the Klotski engine and the five baselines are built on these
-//! helpers so that their reports are measured identically.
+//! The Klotski engine and the five baselines decide these things here, once,
+//! so that a difference between their reports is a difference in scheduling
+//! policy alone:
+//!
+//! * [`trace_view`] — the routing a run reads, and the one check that a MoE
+//!   scenario carries a gating trace;
+//! * [`StepCompute`] — a batch's attention, gate and dense-FFN prices at a
+//!   step;
+//! * [`throttle`] — the double buffering of weight transfers;
+//! * [`drain`] and [`build_report`] — a simulated run's measurements;
+//! * [`rejected_report`] — the report of a run rejected before simulation.
+//!
+//! The correlation prefetcher's per-layer step operations
+//! ([`CorrelationTable::predict_step`] and
+//! [`CorrelationTable::record_step`]) speak the same (step, MoE layer,
+//! sequence range) terms.
+//!
+//! [`CorrelationTable::predict_step`]: crate::prefetcher::CorrelationTable::predict_step
+//! [`CorrelationTable::record_step`]: crate::prefetcher::CorrelationTable::record_step
 
+use klotski_model::cost::CostModel;
 use klotski_model::spec::ModelSpec;
 use klotski_model::trace::GatingTrace;
 use klotski_model::workload::Workload;
 use klotski_sim::prelude::*;
 
+use crate::compress::Compression;
 use crate::report::InferenceReport;
-use crate::scenario::EngineError;
+use crate::scenario::{EngineError, Scenario};
 
 /// One autoregressive phase of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +63,74 @@ impl StepKind {
             StepKind::Decode(i) => prompt_len as u64 + i as u64 + 1,
         }
     }
+
+    /// Tokens each sequence feeds through a layer at this step: its prompt
+    /// at prefill, one token per decode step.
+    pub fn new_tokens(self, prompt_len: u32) -> u64 {
+        match self {
+            StepKind::Prefill => prompt_len as u64,
+            StepKind::Decode(_) => 1,
+        }
+    }
+}
+
+/// One batch's compute prices at one step, the same for every layer of the
+/// step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepCompute {
+    /// Attention over the batch's context. Prefill's causal mask attends to
+    /// half the prompt on average; sparse attention caps the context first.
+    pub attention: SimDuration,
+    /// The MoE gate over the batch's step tokens.
+    pub gate: SimDuration,
+    /// A dense FFN over the batch's step tokens.
+    pub dense_ffn: SimDuration,
+}
+
+impl StepCompute {
+    /// The prices of one `wl.batch_size` batch at `step` under `comp`'s
+    /// sparse attention, if any.
+    pub fn new(cost: &CostModel, wl: &Workload, step: StepKind, comp: &Compression) -> Self {
+        let bs = wl.batch_size as u64;
+        let new_tokens = step.new_tokens(wl.prompt_len);
+        let ctx = comp.effective_context(step.context(wl.prompt_len));
+        let attended = match step {
+            StepKind::Prefill => ctx / 2 + 1,
+            StepKind::Decode(_) => ctx,
+        };
+        StepCompute {
+            attention: cost.attention_time(bs, new_tokens, attended),
+            gate: cost.gate_time(bs * new_tokens),
+            dense_ffn: cost.dense_ffn_time(bs * new_tokens),
+        }
+    }
+}
+
+/// The routing view of `sc`'s trace: `None` for a dense model.
+///
+/// # Errors
+///
+/// Returns [`EngineError::InvalidConfig`] for a MoE scenario without a
+/// gating trace.
+pub fn trace_view(sc: &Scenario) -> Result<Option<TraceView<'_>>, EngineError> {
+    match &sc.trace {
+        Some(trace) => Ok(Some(TraceView::new(trace))),
+        None if sc.spec.is_moe() => Err(EngineError::InvalidConfig(
+            "MoE scenario without a gating trace".into(),
+        )),
+        None => Ok(None),
+    }
+}
+
+/// The prefetch throttle the engines' weight transfers share: a transfer
+/// for the layer at the current position of `layer_ends` (every layer-end
+/// task so far, in execution order) may not start before the layer two
+/// positions back has finished, bounding in-flight weights to roughly two
+/// layers (double buffering). Without it, phases where compute outpaces
+/// I/O (prefill) would let the link run arbitrarily far ahead and flood
+/// VRAM.
+pub fn throttle(layer_ends: &[TaskId]) -> Option<TaskId> {
+    layer_ends.len().checked_sub(2).map(|i| layer_ends[i])
 }
 
 /// "No batch requests this expert" in
@@ -87,27 +175,22 @@ impl<'a> TraceView<'a> {
     ) {
         match step {
             StepKind::Prefill => {
-                let total = self.trace.n_seqs() as u64;
                 counts.clear();
-                counts.extend(
-                    self.trace
-                        .prefill_tokens_per_expert(m)
-                        .iter()
-                        .map(|&c| (c as u64 * (s1 - s0) as u64 / total.max(1)) as u32),
-                );
+                counts.extend(self.prefill_tokens(m, s0, s1));
             }
             StepKind::Decode(i) => self.trace.tokens_per_expert_into(i, m, s0, s1, counts),
         }
     }
 
-    /// Experts with ≥1 routed token at (`step`, `m`) within `[s0, s1)`.
-    pub fn activated(&self, step: StepKind, m: u32, s0: u32, s1: u32) -> Vec<u16> {
-        self.expert_tokens(step, m, s0, s1)
+    /// Prefill's routed-token counts per expert at MoE layer `m`,
+    /// apportioned to sequences `[s0, s1)` by their share of the sequence
+    /// population.
+    pub(crate) fn prefill_tokens(self, m: u32, s0: u32, s1: u32) -> impl Iterator<Item = u32> + 'a {
+        let total = self.trace.n_seqs() as u64;
+        self.trace
+            .prefill_tokens_per_expert(m)
             .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(e, _)| e as u16)
-            .collect()
+            .map(move |&c| (c as u64 * (s1 - s0) as u64 / total.max(1)) as u32)
     }
 
     /// Each expert's first requesting batch (of `batch_size`-wide batches
@@ -148,14 +231,8 @@ impl<'a> TraceView<'a> {
     }
 
     /// Per-sequence first choices at the previous MoE layer (`m − 1`) of
-    /// the same decode step — the correlation-prefetcher's lookup keys.
-    pub fn prev_choices(&self, decode_step: u32, m: u32, s0: u32, s1: u32) -> Vec<u16> {
-        let mut prev = Vec::new();
-        self.prev_choices_into(decode_step, m, s0, s1, &mut prev);
-        prev
-    }
-
-    /// [`prev_choices`](TraceView::prev_choices) into a reused buffer.
+    /// the same decode step — the correlation-prefetcher's lookup keys —
+    /// into a reused buffer.
     // analyze: no_alloc
     pub fn prev_choices_into(
         &self,
@@ -222,6 +299,30 @@ pub fn drain(
     }
 }
 
+/// The report of a run rejected before simulation: nothing ran, so every
+/// time and peak is zero and `reason` stands as its out-of-memory message.
+pub fn rejected_report(
+    engine: String,
+    spec: &ModelSpec,
+    wl: &Workload,
+    reason: String,
+) -> InferenceReport {
+    InferenceReport {
+        engine,
+        model: spec.name.clone(),
+        total_time: SimDuration::ZERO,
+        prefill_time: SimDuration::ZERO,
+        decode_time: SimDuration::ZERO,
+        generated_tokens: wl.total_generated(),
+        gpu_busy: SimDuration::ZERO,
+        gpu_bubble: SimDuration::ZERO,
+        peak_vram: 0,
+        peak_dram: 0,
+        oom: Some(reason),
+        metrics: None,
+    }
+}
+
 /// Assembles the standard report after a drained run.
 pub fn build_report(
     engine: String,
@@ -278,6 +379,36 @@ mod tests {
     }
 
     #[test]
+    fn step_compute_prices_a_batch_per_phase() {
+        use crate::compress::SparseAttention;
+        use klotski_model::hardware::HardwareSpec;
+
+        let cost = CostModel::new(ModelSpec::mixtral_8x7b(), HardwareSpec::env1_rtx3090());
+        let wl = Workload::paper_default(8);
+        assert_eq!(StepKind::Prefill.new_tokens(wl.prompt_len), 512);
+        assert_eq!(StepKind::Decode(3).new_tokens(wl.prompt_len), 1);
+        let none = Compression::none();
+        let prefill = StepCompute::new(&cost, &wl, StepKind::Prefill, &none);
+        let decode = StepCompute::new(&cost, &wl, StepKind::Decode(3), &none);
+        assert_eq!(prefill.gate, cost.gate_time(8 * 512));
+        assert_eq!(decode.gate, cost.gate_time(8));
+        assert_eq!(decode.dense_ffn, cost.dense_ffn_time(8));
+        assert_eq!(prefill.attention, cost.attention_time(8, 512, 257));
+        assert_eq!(decode.attention, cost.attention_time(8, 1, 516));
+        // Sparse attention caps the attended context, not the step tokens.
+        let sparse = Compression {
+            sparse_attention: Some(SparseAttention {
+                sinks: 4,
+                window: 60,
+            }),
+            ..none
+        };
+        let capped = StepCompute::new(&cost, &wl, StepKind::Decode(3), &sparse);
+        assert_eq!(capped.attention, cost.attention_time(8, 1, 64));
+        assert_eq!(capped.gate, decode.gate);
+    }
+
+    #[test]
     fn prefill_tokens_are_apportioned_by_group() {
         let t = trace();
         let v = TraceView::new(&t);
@@ -302,7 +433,11 @@ mod tests {
         let t = trace();
         let v = TraceView::new(&t);
         let step = StepKind::Decode(0);
-        let activated = v.activated(step, 2, 0, 32);
+        let activated: Vec<u16> = (0..)
+            .zip(v.expert_tokens(step, 2, 0, 32))
+            .filter(|&(_, c)| c > 0)
+            .map(|(e, _)| e)
+            .collect();
         let mut first = Vec::new();
         v.first_requesting_batches_into(step, 2, 0, 32, 8, &mut first);
         for e in 0..t.n_experts() as u16 {
@@ -324,6 +459,8 @@ mod tests {
     fn prev_choices_have_group_width() {
         let t = trace();
         let v = TraceView::new(&t);
-        assert_eq!(v.prev_choices(0, 1, 4, 20).len(), 16);
+        let mut prev = Vec::new();
+        v.prev_choices_into(0, 1, 4, 20, &mut prev);
+        assert_eq!(prev.len(), 16);
     }
 }

@@ -29,10 +29,13 @@ use klotski_model::workload::Workload;
 use klotski_sim::prelude::*;
 
 use crate::compress::Compression;
-use crate::driver::{build_report, drain, StepKind, TraceView, NO_BATCH};
+use crate::driver::{
+    build_report, drain, rejected_report, throttle, trace_view, StepCompute, StepKind, TraceView,
+    NO_BATCH,
+};
 use crate::placement::{plan_placement, PlacementPlan};
 use crate::planner::Planner;
-use crate::prefetcher::CorrelationTable;
+use crate::prefetcher::{CorrelationTable, HotSet, WARMUP_SEED};
 use crate::report::InferenceReport;
 use crate::scenario::{Engine, EngineError, Scenario};
 
@@ -187,11 +190,7 @@ impl Engine for KlotskiEngine {
     }
 
     fn run(&self, sc: &Scenario) -> Result<InferenceReport, EngineError> {
-        if sc.spec.is_moe() && sc.trace.is_none() {
-            return Err(EngineError::InvalidConfig(
-                "MoE scenario without a gating trace".into(),
-            ));
-        }
+        let view = trace_view(sc)?;
         let cost = sc.cost_model();
         let wl = sc.workload;
         let group_size = if self.cfg.multi_batch {
@@ -209,23 +208,12 @@ impl Engine for KlotskiEngine {
             self.cfg.use_spare_vram,
         ) {
             Ok(p) => p,
-            Err(e) => {
-                let sim = Simulator::new(sc.hw.tier_capacities());
-                let stats = crate::driver::RunStats::default();
-                return Ok(build_report(
-                    self.name(),
-                    &sc.spec,
-                    &wl,
-                    &sim,
-                    &stats,
-                    Some(e.to_string()),
-                ));
-            }
+            Err(e) => return Ok(rejected_report(self.name(), &sc.spec, &wl, e.to_string())),
         };
 
         let mut table = sc.base_gating.as_ref().map(|base| {
             let mut t = CorrelationTable::new(sc.spec.n_moe_layers(), sc.spec.n_experts);
-            t.warm_up(base, self.cfg.warmup_tokens, 0xC0FFEE);
+            t.warm_up(base, self.cfg.warmup_tokens, WARMUP_SEED);
             t
         });
 
@@ -245,18 +233,11 @@ impl Engine for KlotskiEngine {
             .hidden_bytes(group_size as u64 * wl.batch_size as u64);
         let static_vram = sc.spec.embed_bytes() + act_ws + placement.vram_resident;
         if sim.pool_mut(Tier::Vram).alloc(static_vram).is_err() {
-            let stats = crate::driver::RunStats::default();
-            return Ok(build_report(
-                self.name(),
-                &sc.spec,
-                &wl,
-                &sim,
-                &stats,
-                Some(format!(
-                    "static working set {:.1} GB exceeds VRAM",
-                    static_vram as f64 / 1e9
-                )),
-            ));
+            let reason = format!(
+                "static working set {:.1} GB exceeds VRAM",
+                static_vram as f64 / 1e9
+            );
+            return Ok(rejected_report(self.name(), &sc.spec, &wl, reason));
         }
         sim.pool_mut(Tier::Dram)
             .alloc(placement.dram_weights)
@@ -275,7 +256,7 @@ impl Engine for KlotskiEngine {
             cost: &cost,
             cfg: &self.cfg,
             placement: &placement,
-            view: sc.trace.as_ref().map(TraceView::new),
+            view,
             table: table.as_mut(),
             sim: &mut sim,
             wl: &wl,
@@ -350,12 +331,11 @@ struct StepCosts {
     blob: (u64, SimDuration),
     /// One batch's KV chunk streamed in (decode only): bytes, time.
     kv_load: (u64, SimDuration),
-    attn_time: SimDuration,
     /// One batch's new KV entries written back: VRAM bytes, DRAM growth,
     /// time.
     kv_store: (u64, u64, SimDuration),
-    gate_time: SimDuration,
-    dense_time: SimDuration,
+    /// One batch's attention, gate and dense FFN.
+    compute: StepCompute,
 }
 
 impl StepCosts {
@@ -371,13 +351,9 @@ impl StepCosts {
         let h2d = |vram: u64| (vram, cost.h2d_time((vram as f64 * wf) as u64));
         let bs = wl.batch_size as u64;
         let ctx = step.context(wl.prompt_len);
-        let eff_ctx = comp.effective_context(ctx);
         let kv_factor = comp.kv_factor(ctx);
         let kv_per_tok = spec.kv_bytes_per_token_layer();
-        let new_tokens = match step {
-            StepKind::Prefill => wl.prompt_len as u64,
-            StepKind::Decode(_) => 1,
-        };
+        let new_tokens = step.new_tokens(wl.prompt_len);
         let store_bytes = bs * new_tokens * kv_per_tok;
         let blob_vram = spec.gate_bytes() + spec.n_experts as u64 * spec.expert_bytes();
         StepCosts {
@@ -390,17 +366,12 @@ impl StepCosts {
                 (bs as f64 * ctx as f64 * kv_per_tok as f64 * kv_factor) as u64,
                 cost.kv_h2d_time(bs, ctx, kv_factor),
             ),
-            attn_time: match step {
-                StepKind::Prefill => cost.attention_time(bs, wl.prompt_len as u64, eff_ctx / 2 + 1),
-                StepKind::Decode(_) => cost.attention_time(bs, 1, eff_ctx),
-            },
             kv_store: (
                 store_bytes,
                 (store_bytes as f64 * kv_factor) as u64,
                 cost.kv_d2h_time(bs, new_tokens),
             ),
-            gate_time: cost.gate_time(bs * new_tokens),
-            dense_time: cost.dense_ffn_time(bs * new_tokens),
+            compute: StepCompute::new(cost, wl, step, comp),
         }
     }
 }
@@ -414,7 +385,7 @@ struct LayerScratch {
     /// Experts with at least one routed token, ascending id.
     activated: Vec<u16>,
     /// The prefetched (predicted-hot) experts.
-    hot: Vec<u16>,
+    hot: HotSet,
     /// Each expert's first requesting batch (or `NO_BATCH`).
     first_batch: Vec<u32>,
     /// The weight transfer of each expert id this layer, if any. Iterated
@@ -429,9 +400,6 @@ struct LayerScratch {
     order: Vec<u64>,
     /// One batch's routed-token counts (batch-major mode).
     batch_counts: Vec<u32>,
-    /// Prefetcher lookup keys and scores.
-    prev: Vec<u16>,
-    scores: Vec<f64>,
 }
 
 /// DAG builder for one run.
@@ -525,19 +493,6 @@ impl<'a> Builder<'a> {
         self.stage_map[layer as usize] = Some(id);
     }
 
-    /// The prefetch throttle: weight transfers for the layer at the
-    /// current global position may not start before the layer two
-    /// positions back has finished, bounding in-flight weights to roughly
-    /// two layers (double buffering). Without this, phases where compute
-    /// outpaces I/O (prefill) would let the link run arbitrarily far ahead
-    /// and flood VRAM.
-    fn throttle_dep(&self) -> Option<TaskId> {
-        self.layer_ends
-            .len()
-            .checked_sub(2)
-            .map(|i| self.layer_ends[i])
-    }
-
     /// Submits the attention (+ dense FFN) weight transfer for `layer`.
     fn submit_attn_weights(&mut self, layer: u32, step: StepKind) -> TaskId {
         let (vram, time) = if self.spec.is_moe_layer(layer) {
@@ -545,7 +500,7 @@ impl<'a> Builder<'a> {
         } else {
             self.costs.attn_w_dense
         };
-        let throttle = self.throttle_dep();
+        let throttle = throttle(&self.layer_ends);
         self.sim
             .task(
                 Resource::LinkH2d,
@@ -581,14 +536,14 @@ impl<'a> Builder<'a> {
         let moe = moe.map(|m| (m, self.view.expect("a MoE run has a trace")));
         let resident = moe.is_some() && self.placement.is_expert_resident(l);
         let stage_dep = self.stage_map[l as usize];
-        let throttle = self.throttle_dep();
+        let throttle = throttle(&self.layer_ends);
         let attn_w = self.pending_attn_w.take().expect("attn weights prefetched");
 
         // --- This layer's routing.
         let s = &mut self.scratch;
         s.counts.clear();
         s.activated.clear();
-        s.hot.clear();
+        s.hot.experts.clear();
         s.transfers.clear();
         s.transfers.resize(spec.n_experts as usize, None);
         s.attn_tasks.clear();
@@ -617,7 +572,7 @@ impl<'a> Builder<'a> {
         let mut layer_blob: Option<TaskId> = None;
         if let Some((m, view)) = moe {
             if !self.cfg.hot_expert_prefetch {
-                self.scratch.hot.extend(0..spec.n_experts as u16);
+                self.scratch.hot.experts.extend(0..spec.n_experts as u16);
             } else {
                 self.predict_hot(view, step, m, s0, s1);
             }
@@ -651,7 +606,7 @@ impl<'a> Builder<'a> {
                         .submit(),
                 );
                 let s = &mut self.scratch;
-                for &e in &s.hot {
+                for &e in &s.hot.experts {
                     s.transfers[e as usize] = Some(
                         self.sim
                             .task(
@@ -705,7 +660,7 @@ impl<'a> Builder<'a> {
                 .sim
                 .task(
                     Resource::GpuCompute,
-                    c.attn_time,
+                    c.compute.attention,
                     TaskMeta::of(OpClass::AttentionCompute)
                         .layer(l)
                         .batch(b)
@@ -743,7 +698,7 @@ impl<'a> Builder<'a> {
                     .sim
                     .task(
                         Resource::GpuCompute,
-                        c.gate_time,
+                        c.compute.gate,
                         TaskMeta::of(OpClass::GateCompute)
                             .layer(l)
                             .batch(b)
@@ -865,7 +820,7 @@ impl<'a> Builder<'a> {
                     .sim
                     .task(
                         Resource::GpuCompute,
-                        c.dense_time,
+                        c.compute.dense_ffn,
                         TaskMeta::of(OpClass::DenseCompute)
                             .layer(l)
                             .batch(b as u32)
@@ -940,8 +895,8 @@ impl<'a> Builder<'a> {
         self.pending_attn_w = Some(self.submit_attn_weights(next_layer, step));
 
         // Online correlation-table update with this layer's actual routing.
-        if let Some((m, view)) = moe {
-            self.record_actuals(view, step, m, s0, s1);
+        if let (Some((m, view)), Some(table)) = (moe, self.table.as_deref_mut()) {
+            table.record_step(view, step, m, s0..s1);
         }
 
         self.carry = Some(end);
@@ -952,21 +907,14 @@ impl<'a> Builder<'a> {
     /// `scratch.hot`.
     // analyze: no_alloc
     fn predict_hot(&mut self, view: TraceView<'_>, step: StepKind, m: u32, s0: u32, s1: u32) {
-        let s = &mut self.scratch;
-        let k = self.k_prefetch;
-        let Some(table) = self.table.as_deref() else {
-            s.hot.clear();
-            s.hot.extend(0..k.min(self.spec.n_experts) as u16);
-            return;
-        };
-        match step {
-            StepKind::Decode(i) if m > 0 => {
-                view.prev_choices_into(i, m, s0, s1, &mut s.prev);
-                table.predict_into(m, &s.prev, k, &mut s.scores, &mut s.hot);
+        let (hot, k) = (&mut self.scratch.hot, self.k_prefetch);
+        match self.table.as_deref() {
+            Some(table) => table.predict_step(view, step, m, s0..s1, k, hot),
+            // Without a warm-up model there is nothing to predict from.
+            None => {
+                hot.experts.clear();
+                hot.experts.extend(0..k.min(self.spec.n_experts) as u16);
             }
-            // Prefill and the first MoE layer have no per-token history:
-            // the marginal is the right aggregate.
-            _ => table.predict_marginal_into(m, k, &mut s.scores, &mut s.hot),
         }
     }
 
@@ -976,7 +924,7 @@ impl<'a> Builder<'a> {
     // analyze: no_alloc
     fn order_experts(&mut self) {
         let s = &mut self.scratch;
-        let (hot, counts, first_batch) = (&s.hot, &s.counts, &s.first_batch);
+        let (hot, counts, first_batch) = (&s.hot.experts, &s.counts, &s.first_batch);
         // Each expert's sort key, packed above its id in the low 16 bits.
         let key = |e: u16| -> u64 {
             let rank = if self.cfg.reorder_experts {
@@ -997,40 +945,6 @@ impl<'a> Builder<'a> {
         s.order.clear();
         s.order.extend(s.activated.iter().map(|&e| key(e)));
         s.order.sort_unstable();
-    }
-
-    /// Feeds MoE layer `m`'s actual routing back into the correlation
-    /// table.
-    fn record_actuals(&mut self, view: TraceView<'_>, step: StepKind, m: u32, s0: u32, s1: u32) {
-        let Some(table) = self.table.as_deref_mut() else {
-            return;
-        };
-        match step {
-            StepKind::Prefill => {
-                // `counts` holds this layer's group routing.
-                for (e, &c) in self.scratch.counts.iter().enumerate() {
-                    if c > 0 {
-                        table.record_marginal(m, e as u16, c as u64);
-                    }
-                }
-            }
-            StepKind::Decode(i) => {
-                let trace = view.trace();
-                let k = trace.top_k() as usize;
-                let (from, to) = (s0 as usize * k, s1 as usize * k);
-                let chosen = trace.decode_choices(i, m)[from..to].chunks_exact(k);
-                if m == 0 {
-                    for choices in chosen {
-                        table.record(m, None, choices);
-                    }
-                } else {
-                    let prev = trace.decode_choices(i, m - 1)[from..to].iter().step_by(k);
-                    for (choices, &p) in chosen.zip(prev) {
-                        table.record(m, Some(p), choices);
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -171,7 +171,6 @@ pub fn plan_placement(
         }
         dram_used += bytes;
         dram_layers += 1;
-        let _ = l;
     }
     let mut disk_layers = offloaded_layers - dram_layers;
     // Staging window: enough layers in flight to cover the disk/PCIe rate

@@ -23,23 +23,49 @@
 //! threshold: Mixtral's 4096-token warm-up does, while switch-base-128's
 //! scans the tabulated rows.
 
-use klotski_model::trace::GatingModel;
+use std::ops::Range;
+
+use klotski_model::trace::{GatingModel, GatingTrace};
+
+use crate::driver::{StepKind, TraceView};
+
+/// The seed of the engine's warm-up pre-run walk, and of the accuracy
+/// replays that mirror it.
+pub const WARMUP_SEED: u64 = 0xC0FFEE;
+
+/// A predicted hot set, with the scratch that computes it. Reused across
+/// layers, prediction allocates nothing once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct HotSet {
+    /// The predicted experts, best first.
+    pub experts: Vec<u16>,
+    /// Lookup keys: each sequence's previous-layer first choice.
+    prev: Vec<u16>,
+    /// Per-expert scores.
+    scores: Vec<f64>,
+}
 
 /// The expert correlation table plus prediction logic.
 ///
 /// # Examples
 ///
 /// ```
-/// use klotski_core::prefetcher::CorrelationTable;
+/// use klotski_core::driver::{StepKind, TraceView};
+/// use klotski_core::prefetcher::{CorrelationTable, HotSet};
 /// use klotski_model::spec::ModelSpec;
 /// use klotski_model::trace::{GatingModel, TraceConfig};
 ///
 /// let model = GatingModel::new(&TraceConfig::for_model(&ModelSpec::mixtral_8x7b(), 1));
 /// let mut table = CorrelationTable::new(32, 8);
 /// table.warm_up(&model, 4096, 2);
-/// // Predict layer-0 hot experts for a batch with no history yet:
-/// let hot = table.predict_first_layer(2);
-/// assert_eq!(hot.len(), 2);
+/// // Predict the hot experts of MoE layer 5 for a group of 8 sequences at
+/// // their first decode step, then learn from their actual routing:
+/// let trace = model.generate_trace(8, 64, 2, 3);
+/// let view = TraceView::new(&trace);
+/// let mut hot = HotSet::default();
+/// table.predict_step(view, StepKind::Decode(0), 5, 0..8, 2, &mut hot);
+/// assert_eq!(hot.experts.len(), 2);
+/// table.record_step(view, StepKind::Decode(0), 5, 0..8);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CorrelationTable {
@@ -106,6 +132,39 @@ impl CorrelationTable {
         });
     }
 
+    /// Feeds a group's actual routing at (`step`, MoE layer `m`), over the
+    /// sequences `seqs`, back into the table: the online update of §6.2.
+    /// Decode records each sequence's choices under its previous-layer
+    /// first choice; prefill, observed only in aggregate, records the
+    /// group's routed-token counts as marginals.
+    pub fn record_step(&mut self, view: TraceView<'_>, step: StepKind, m: u32, seqs: Range<u32>) {
+        match step {
+            StepKind::Prefill => {
+                for (e, c) in (0..).zip(view.prefill_tokens(m, seqs.start, seqs.end)) {
+                    if c > 0 {
+                        self.record_marginal(m, e, c as u64);
+                    }
+                }
+            }
+            StepKind::Decode(i) => {
+                let trace = view.trace();
+                let k = trace.top_k() as usize;
+                let (from, to) = (seqs.start as usize * k, seqs.end as usize * k);
+                let chosen = trace.decode_choices(i, m)[from..to].chunks_exact(k);
+                if m == 0 {
+                    for choices in chosen {
+                        self.record(m, None, choices);
+                    }
+                } else {
+                    let prev = trace.decode_choices(i, m - 1)[from..to].iter().step_by(k);
+                    for (choices, &p) in chosen.zip(prev) {
+                        self.record(m, Some(p), choices);
+                    }
+                }
+            }
+        }
+    }
+
     /// Records `count` routed tokens for `expert` at `layer` without
     /// transition context (used for prefill phases, whose routing is
     /// observed in aggregate).
@@ -165,7 +224,7 @@ impl CorrelationTable {
 
     /// [`predict`](CorrelationTable::predict) into `hot`, with `scores` as
     /// scratch.
-    pub fn predict_into(
+    fn predict_into(
         &self,
         layer: u32,
         prev_choices: &[u16],
@@ -177,30 +236,36 @@ impl CorrelationTable {
         top_k_indices_into(scores, k, hot);
     }
 
-    /// The top-`k` experts of the first MoE layer (no history: marginals).
-    pub fn predict_first_layer(&self, k: u32) -> Vec<u16> {
-        self.predict_marginal(0, k)
+    /// Predicts the top-`k` hot set of (`step`, MoE layer `m`) for the
+    /// group of sequences `seqs` into `hot.experts`: by the group's
+    /// aggregated tendencies given each sequence's previous-layer first
+    /// choice, or by the layer marginal where there is no per-token
+    /// history (prefill and the first MoE layer).
+    // analyze: no_alloc
+    pub fn predict_step(
+        &self,
+        view: TraceView<'_>,
+        step: StepKind,
+        m: u32,
+        seqs: Range<u32>,
+        k: u32,
+        hot: &mut HotSet,
+    ) {
+        match step {
+            StepKind::Decode(i) if m > 0 => {
+                view.prev_choices_into(i, m, seqs.start, seqs.end, &mut hot.prev);
+                self.predict_into(m, &hot.prev, k, &mut hot.scores, &mut hot.experts);
+            }
+            _ => self.predict_marginal_into(m, k, &mut hot.scores, &mut hot.experts),
+        }
     }
 
     /// The top-`k` experts of `layer` by marginal frequency alone (used for
     /// the prefill phase, where per-token history spans thousands of tokens
-    /// and the marginal is the right aggregate).
-    pub fn predict_marginal(&self, layer: u32, k: u32) -> Vec<u16> {
-        let (mut scores, mut hot) = (Vec::new(), Vec::new());
-        self.predict_marginal_into(layer, k, &mut scores, &mut hot);
-        hot
-    }
-
-    /// [`predict_marginal`](CorrelationTable::predict_marginal) into `hot`,
-    /// with `scores` as scratch.
+    /// and the marginal is the right aggregate), into `hot`, with `scores`
+    /// as scratch.
     // analyze: no_alloc
-    pub fn predict_marginal_into(
-        &self,
-        layer: u32,
-        k: u32,
-        scores: &mut Vec<f64>,
-        hot: &mut Vec<u16>,
-    ) {
+    fn predict_marginal_into(&self, layer: u32, k: u32, scores: &mut Vec<f64>, hot: &mut Vec<u16>) {
         let e = self.n_experts as usize;
         let base = layer as usize * e;
         scores.clear();
@@ -342,10 +407,16 @@ impl DeepCorrelationTable {
     pub fn record(&mut self, layer: u32, prev2: Option<u16>, prev1: Option<u16>, chosen: &[u16]) {
         self.shallow.record(layer, prev1, chosen);
         if let (Some(p2), Some(p1)) = (prev2, prev1) {
-            for &c in chosen {
-                let i = self.idx(layer, p2, p1, c);
-                self.counts[i] += 1;
-            }
+            self.record_pair(layer, p2, p1, chosen);
+        }
+    }
+
+    /// Records one token's routing at `layer` under its first-choice pair,
+    /// leaving the embedded `l = 1` table alone.
+    fn record_pair(&mut self, layer: u32, prev2: u16, prev1: u16, chosen: &[u16]) {
+        for &c in chosen {
+            let i = self.idx(layer, prev2, prev1, c);
+            self.counts[i] += 1;
         }
     }
 
@@ -393,72 +464,6 @@ impl DeepCorrelationTable {
     }
 }
 
-/// Scores `l = 2` prefetching on a trace, mirroring [`measure_accuracy`]
-/// (predictions start at MoE layer 2, where a full pair context exists).
-pub fn measure_accuracy_l2(
-    base: &GatingModel,
-    trace: &klotski_model::trace::GatingTrace,
-    k: u32,
-    warmup_tokens: u32,
-) -> AccuracyReport {
-    let layers = trace.n_moe_layers();
-    let mut table = DeepCorrelationTable::new(layers, trace.n_experts());
-    table.warm_up(base, warmup_tokens, 0xC0FFEE);
-
-    let mut participation = vec![0.0f64; layers as usize];
-    let mut really_hot = vec![0.0f64; layers as usize];
-    let steps = trace.gen_len();
-    let seqs = trace.n_seqs();
-
-    for step in 0..steps {
-        for m in 2..layers {
-            let pairs: Vec<(u16, u16)> = (0..seqs)
-                .map(|s| {
-                    (
-                        trace.seq_choices(step, m - 2, s)[0],
-                        trace.seq_choices(step, m - 1, s)[0],
-                    )
-                })
-                .collect();
-            let predicted = table.predict(m, &pairs, k);
-            let counts = trace.tokens_per_expert(step, m);
-            let actual_hot = trace.step_hot_experts(step, m, k);
-            participation[m as usize] += predicted
-                .iter()
-                .filter(|&&e| counts[e as usize] > 0)
-                .count() as f64
-                / k as f64;
-            really_hot[m as usize] +=
-                predicted.iter().filter(|e| actual_hot.contains(e)).count() as f64 / k as f64;
-        }
-        for m in 0..layers {
-            for s in 0..seqs {
-                let chosen = trace.seq_choices(step, m, s);
-                let prev1 = (m >= 1).then(|| trace.seq_choices(step, m - 1, s)[0]);
-                let prev2 = (m >= 2).then(|| trace.seq_choices(step, m - 2, s)[0]);
-                table.record(m, prev2, prev1, chosen);
-            }
-        }
-    }
-
-    let per_layer: Vec<PrefetchAccuracy> = (2..layers as usize)
-        .map(|m| PrefetchAccuracy {
-            participation: participation[m] / steps as f64,
-            really_hot: really_hot[m] / steps as f64,
-        })
-        .collect();
-    let avg_participation =
-        per_layer.iter().map(|a| a.participation).sum::<f64>() / per_layer.len().max(1) as f64;
-    let avg_really_hot =
-        per_layer.iter().map(|a| a.really_hot).sum::<f64>() / per_layer.len().max(1) as f64;
-    AccuracyReport {
-        per_layer,
-        avg_participation,
-        avg_really_hot,
-        single_seq_accuracy: 0.0,
-    }
-}
-
 /// Per-layer prefetch-accuracy measurements (paper Fig. 13).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefetchAccuracy {
@@ -492,14 +497,108 @@ pub struct AccuracyReport {
 /// decisions — the experiment behind the paper's Fig. 13.
 pub fn measure_accuracy(
     base: &GatingModel,
-    trace: &klotski_model::trace::GatingTrace,
+    trace: &GatingTrace,
     k: u32,
     warmup_tokens: u32,
 ) -> AccuracyReport {
-    let layers = trace.n_moe_layers();
-    let mut table = CorrelationTable::new(layers, trace.n_experts());
-    table.warm_up(base, warmup_tokens, 0xC0FFEE);
+    let mut table = CorrelationTable::new(trace.n_moe_layers(), trace.n_experts());
+    table.warm_up(base, warmup_tokens, WARMUP_SEED);
+    replay(table, trace, k, true)
+}
 
+/// Scores `l = 2` prefetching on a trace, mirroring [`measure_accuracy`]
+/// (predictions start at MoE layer 2, where a full pair context exists).
+pub fn measure_accuracy_l2(
+    base: &GatingModel,
+    trace: &GatingTrace,
+    k: u32,
+    warmup_tokens: u32,
+) -> AccuracyReport {
+    let mut table = DeepCorrelationTable::new(trace.n_moe_layers(), trace.n_experts());
+    table.warm_up(base, warmup_tokens, WARMUP_SEED);
+    replay(table, trace, k, false)
+}
+
+/// A correlation table as [`replay`] drives it, over whole decode steps.
+trait Replayed {
+    /// The first MoE layer whose lookup context is complete.
+    const FIRST_LAYER: u32;
+    /// The top-`k` prediction for decode `step`, MoE layer `m`, `seqs`.
+    fn predict_seqs(
+        &self,
+        view: TraceView<'_>,
+        step: u32,
+        m: u32,
+        seqs: Range<u32>,
+        k: u32,
+    ) -> Vec<u16>;
+    /// Feeds decode `step`'s actual routing at MoE layer `m` back.
+    fn feed_back(&mut self, view: TraceView<'_>, step: u32, m: u32);
+}
+
+impl Replayed for CorrelationTable {
+    const FIRST_LAYER: u32 = 1;
+
+    fn predict_seqs(
+        &self,
+        view: TraceView<'_>,
+        step: u32,
+        m: u32,
+        seqs: Range<u32>,
+        k: u32,
+    ) -> Vec<u16> {
+        let mut hot = HotSet::default();
+        self.predict_step(view, StepKind::Decode(step), m, seqs, k, &mut hot);
+        hot.experts
+    }
+
+    fn feed_back(&mut self, view: TraceView<'_>, step: u32, m: u32) {
+        let seqs = 0..view.trace().n_seqs();
+        self.record_step(view, StepKind::Decode(step), m, seqs);
+    }
+}
+
+impl Replayed for DeepCorrelationTable {
+    const FIRST_LAYER: u32 = 2;
+
+    fn predict_seqs(
+        &self,
+        view: TraceView<'_>,
+        step: u32,
+        m: u32,
+        seqs: Range<u32>,
+        k: u32,
+    ) -> Vec<u16> {
+        let first = |layer, s| view.trace().seq_choices(step, layer, s)[0];
+        let pairs: Vec<(u16, u16)> = seqs.map(|s| (first(m - 2, s), first(m - 1, s))).collect();
+        self.predict(m, &pairs, k)
+    }
+
+    fn feed_back(&mut self, view: TraceView<'_>, step: u32, m: u32) {
+        let trace = view.trace();
+        self.shallow
+            .record_step(view, StepKind::Decode(step), m, 0..trace.n_seqs());
+        if m >= 2 {
+            for s in 0..trace.n_seqs() {
+                let first = |layer| trace.seq_choices(step, layer, s)[0];
+                self.record_pair(m, first(m - 2), first(m - 1), trace.seq_choices(step, m, s));
+            }
+        }
+    }
+}
+
+/// The Fig. 13 replay: for every decode step, scores each layer's group
+/// prediction from `T::FIRST_LAYER` on (and, with `single_seq`, a sample
+/// of single-sequence predictions) against the step's actual routing,
+/// then feeds the step back, engine-style.
+fn replay<T: Replayed>(
+    mut table: T,
+    trace: &GatingTrace,
+    k: u32,
+    single_seq: bool,
+) -> AccuracyReport {
+    let view = TraceView::new(trace);
+    let layers = trace.n_moe_layers();
     let mut participation = vec![0.0f64; layers as usize];
     let mut really_hot = vec![0.0f64; layers as usize];
     let mut single_hits = 0u64;
@@ -508,11 +607,8 @@ pub fn measure_accuracy(
     let seqs = trace.n_seqs();
 
     for step in 0..steps {
-        for m in 1..layers {
-            let prev: Vec<u16> = (0..seqs)
-                .map(|s| trace.seq_choices(step, m - 1, s)[0])
-                .collect();
-            let predicted = table.predict(m, &prev, k);
+        for m in T::FIRST_LAYER..layers {
+            let predicted = table.predict_seqs(view, step, m, 0..seqs, k);
             let counts = trace.tokens_per_expert(step, m);
             let actual_hot = trace.step_hot_experts(step, m, k);
             participation[m as usize] += predicted
@@ -525,28 +621,22 @@ pub fn measure_accuracy(
 
             // Single-sequence prediction: what prefetching for one request
             // at a time (no batching) would achieve.
-            for s in (0..seqs).step_by(seqs.max(8) as usize / 8) {
-                let single = table.predict(m, &prev[s as usize..s as usize + 1], k);
-                let chosen = trace.seq_choices(step, m, s);
-                single_hits += single.iter().filter(|e| chosen.contains(e)).count() as u64;
-                single_total += k as u64;
+            if single_seq {
+                for s in (0..seqs).step_by(seqs.max(8) as usize / 8) {
+                    let single = table.predict_seqs(view, step, m, s..s + 1, k);
+                    let chosen = trace.seq_choices(step, m, s);
+                    single_hits += single.iter().filter(|e| chosen.contains(e)).count() as u64;
+                    single_total += k as u64;
+                }
             }
         }
         // Online updates after the step, engine-style.
         for m in 0..layers {
-            for s in 0..seqs {
-                let choices = trace.seq_choices(step, m, s);
-                let prev = if m == 0 {
-                    None
-                } else {
-                    Some(trace.seq_choices(step, m - 1, s)[0])
-                };
-                table.record(m, prev, choices);
-            }
+            table.feed_back(view, step, m);
         }
     }
 
-    let per_layer: Vec<PrefetchAccuracy> = (1..layers as usize)
+    let per_layer: Vec<PrefetchAccuracy> = (T::FIRST_LAYER as usize..layers as usize)
         .map(|m| PrefetchAccuracy {
             participation: participation[m] / steps as f64,
             really_hot: really_hot[m] / steps as f64,
@@ -611,7 +701,8 @@ mod tests {
     #[test]
     fn first_layer_prediction_matches_marginal_hot_experts() {
         let (model, t) = warmed();
-        let predicted = t.predict_first_layer(2);
+        let (mut scores, mut predicted) = (Vec::new(), Vec::new());
+        t.predict_marginal_into(0, 2, &mut scores, &mut predicted);
         let actual = model.hot_experts(0, 2);
         let overlap = predicted.iter().filter(|e| actual.contains(e)).count();
         assert!(overlap >= 1, "predicted {predicted:?} vs actual {actual:?}");
@@ -646,7 +737,9 @@ mod tests {
     fn empty_table_predicts_lowest_indices() {
         let t = CorrelationTable::new(2, 4);
         // All-zero scores: deterministic tie-break by index.
-        assert_eq!(t.predict_first_layer(2), vec![0, 1]);
+        let (mut scores, mut predicted) = (Vec::new(), Vec::new());
+        t.predict_marginal_into(0, 2, &mut scores, &mut predicted);
+        assert_eq!(predicted, vec![0, 1]);
     }
 
     #[test]

@@ -554,21 +554,8 @@ impl GatingTrace {
     }
 
     /// Routed-token counts per expert at decode (`step`, `moe_layer`),
-    /// restricted to sequences `[seq_from, seq_to)`.
-    pub fn tokens_per_expert_in(
-        &self,
-        step: u32,
-        moe_layer: u32,
-        seq_from: u32,
-        seq_to: u32,
-    ) -> Vec<u32> {
-        let mut counts = Vec::new();
-        self.tokens_per_expert_into(step, moe_layer, seq_from, seq_to, &mut counts);
-        counts
-    }
-
-    /// [`tokens_per_expert_in`](GatingTrace::tokens_per_expert_in) into a
-    /// reused buffer: `counts` is overwritten with one count per expert.
+    /// restricted to sequences `[seq_from, seq_to)`, into a reused buffer:
+    /// `counts` is overwritten with one count per expert.
     // analyze: no_alloc
     pub fn tokens_per_expert_into(
         &self,
@@ -592,7 +579,9 @@ impl GatingTrace {
     /// Routed-token counts per expert at decode (`step`, `moe_layer`) over
     /// all sequences.
     pub fn tokens_per_expert(&self, step: u32, moe_layer: u32) -> Vec<u32> {
-        self.tokens_per_expert_in(step, moe_layer, 0, self.n_seqs)
+        let mut counts = Vec::new();
+        self.tokens_per_expert_into(step, moe_layer, 0, self.n_seqs, &mut counts);
+        counts
     }
 
     /// The experts that receive at least one token at (`step`, `moe_layer`).
@@ -1209,12 +1198,13 @@ mod tests {
     }
 
     #[test]
-    fn tokens_per_expert_in_respects_range() {
+    fn tokens_per_expert_into_respects_range() {
         let m = mixtral_model();
         let t = m.generate_trace(32, 64, 1, 3);
         let all = t.tokens_per_expert(0, 0);
-        let first_half = t.tokens_per_expert_in(0, 0, 0, 16);
-        let second_half = t.tokens_per_expert_in(0, 0, 16, 32);
+        let (mut first_half, mut second_half) = (Vec::new(), Vec::new());
+        t.tokens_per_expert_into(0, 0, 0, 16, &mut first_half);
+        t.tokens_per_expert_into(0, 0, 16, 32, &mut second_half);
         for e in 0..8 {
             assert_eq!(all[e], first_half[e] + second_half[e]);
         }

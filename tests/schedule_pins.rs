@@ -216,3 +216,26 @@ fn out_of_memory_schedules_are_pinned() {
         ],
     );
 }
+
+#[test]
+fn rejected_run_schedules_are_pinned() {
+    // 512 sequences of 4096 prompt tokens: every engine rejects the run
+    // before simulating it, each through its own admission check.
+    let sc = env1(ModelSpec::mixtral_8x7b(), Workload::new(512, 1, 4096, 2), 7);
+    check(
+        "Mixtral-8x7B rejected before simulation",
+        &sc,
+        &[
+            "Simple pipeline|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"placement infeasible: working set 37.9 GB exceeds VRAM 24.0 GB\")|timeline=none",
+            "Klotski (whole-layer prefetch)|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"placement infeasible: working set 37.9 GB exceeds VRAM 24.0 GB\")|timeline=none",
+            "Klotski (no reorder)|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"placement infeasible: working set 37.9 GB exceeds VRAM 24.0 GB\")|timeline=none",
+            "Klotski|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"placement infeasible: working set 37.9 GB exceeds VRAM 24.0 GB\")|timeline=none",
+            "Klotski (q)|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"placement infeasible: working set 37.9 GB exceeds VRAM 24.0 GB\")|timeline=none",
+            "Accelerate|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"activation workspace exceeds VRAM\")|timeline=none",
+            "FastGen|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"activation workspace exceeds VRAM\")|timeline=none",
+            "FlexGen|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"placement infeasible: working set 37.9 GB exceeds VRAM 24.0 GB\")|timeline=none",
+            "MoE-Infinity|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"resident footprint 2068.5 GB (weights 3.2 + KV 275.0 + activations 1786.7 + expert buffers 2.8) exceeds VRAM 24.0 GB\")|timeline=none",
+            "Fiddler|Mixtral-8x7B|total=0|prefill=0|decode=0|tokens=1024|busy=0|bubble=0|vram=0|dram=0|oom=Some(\"resident footprint 2068.5 GB (weights 3.2 + KV 275.0 + activations 1786.7 + expert buffers 2.8) exceeds VRAM 24.0 GB\")|timeline=none",
+        ],
+    );
+}
