@@ -699,6 +699,84 @@ mod tests {
         assert_eq!(dst.dequantize(), src.dequantize());
     }
 
+    /// 64-bit FNV-1a over the packed bytes, then the bit patterns of the
+    /// scales and the zeros.
+    fn quantized_fnv(q: &QuantizedMatrix) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let floats = q
+            .scales
+            .iter()
+            .chain(&q.zeros)
+            .flat_map(|v| v.to_bits().to_le_bytes());
+        for b in q.packed.iter().copied().chain(floats) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Pins the quantizer's exact output (codes, scales and zeros) on
+    /// seeded inputs, so a faster quantizer must reproduce it bit for bit.
+    #[test]
+    fn quantizer_output_is_pinned() {
+        let small = |bits| QuantConfig {
+            bits,
+            group_size: 32,
+            zero_group_size: 64,
+        };
+        let paper = QuantConfig::paper_default();
+        let mut cases: Vec<(String, Matrix, QuantConfig)> = (2..=8u32)
+            .map(|bits| {
+                let m = seeded_matrix(6, 100, 40 + u64::from(bits), 1.0);
+                (format!("bits{bits}_6x100"), m, small(bits))
+            })
+            .collect();
+        cases.push((
+            "paper_1024x256".into(),
+            crate::init::xavier_matrix(1024, 256, 5),
+            paper,
+        ));
+        cases.push((
+            "paper_256x1024".into(),
+            crate::init::xavier_matrix(256, 1024, 6),
+            paper,
+        ));
+        cases.push(("paper_7x150".into(), seeded_matrix(7, 150, 7, 2.0), paper));
+        cases.push((
+            "paper_const_4x96".into(),
+            Matrix::from_fn(4, 96, |_, _| -0.3),
+            paper,
+        ));
+        let expected: [u64; 11] = [
+            0x8f74_db07_9282_96b4, // bits2_6x100
+            0x6ea6_0484_e1dd_4195, // bits3_6x100
+            0xdef2_41f4_f498_e048, // bits4_6x100
+            0x7bf0_080e_9e3f_fa95, // bits5_6x100
+            0x62f3_87d4_f6fe_ce10, // bits6_6x100
+            0xa9e1_42de_0ca8_e4de, // bits7_6x100
+            0x0d05_ab39_7f96_1136, // bits8_6x100
+            0x0151_d6ff_f3eb_d4c4, // paper_1024x256
+            0x3d87_6344_2834_34f1, // paper_256x1024
+            0xb3eb_afb9_947d_2d38, // paper_7x150
+            0x777e_e0a2_fa72_8b6c, // paper_const_4x96
+        ];
+        let actual: Vec<(&str, u64)> = cases
+            .iter()
+            .map(|(name, m, cfg)| {
+                (
+                    name.as_str(),
+                    quantized_fnv(&QuantizedMatrix::quantize(m, *cfg)),
+                )
+            })
+            .collect();
+        let pinned: Vec<(&str, u64)> = cases
+            .iter()
+            .map(|(name, _, _)| name.as_str())
+            .zip(expected)
+            .collect();
+        assert_eq!(actual, pinned);
+    }
+
     #[test]
     fn bit_packer_round_trips_all_widths() {
         for bits in 2..=8u32 {
