@@ -74,10 +74,7 @@ impl Engine for Fiddler {
         sim.pool_mut(Tier::Vram)
             .alloc(static_vram.min(sc.hw.vram_bytes))
             .expect("footprint checked against VRAM");
-        let dram_cap = sim.pool(Tier::Dram).capacity();
-        sim.pool_mut(Tier::Dram)
-            .alloc(spec.total_bytes().min(dram_cap))
-            .expect("weights fit DRAM");
+        sim.pool_mut(Tier::Dram).alloc_up_to(spec.total_bytes());
 
         let mut carry: Option<TaskId> = None;
         let mut layer_ends: Vec<TaskId> = Vec::new();

@@ -96,10 +96,7 @@ impl Engine for MoeInfinity {
         sim.pool_mut(Tier::Vram)
             .alloc(static_vram)
             .expect("footprint checked against VRAM");
-        let dram_cap = sim.pool(Tier::Dram).capacity();
-        sim.pool_mut(Tier::Dram)
-            .alloc(spec.total_bytes().min(dram_cap))
-            .expect("weights fit DRAM");
+        sim.pool_mut(Tier::Dram).alloc_up_to(spec.total_bytes());
 
         // Activation tracing: warmed-up correlation table, updated online.
         let mut table = CorrelationTable::new(spec.n_moe_layers(), spec.n_experts);

@@ -71,10 +71,7 @@ fn run_seq(sc: &Scenario, name: String, overlap: bool) -> Result<InferenceReport
         let reason = "activation workspace exceeds VRAM".into();
         return Ok(rejected_report(name, spec, &wl, reason));
     }
-    let dram_cap = sim.pool(Tier::Dram).capacity();
-    sim.pool_mut(Tier::Dram)
-        .alloc(spec.total_bytes().min(dram_cap))
-        .expect("model weights fit DRAM in both environments");
+    sim.pool_mut(Tier::Dram).alloc_up_to(spec.total_bytes());
 
     let mut b = SeqBuilder {
         sim: &mut sim,

@@ -108,6 +108,26 @@ fn bench_quantizer(c: &mut Criterion) {
     c.bench_function("tensor/quantize_64x1024_4bit", |b| {
         b.iter(|| black_box(QuantizedMatrix::quantize(&w, QuantConfig::paper_default())))
     });
+    // One expert matrix, as the native store quantizes 96 of them per
+    // `run_pipeline` call: the group-at-a-time quantizer vs the retained
+    // per-element reference loop.
+    let expert = xavier_matrix(1024, 256, 6);
+    c.bench_function("tensor/quantize_1024x256_4bit", |b| {
+        b.iter(|| {
+            black_box(QuantizedMatrix::quantize(
+                &expert,
+                QuantConfig::paper_default(),
+            ))
+        })
+    });
+    c.bench_function("tensor/quantize_1024x256_4bit_reference", |b| {
+        b.iter(|| {
+            black_box(QuantizedMatrix::quantize_reference(
+                &expert,
+                QuantConfig::paper_default(),
+            ))
+        })
+    });
     let q = QuantizedMatrix::quantize(&w, QuantConfig::paper_default());
     c.bench_function("tensor/dequantize_64x1024_4bit", |b| {
         b.iter(|| black_box(q.dequantize()))
@@ -185,6 +205,16 @@ fn bench_fused_quant_gemm(c: &mut Criterion) {
         b.iter(|| {
             q.matmul_nt_fused_into(&xs, &mut out);
             black_box(out.row(15)[1023])
+        })
+    });
+    // One input row, the offloading regime's shape (1-2 tokens per
+    // expert), where decoding the codes outweighs the multiply-adds.
+    let x1 = xavier_matrix(1, 256, 8);
+    let mut out1 = Matrix::zeros(1, 1024);
+    c.bench_function("tensor/quant_gemm_1x256x1024_fused", |b| {
+        b.iter(|| {
+            q.matmul_nt_fused_into(&x1, &mut out1);
+            black_box(out1.row(0)[1023])
         })
     });
 }

@@ -14,7 +14,8 @@
 //!   GEMMs inline) vs the default pool;
 //! * **kernels** — the default pipeline with the tensor micro-kernels
 //!   forced to scalar (a [`BackendGuard`] held around the call) vs the
-//!   detected backend (`--features simd`: AVX2 or SSE2);
+//!   detected backend (AVX2 or SSE2; the SIMD kernels are a default
+//!   feature of `klotski-tensor`);
 //! * **quant** — a 4-bit expert store, staged (I/O-thread dequantize into
 //!   a dense slot, then dense GEMMs) vs fused (GEMM straight off the
 //!   packed codes).

@@ -246,10 +246,7 @@ impl Engine for KlotskiEngine {
             .filter(|&l| placement.is_expert_on_disk(l))
             .map(|l| expert_layer_bytes(&sc.spec, l))
             .sum();
-        let disk_cap = sim.pool(Tier::Disk).capacity();
-        sim.pool_mut(Tier::Disk)
-            .alloc(disk_bytes.min(disk_cap))
-            .expect("disk capacity is ample in both environments");
+        sim.pool_mut(Tier::Disk).alloc_up_to(disk_bytes);
 
         let mut b = Builder {
             spec: &sc.spec,

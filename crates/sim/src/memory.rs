@@ -203,6 +203,17 @@ impl MemoryPool {
         Ok(())
     }
 
+    /// Reserves as much of `bytes` as is available, `min(bytes,
+    /// available)`, and returns that amount. Infallible: for staging that
+    /// fills a tier up to its capacity (on a fresh pool, `min(bytes,
+    /// capacity)`).
+    pub fn alloc_up_to(&mut self, bytes: u64) -> u64 {
+        let granted = bytes.min(self.available());
+        self.in_use += granted;
+        self.peak = self.peak.max(self.in_use);
+        granted
+    }
+
     /// Releases `bytes`.
     ///
     /// # Panics
@@ -264,6 +275,15 @@ mod tests {
         assert_eq!(err.in_use, 80);
         assert_eq!(p.in_use(), 80);
         assert!(err.to_string().contains("out of memory on vram"));
+    }
+
+    #[test]
+    fn alloc_up_to_grants_what_is_available() {
+        let mut p = MemoryPool::new(Tier::Dram, 100);
+        assert_eq!(p.alloc_up_to(30), 30);
+        assert_eq!(p.alloc_up_to(500), 70);
+        assert_eq!(p.alloc_up_to(5), 0);
+        assert_eq!((p.in_use(), p.peak()), (100, 100));
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! path: row-major `f32` [`matrix::Matrix`] with matmul variants, the
 //! transformer activation/normalization kernels in [`ops`], HQQ-style
 //! group-wise quantization in [`quant`], and reproducible initialization in
-//! [`init`].
+//! [`init`]. The GEMM micro-kernels, the 4-bit decode and the quantizer's
+//! code pass dispatch at run time to the SSE2 or AVX2 backends in
+//! [`simd`], byte-identical to scalar; the default `simd` feature compiles
+//! them in.
 //!
 //! ```
 //! use klotski_tensor::init::xavier_matrix;

@@ -16,8 +16,8 @@
 //! per-token matvecs for batched GEMMs without perturbing the
 //! pipeline-vs-reference comparisons.
 //!
-//! With the `simd` cargo feature the register micro-kernels additionally
-//! dispatch to explicit x86-64 intrinsic implementations (see
+//! The register micro-kernels also dispatch to explicit x86-64 intrinsic
+//! implementations, compiled in by the default `simd` feature (see
 //! [`crate::simd`]); those are bit-identical too — each vector lane is one
 //! output's ascending-k scalar chain — so backend choice only moves
 //! wall-clock. The `*_with_backend` entry points pin a backend explicitly;

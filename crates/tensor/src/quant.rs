@@ -1,11 +1,15 @@
-//! Group-wise affine quantization (HQQ-style).
+//! Group-wise affine quantization (HQQ-style storage).
 //!
 //! The paper quantizes expert (and optionally attention) weights to 4 bits
 //! with a scale group of 64 and a zero-point group of 128 (§7,
 //! "Compression"), dequantizing back to full precision before compute. This
 //! module implements exactly that storage format: per-group scales, shared
-//! zero points, and weights bit-packed into a byte stream; plus the HQQ-ish
-//! refinement step that shrinks the zero/scale toward the robust optimum.
+//! zero points, and weights bit-packed into a byte stream. The quantizer is
+//! a single pass with no refinement step: each zero group's minimum is the
+//! origin, its scale groups take their range from that origin (equalized
+//! across the zero group), and codes round half away from zero and are
+//! clamped to the level range; [`QuantizedMatrix::quantize`] has the
+//! details.
 //!
 //! Two compute paths read the packed stream:
 //!
@@ -19,6 +23,13 @@
 //!   dequantize-then-GEMM: the dequant expression and every per-element
 //!   accumulation chain are unchanged (`f32` accumulators spill/reload
 //!   exactly across panels).
+//!
+//! At 4 bits both decode through one nibble kernel that [`KernelBackend`]
+//! dispatches like the GEMM micro-kernels: a scalar form a byte at a time,
+//! and SSE2 / AVX2 forms that widen 16 codes at once to `f32` and apply the
+//! subtract and the multiply as separate instructions, never fused. The
+//! quantizer's code pass is dispatched the same way. Every backend is
+//! byte-identical to the retained per-element reference loops.
 
 use crate::matrix::{Matrix, NT_COLS};
 use crate::simd::{active_backend, KernelBackend};
@@ -78,7 +89,8 @@ pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,
     config: QuantConfig,
-    /// Bit-packed codes, row-major, groups padded to the row end.
+    /// Bit-packed codes in row-major order, least significant bits first.
+    /// Scale and zero groups run over the flat index, across row ends.
     packed: Vec<u8>,
     /// One scale per scale-group.
     scales: Vec<f32>,
@@ -87,18 +99,77 @@ pub struct QuantizedMatrix {
 }
 
 impl QuantizedMatrix {
-    /// Quantizes `m` group-wise along rows.
+    /// Quantizes `m` group-wise over its row-major values.
     ///
-    /// Each run of `group_size` values within a row shares a scale; each
-    /// run of `zero_group_size` values shares a zero point. One refinement
-    /// pass nudges `(zero, scale)` toward minimizing the absolute
-    /// reconstruction error (the half-quadratic step of HQQ collapsed to a
-    /// single proximal iteration).
+    /// Each run of `group_size` values shares a scale and each run of
+    /// `zero_group_size` values a zero point; groups run over the flat
+    /// index, across row ends. For a zero group with minimum `lo` and
+    /// maximum `hi` (NaNs skipped):
+    ///
+    /// * `lo` is the origin. Every scale group in the zero group takes its
+    ///   range from that origin, widened to the zero group's `hi − lo`,
+    ///   and the scales are equalized across the zero group, so each one
+    ///   is `max(hi − lo, 1e-12) / (levels − 1)`;
+    /// * the zero point is `−lo / scale`, in code units;
+    /// * each value's code is `w / scale + zero`, rounded half away from
+    ///   zero and clamped to `[0, levels − 1]`; NaN codes as 0.
+    ///
+    /// The code pass runs on the [`active_backend`] with no libm call and
+    /// no index division. Clamping `w / scale + zero` before rounding
+    /// gives the same code as rounding first, and on the clamped,
+    /// non-negative range, truncating and then comparing the fraction with
+    /// 0.5 is exactly round-half-away-from-zero. The division stays a true
+    /// division. Bit-identical to [`QuantizedMatrix::quantize_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid (see [`QuantConfig`]).
     pub fn quantize(m: &Matrix, config: QuantConfig) -> Self {
+        Self::quantize_with_backend(m, config, active_backend())
+    }
+
+    /// [`QuantizedMatrix::quantize`] with the kernel backend of the code
+    /// pass pinned explicitly. Bit-identical at any backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid (see [`QuantConfig`]).
+    pub fn quantize_with_backend(m: &Matrix, config: QuantConfig, backend: KernelBackend) -> Self {
+        config.validate();
+        let g = config.group_size as usize;
+        let zg = config.zero_group_size as usize;
+        let top = (config.levels() - 1) as f32;
+        let data = m.as_slice();
+        let mut scales = Vec::with_capacity(data.len().div_ceil(g));
+        let mut zeros = Vec::with_capacity(data.len().div_ceil(zg));
+        let mut codes = vec![0u8; data.len()];
+        for (ws, cs) in data.chunks(zg).zip(codes.chunks_mut(zg)) {
+            let (lo, hi) = min_max(backend, ws);
+            let scale = 0.0f32.max(hi - lo).max(1e-12) / top;
+            let zero = -lo / scale;
+            scales.resize(scales.len() + ws.len().div_ceil(g), scale);
+            zeros.push(zero);
+            codes_b(backend, ws, scale, zero, top, cs);
+        }
+        QuantizedMatrix {
+            rows: m.rows(),
+            cols: m.cols(),
+            config,
+            packed: pack_codes(config.bits, &codes),
+            scales,
+            zeros,
+        }
+    }
+
+    /// The original quantization loop (three index divisions and a libm
+    /// `round` per value, a bit-stream call per code), kept so proptests
+    /// and the micro bench can pin [`QuantizedMatrix::quantize`]
+    /// bit-identical to the definition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid (see [`QuantConfig`]).
+    pub fn quantize_reference(m: &Matrix, config: QuantConfig) -> Self {
         config.validate();
         let g = config.group_size as usize;
         let zg = config.zero_group_size as usize;
@@ -135,11 +206,8 @@ impl QuantizedMatrix {
             *scale = span / (levels - 1.0);
         }
         for (zi, zero) in zeros.iter_mut().enumerate() {
-            // zero in code units relative to the *first* scale group of the
-            // zero group (scales within a zero group are equalized below).
-            let first_group = zi * zg / g;
-            *zero = -zgroup_mins[zi] / scales[first_group];
             // Equalize the scales across the zero group so one zero works.
+            let first_group = zi * zg / g;
             let last_group = ((zi + 1) * zg).div_ceil(g).min(n_groups);
             let max_scale = scales[first_group..last_group]
                 .iter()
@@ -182,27 +250,24 @@ impl QuantizedMatrix {
     /// thread uses when staging into a resident slot buffer.
     ///
     /// Decodes a scale group at a time: the group's zero and scale are
-    /// hoisted out of the inner loop and the packed bytes are drained in
-    /// bulk (64-bit refills), instead of two integer divisions and a
-    /// bit-stream state-machine call per element. Bit-identical to
+    /// hoisted out of the inner loop and the packed bytes are decoded in
+    /// bulk (16 nibbles per vector step at 4 bits, 64-bit refills at other
+    /// widths), instead of two integer divisions and a bit-stream
+    /// state-machine call per element. Bit-identical to
     /// [`QuantizedMatrix::dequantize_reference_into`], the retained
     /// per-element formulation.
     pub fn dequantize_into(&self, out: &mut Matrix) {
-        let g = self.config.group_size as usize;
-        let zg = self.config.zero_group_size as usize;
+        self.dequantize_into_with_backend(out, active_backend());
+    }
+
+    /// [`QuantizedMatrix::dequantize_into`] with the kernel backend pinned
+    /// explicitly. Bit-identical at any backend.
+    pub fn dequantize_into_with_backend(&self, out: &mut Matrix, backend: KernelBackend) {
         let n = self.rows * self.cols;
         let mut buf = std::mem::replace(out, Matrix::zeros(0, 0)).into_vec();
         buf.clear();
         buf.resize(n, 0.0);
-        let mut unpacker = BitUnpacker::new(self.config.bits, &self.packed);
-        for (gi, &scale) in self.scales.iter().enumerate() {
-            let lo = gi * g;
-            let hi = (lo + g).min(n);
-            // zero_group_size is a multiple of group_size, so one zero
-            // covers the whole scale group.
-            let zero = self.zeros[lo / zg];
-            unpacker.dequant_span(zero, scale, &mut buf[lo..hi]);
-        }
+        self.decode(&mut self.cursor(0), &mut buf, backend);
         *out = Matrix::from_vec(self.rows, self.cols, buf);
     }
 
@@ -227,27 +292,52 @@ impl QuantizedMatrix {
         *out = Matrix::from_vec(self.rows, self.cols, buf);
     }
 
-    /// Dequantizes columns `c0..c1` of weight row `row` into `out`
-    /// (`out.len() == c1 - c0`), walking the scale-group segments the
-    /// range crosses with zero/scale hoisted per segment. Groups are
-    /// flat-indexed, so a range may straddle group boundaries when `cols`
-    /// is not a multiple of the group size.
-    fn unpack_dequant_row_range(&self, row: usize, c0: usize, c1: usize, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), c1 - c0);
+    /// A cursor at flat code index `index` (see [`GroupCursor`]).
+    fn cursor(&self, index: usize) -> GroupCursor {
         let g = self.config.group_size as usize;
         let zg = self.config.zero_group_size as usize;
-        let start = row * self.cols + c0;
-        let end = row * self.cols + c1;
-        let mut unpacker = BitUnpacker::at(self.config.bits, &self.packed, start);
-        let mut i = start;
+        let (group, zero) = (index / g, index / zg);
+        GroupCursor {
+            index,
+            group,
+            group_end: (group + 1) * g,
+            zero,
+            zero_end: (zero + 1) * zg,
+        }
+    }
+
+    /// Dequantizes the `out.len()` codes from `at` on into `out` and
+    /// advances `at` past them, walking the scale-group segments the range
+    /// crosses with zero and scale hoisted per segment. At 4 bits each
+    /// segment goes through the nibble kernel on `backend`; other widths
+    /// stream through [`BitUnpacker::dequant_span`].
+    // analyze: no_alloc
+    fn decode(&self, at: &mut GroupCursor, out: &mut [f32], backend: KernelBackend) {
+        let g = self.config.group_size as usize;
+        let zg = self.config.zero_group_size as usize;
         let mut o = 0usize;
-        while i < end {
-            let gi = i / g;
-            let seg_end = ((gi + 1) * g).min(end);
-            let len = seg_end - i;
-            unpacker.dequant_span(self.zeros[i / zg], self.scales[gi], &mut out[o..o + len]);
-            i = seg_end;
+        while o < out.len() {
+            let len = (at.group_end - at.index).min(out.len() - o);
+            let (zero, scale) = (self.zeros[at.zero], self.scales[at.group]);
+            let span = &mut out[o..o + len];
+            if self.config.bits == 4 {
+                dequant4_b(backend, &self.packed, at.index, zero, scale, span);
+            } else {
+                BitUnpacker::at(self.config.bits, &self.packed, at.index)
+                    .dequant_span(zero, scale, span);
+            }
             o += len;
+            at.index += len;
+            if at.index == at.group_end {
+                // A zero group is a whole number of scale groups, so its
+                // end is always a scale-group end.
+                at.group += 1;
+                at.group_end += g;
+                if at.index == at.zero_end {
+                    at.zero += 1;
+                    at.zero_end += zg;
+                }
+            }
         }
     }
 
@@ -304,12 +394,14 @@ impl QuantizedMatrix {
                 for block in acc.iter_mut().take(m) {
                     *block = [0.0; NT_COLS];
                 }
+                let mut row_at: [GroupCursor; NT_COLS] =
+                    std::array::from_fn(|u| self.cursor((j + u) * k));
                 let mut k0 = 0usize;
                 while k0 < k {
                     let k1 = (k0 + FUSED_PANEL).min(k);
                     let plen = k1 - k0;
-                    for (u, panel) in panels.iter_mut().enumerate() {
-                        self.unpack_dequant_row_range(j + u, k0, k1, &mut panel[..plen]);
+                    for (panel, at) in panels.iter_mut().zip(&mut row_at) {
+                        self.decode(at, &mut panel[..plen], backend);
                     }
                     let rows: [&[f32]; NT_COLS] = std::array::from_fn(|u| &panels[u][..plen]);
                     let mut i = 0usize;
@@ -348,11 +440,12 @@ impl QuantizedMatrix {
                 let mut tail_acc = [0.0f32; FUSED_ROWS];
                 for jj in j..n {
                     tail_acc[..m].fill(0.0);
+                    let mut at = self.cursor(jj * k);
                     let mut k0 = 0usize;
                     while k0 < k {
                         let k1 = (k0 + FUSED_PANEL).min(k);
                         let plen = k1 - k0;
-                        self.unpack_dequant_row_range(jj, k0, k1, &mut panel[..plen]);
+                        self.decode(&mut at, &mut panel[..plen], backend);
                         for (i, t) in tail_acc.iter_mut().enumerate().take(m) {
                             let mut s = *t;
                             for (&x, &y) in a.row(i_base + i)[k0..k1].iter().zip(&panel[..plen]) {
@@ -411,6 +504,163 @@ impl QuantizedMatrix {
     pub fn error_bound(&self) -> f32 {
         self.scales.iter().fold(0.0f32, |a, &s| a.max(s)) * 0.5 + 1e-6
     }
+}
+
+/// A position in the flat code stream together with the scale group and
+/// zero group it falls in, so a decoder can walk group segments without
+/// dividing an index per segment.
+#[derive(Debug)]
+struct GroupCursor {
+    index: usize,
+    group: usize,
+    group_end: usize,
+    zero: usize,
+    zero_end: usize,
+}
+
+/// The minimum and maximum of `ws`, NaNs skipped (`±∞` when every value
+/// is NaN). The extremes are unique as numbers, so any order of
+/// comparisons finds them; only the sign of a zero result depends on the
+/// order. Like the reference's sequential `f32::min` / `f32::max` fold,
+/// this keeps the first of equal values, so a zero result takes the sign
+/// of the first zero in `ws`. (`f32::min` leaves that sign unspecified,
+/// and LLVM may vectorize a `min` reduction in another order.) The SIMD
+/// forms take the whole vector blocks and a scalar fold the rest.
+fn min_max(backend: KernelBackend, ws: &[f32]) -> (f32, f32) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let (done, lo, hi) = match backend {
+        // SAFETY: availability was checked when `backend` was selected.
+        KernelBackend::Avx2 => unsafe { crate::simd::x86::min_max_avx2(ws) },
+        KernelBackend::Sse2 => unsafe { crate::simd::x86::min_max_sse2(ws) },
+        KernelBackend::Scalar => (0, f32::INFINITY, f32::NEG_INFINITY),
+    };
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let (done, lo, hi) = {
+        let _ = backend;
+        (0, f32::INFINITY, f32::NEG_INFINITY)
+    };
+    let (lo, hi) = ws[done..].iter().fold((lo, hi), |(lo, hi), &w| {
+        (if w < lo { w } else { lo }, if w > hi { w } else { hi })
+    });
+    let first_zero = || ws.iter().copied().find(|&w| w == 0.0).unwrap_or(0.0);
+    (
+        if lo == 0.0 { first_zero() } else { lo },
+        if hi == 0.0 { first_zero() } else { hi },
+    )
+}
+
+/// One code of the quantizer: `w / scale + zero` clamped to `[0, top]`,
+/// then rounded half away from zero without libm: truncate, and add one
+/// when the fraction is at least 0.5. A NaN survives the clamp and
+/// truncates to 0.
+#[inline]
+fn code_of(w: f32, scale: f32, zero: f32, top: f32) -> u8 {
+    let y = (w / scale + zero).clamp(0.0, top);
+    let t = y as u32;
+    (t + u32::from(y - t as f32 >= 0.5)) as u8
+}
+
+/// The quantizer's code pass over one zero group's values, dispatched per
+/// backend: the SIMD forms take the whole vector blocks and [`code_of`]
+/// the rest. All forms are byte-identical.
+fn codes_b(backend: KernelBackend, w: &[f32], scale: f32, zero: f32, top: f32, out: &mut [u8]) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let done = match backend {
+        // SAFETY: availability was checked when `backend` was selected, and
+        // `out` is as long as `w`; `top` is at most 255.
+        KernelBackend::Avx2 => unsafe { crate::simd::x86::codes_avx2(w, scale, zero, top, out) },
+        KernelBackend::Sse2 => unsafe { crate::simd::x86::codes_sse2(w, scale, zero, top, out) },
+        KernelBackend::Scalar => 0,
+    };
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let done = {
+        let _ = backend;
+        0
+    };
+    for (c, &x) in out[done..].iter_mut().zip(&w[done..]) {
+        *c = code_of(x, scale, zero, top);
+    }
+}
+
+/// Packs codes (each below `2^bits`) into the byte stream
+/// [`BitUnpacker`] reads. At 4 bits each byte is two codes, low nibble
+/// first; other widths go through [`BitPacker`].
+fn pack_codes(bits: u32, codes: &[u8]) -> Vec<u8> {
+    if bits == 4 {
+        let mut packed = vec![0u8; codes.len().div_ceil(2)];
+        // Whole 32-code blocks first, a fixed-size loop the compiler
+        // vectorizes.
+        let blocks = codes.len() / 32;
+        let (head, tail) = packed.split_at_mut(16 * blocks);
+        for (bytes, block) in head.chunks_exact_mut(16).zip(codes.chunks_exact(32)) {
+            for (i, byte) in bytes.iter_mut().enumerate() {
+                *byte = block[2 * i] | (block[2 * i + 1] << 4);
+            }
+        }
+        for (byte, pair) in tail.iter_mut().zip(codes[32 * blocks..].chunks(2)) {
+            *byte = pair[0] | pair.get(1).map_or(0, |&high| high << 4);
+        }
+        return packed;
+    }
+    let mut packer = BitPacker::new(bits, codes.len());
+    for &c in codes {
+        packer.push(u32::from(c));
+    }
+    packer.into_bytes()
+}
+
+/// The scalar 4-bit decode, a byte at a time: `out[2i]` and `out[2i + 1]`
+/// are `(c − zero) · scale` for byte `i`'s low and high nibble.
+// analyze: no_alloc
+fn dequant4_scalar(bytes: &[u8], zero: f32, scale: f32, out: &mut [f32]) {
+    let dq = |c: u8| (f32::from(c) - zero) * scale;
+    let whole = out.len() / 2;
+    let mut pairs = out.chunks_exact_mut(2);
+    for (pair, &b) in (&mut pairs).zip(bytes) {
+        pair[0] = dq(b & 0x0F);
+        pair[1] = dq(b >> 4);
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = dq(bytes[whole] & 0x0F);
+    }
+}
+
+/// Backend dispatch for the 4-bit decode of the `out.len()` codes from
+/// flat index `start` of `packed`. A span starting on a high nibble
+/// decodes that code first; the SIMD forms then take the whole 16-code
+/// blocks and the scalar form the rest. All forms are byte-identical.
+// analyze: no_alloc
+fn dequant4_b(
+    backend: KernelBackend,
+    packed: &[u8],
+    start: usize,
+    zero: f32,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let mut bytes = &packed[start / 2..];
+    let mut out = out;
+    if start % 2 == 1 {
+        let Some((first, rest)) = out.split_first_mut() else {
+            return;
+        };
+        *first = (f32::from(bytes[0] >> 4) - zero) * scale;
+        (bytes, out) = (&bytes[1..], rest);
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let done = match backend {
+        // SAFETY: availability was checked when `backend` was selected, and
+        // `bytes` holds every code of `out`, two per byte.
+        KernelBackend::Avx2 => unsafe { crate::simd::x86::dequant4_avx2(bytes, zero, scale, out) },
+        KernelBackend::Sse2 => unsafe { crate::simd::x86::dequant4_sse2(bytes, zero, scale, out) },
+        KernelBackend::Scalar => 0,
+    };
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let done = {
+        let _ = backend;
+        0
+    };
+    dequant4_scalar(&bytes[done / 2..], zero, scale, &mut out[done..]);
 }
 
 /// Packs `bits`-wide codes into a little-endian byte stream.
@@ -520,17 +770,23 @@ impl<'a> BitUnpacker<'a> {
         let mut i = 0usize;
         while i < out.len() {
             if self.acc_bits < self.bits {
-                if self.acc_bits == 0 && self.pos + 8 <= self.bytes.len() {
-                    let word = &self.bytes[self.pos..self.pos + 8];
-                    self.acc = u64::from_le_bytes(word.try_into().unwrap());
-                    self.acc_bits = 64;
-                    self.pos += 8;
-                } else {
-                    while self.acc_bits <= 56 {
-                        let byte = self.bytes.get(self.pos).copied().unwrap_or(0);
-                        self.acc |= (byte as u64) << self.acc_bits;
-                        self.acc_bits += 8;
-                        self.pos += 1;
+                let word = self
+                    .bytes
+                    .get(self.pos..)
+                    .and_then(|rest| rest.first_chunk());
+                match word {
+                    Some(&word) if self.acc_bits == 0 => {
+                        self.acc = u64::from_le_bytes(word);
+                        self.acc_bits = 64;
+                        self.pos += 8;
+                    }
+                    _ => {
+                        while self.acc_bits <= 56 {
+                            let byte = self.bytes.get(self.pos).copied().unwrap_or(0);
+                            self.acc |= (byte as u64) << self.acc_bits;
+                            self.acc_bits += 8;
+                            self.pos += 1;
+                        }
                     }
                 }
             }
@@ -778,6 +1034,33 @@ mod tests {
     }
 
     #[test]
+    fn codes_round_half_away_from_zero_and_clamp() {
+        let cases = [
+            0.0f32,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_97,
+            14.5,
+            14.499_999,
+            15.0,
+            15.5,
+            -0.5,
+            -0.499_999_97,
+            -3.0,
+            1e30,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        for x in cases {
+            let expected = x.round().clamp(0.0, 15.0) as u32;
+            assert_eq!(u32::from(code_of(x, 1.0, 0.0, 15.0)), expected, "{x}");
+        }
+    }
+
+    #[test]
     fn bit_packer_round_trips_all_widths() {
         for bits in 2..=8u32 {
             let codes: Vec<u32> = (0..100).map(|i| i % (1 << bits)).collect();
@@ -798,9 +1081,127 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::init::seeded_matrix;
     use proptest::prelude::*;
 
+    /// (group, zero group) pairs: the small and paper presets, plus odd
+    /// group sizes whose boundaries fall mid-byte at 4 bits.
+    const GROUP_PAIRS: [(u32, u32); 4] = [(32, 64), (64, 128), (5, 15), (7, 7)];
+
+    fn backends() -> impl Iterator<Item = KernelBackend> {
+        [
+            KernelBackend::Scalar,
+            KernelBackend::Sse2,
+            KernelBackend::Avx2,
+        ]
+        .into_iter()
+        .filter(|b| b.is_available())
+    }
+
+    fn float_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Everything a quantized matrix stores, with floats as bit patterns
+    /// (so ±0.0 and NaN compare exactly).
+    fn stored_bits(q: &QuantizedMatrix) -> (Vec<u8>, Vec<u32>, Vec<u32>) {
+        (
+            q.packed.clone(),
+            float_bits(&q.scales),
+            float_bits(&q.zeros),
+        )
+    }
+
+    /// A seeded matrix reshaped by `mode`: 0 as drawn; 1 on a half-integer
+    /// grid where each zero group spans exactly `[0, top]` units, so the
+    /// scale is the unit and `w / scale + zero` lands exactly on .5 ties;
+    /// 2 with ±0.0 sprinkled in; 3 with every row constant; 4 with NaN and
+    /// ±∞ sprinkled in.
+    fn special_matrix(rows: usize, cols: usize, cfg: QuantConfig, mode: u32, seed: u64) -> Matrix {
+        let mut m = seeded_matrix(rows, cols, seed, 1.0);
+        let top = cfg.levels() - 1;
+        let zg = cfg.zero_group_size as usize;
+        let unit = [1.0f32, 0.25, 3.0][(seed % 3) as usize];
+        for (i, w) in m.as_mut_slice().iter_mut().enumerate() {
+            let h = ((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed) >> 32;
+            *w = match mode {
+                1 => match i % zg {
+                    0 => 0.0,
+                    1 => unit * top as f32,
+                    _ => unit * (h % u64::from(2 * top + 1)) as f32 * 0.5,
+                },
+                2 => [0.0, -0.0, *w, *w][(h % 4) as usize],
+                3 => (i / cols) as f32 * 0.5 - 1.0,
+                4 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, *w, *w, *w][(h % 6) as usize],
+                _ => *w,
+            };
+        }
+        m
+    }
+
     proptest! {
+        /// The quantizer is byte-identical to the retained reference loop
+        /// at every available backend — packed bytes, and the bit patterns
+        /// of scales and zeros — for bits 2–8, several group pairs, ragged
+        /// tails, exact .5 ties, ±0.0, constant rows, NaN and ±∞.
+        #[test]
+        fn quantize_matches_reference_bitwise(
+            rows in 0usize..6,
+            cols in 0usize..150,
+            bits in 2u32..=8,
+            groups in 0usize..4,
+            mode in 0u32..5,
+            seed in 0u64..1000,
+        ) {
+            let (group_size, zero_group_size) = GROUP_PAIRS[groups];
+            let cfg = QuantConfig { bits, group_size, zero_group_size };
+            let m = special_matrix(rows, cols, cfg, mode, seed);
+            let reference = stored_bits(&QuantizedMatrix::quantize_reference(&m, cfg));
+            for backend in backends() {
+                let q = QuantizedMatrix::quantize_with_backend(&m, cfg, backend);
+                prop_assert_eq!(&stored_bits(&q), &reference, "backend {}", backend);
+            }
+        }
+
+        /// At every available backend the decode is byte-identical to the
+        /// per-element reference, through `dequantize_into` and through the
+        /// fused GEMM's panels, for bits 2–8 and ragged tails. Odd column
+        /// counts and odd group sizes start spans on a high nibble.
+        #[test]
+        fn decode_matches_reference_at_every_backend(
+            rows in 0usize..11,
+            cols in 0usize..150,
+            bits in 2u32..=8,
+            groups in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let (group_size, zero_group_size) = GROUP_PAIRS[groups];
+            let cfg = QuantConfig { bits, group_size, zero_group_size };
+            let q = QuantizedMatrix::quantize_reference(&seeded_matrix(rows, cols, seed, 1.0), cfg);
+            let mut reference = Matrix::zeros(0, 0);
+            q.dequantize_reference_into(&mut reference);
+            let a = seeded_matrix(3, cols, seed ^ 0x55, 1.0);
+            let mut staged = Matrix::zeros(3, rows);
+            a.matmul_nt_into_with_backend(&reference, &mut staged, 1, KernelBackend::Scalar);
+            for backend in backends() {
+                let mut decoded = Matrix::from_fn(1, 1, |_, _| -7.0);
+                q.dequantize_into_with_backend(&mut decoded, backend);
+                prop_assert_eq!((decoded.rows(), decoded.cols()), (rows, cols));
+                prop_assert_eq!(
+                    float_bits(decoded.as_slice()),
+                    float_bits(reference.as_slice()),
+                    "dequantize_into, backend {}", backend
+                );
+                let mut fused = Matrix::from_fn(3, rows, |_, _| -7.0);
+                q.matmul_nt_fused_with_backend(&a, &mut fused, backend);
+                prop_assert_eq!(
+                    float_bits(fused.as_slice()),
+                    float_bits(staged.as_slice()),
+                    "fused, backend {}", backend
+                );
+            }
+        }
+
         /// Round-trip error never exceeds the analytic bound, for random
         /// shapes, widths and value ranges.
         #[test]

@@ -1,10 +1,11 @@
-//! Explicit SIMD kernel backends for the `matrix` micro-kernels.
+//! Explicit SIMD kernel backends for the `matrix` micro-kernels and the
+//! 4-bit quantization path.
 //!
 //! The register-blocked scalar micro-kernels in [`crate::matrix`] are
 //! already SIMD-*shaped*: the `nt` GEMM carries [`NT_COLS`](crate::matrix)
 //! independent output-column accumulators, and the AV kernel carries every
 //! output element across a 4-row block. This module makes that shape real
-//! with `core::arch` x86-64 intrinsics, behind the `simd` cargo feature:
+//! with `core::arch` x86-64 intrinsics, compiled in by default:
 //!
 //! * **SSE2** (the x86-64 baseline, always available): 4-lane vectors, the
 //!   8 column accumulators split into two halves;
@@ -32,6 +33,12 @@
 //! only; k-tails shorter than a block fall back to the scalar chain
 //! continuation (same lanes, same order).
 //!
+//! The [`crate::quant`] kernels follow the same contract. The 4-bit decode
+//! splits 8 packed bytes into 16 nibbles, widens them to `f32` exactly and
+//! computes `(code − zero) · scale` as a separate subtract and multiply.
+//! The quantizer's code pass keeps the true division, and its min/max pass
+//! skips NaNs as `f32::min` does.
+//!
 //! # Backend selection
 //!
 //! [`active_backend`] is what the public kernels use: the best detected
@@ -41,7 +48,8 @@
 //! backends sequentially, tests that must pin a backend use the
 //! `*_with_backend` kernel entry points instead of the global.
 //!
-//! Without the `simd` cargo feature (or off x86-64) the only available
+//! The intrinsics sit behind the crate's default `simd` cargo feature.
+//! Built with `--no-default-features` (or off x86-64), the only available
 //! backend is [`KernelBackend::Scalar`] and this module is pure plumbing.
 
 use std::fmt;
@@ -606,6 +614,222 @@ pub(crate) mod x86 {
             out[jj] = acc;
         }
     }
+
+    /// Splits 8 packed bytes into their 16 4-bit codes, in stream order:
+    /// byte `i`'s low nibble is code `2i`, its high nibble code `2i + 1`.
+    ///
+    /// # Safety
+    ///
+    /// Requires SSE2; `bytes` must point at 8 readable bytes.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: the caller guarantees SSE2 and 8 readable bytes at `bytes`;
+    // `loadl_epi64` reads exactly 8 unaligned bytes, the rest is
+    // register-only.
+    unsafe fn nibbles_16(bytes: *const u8) -> __m128i {
+        let b = _mm_loadl_epi64(bytes.cast());
+        let mask = _mm_set1_epi8(0x0F);
+        let lo = _mm_and_si128(b, mask);
+        let hi = _mm_and_si128(_mm_srli_epi16::<4>(b), mask);
+        _mm_unpacklo_epi8(lo, hi)
+    }
+
+    /// AVX2 form of the 4-bit decode (`quant::dequant4_scalar`):
+    /// `out[j] = (c_j − zero) · scale` over whole 16-code blocks, the codes
+    /// packed two per byte from `bytes[0]`. Each code is widened to `i32`,
+    /// converted to `f32` (exact below 2^24), then subtracted and
+    /// multiplied as two rounded operations — the scalar expression, lane
+    /// for lane, never fused. Returns how many codes it decoded (a multiple
+    /// of 16); the caller finishes the rest.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `bytes` must hold at least `out.len() / 2` bytes.
+    // analyze: no_alloc
+    #[target_feature(enable = "avx,avx2")]
+    // SAFETY: the caller guarantees AVX2 and `bytes.len() >= out.len() / 2`.
+    // The loop runs while `j + 16 <= out.len()`, so `nibbles_16` reads the
+    // 8 bytes `j / 2 .. j / 2 + 8`, all in `bytes`, and the two 8-float
+    // stores cover `out[j .. j + 16]`.
+    pub unsafe fn dequant4_avx2(bytes: &[u8], zero: f32, scale: f32, out: &mut [f32]) -> usize {
+        let (vz, vs) = (_mm256_set1_ps(zero), _mm256_set1_ps(scale));
+        let mut j = 0usize;
+        while j + 16 <= out.len() {
+            let codes = nibbles_16(bytes.as_ptr().add(j / 2));
+            let f0 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(codes));
+            let f1 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_srli_si128::<8>(codes)));
+            let dst = out.as_mut_ptr().add(j);
+            _mm256_storeu_ps(dst, _mm256_mul_ps(_mm256_sub_ps(f0, vz), vs));
+            _mm256_storeu_ps(dst.add(8), _mm256_mul_ps(_mm256_sub_ps(f1, vz), vs));
+            j += 16;
+        }
+        j
+    }
+
+    /// SSE2 form of the 4-bit decode (see [`dequant4_avx2`]): the codes
+    /// are widened to `i32` by interleaving with zero bytes.
+    ///
+    /// # Safety
+    ///
+    /// Requires SSE2; `bytes` must hold at least `out.len() / 2` bytes.
+    // analyze: no_alloc
+    #[target_feature(enable = "sse2")]
+    // SAFETY: the caller guarantees SSE2 and `bytes.len() >= out.len() / 2`.
+    // `j + 16 <= out.len()` keeps the 8-byte `nibbles_16` read inside
+    // `bytes` and the four 4-float stores inside `out[j .. j + 16]`.
+    pub unsafe fn dequant4_sse2(bytes: &[u8], zero: f32, scale: f32, out: &mut [f32]) -> usize {
+        let (vz, vs) = (_mm_set1_ps(zero), _mm_set1_ps(scale));
+        let z = _mm_setzero_si128();
+        let mut j = 0usize;
+        while j + 16 <= out.len() {
+            let codes = nibbles_16(bytes.as_ptr().add(j / 2));
+            let (w0, w1) = (_mm_unpacklo_epi8(codes, z), _mm_unpackhi_epi8(codes, z));
+            let words = [
+                _mm_unpacklo_epi16(w0, z),
+                _mm_unpackhi_epi16(w0, z),
+                _mm_unpacklo_epi16(w1, z),
+                _mm_unpackhi_epi16(w1, z),
+            ];
+            for (q, w) in words.into_iter().enumerate() {
+                let f = _mm_cvtepi32_ps(w);
+                _mm_storeu_ps(
+                    out.as_mut_ptr().add(j + 4 * q),
+                    _mm_mul_ps(_mm_sub_ps(f, vz), vs),
+                );
+            }
+            j += 16;
+        }
+        j
+    }
+
+    /// AVX2 minimum and maximum over the whole 8-value blocks of `w`, NaNs
+    /// skipped: `min_ps(w, lo)` returns its second operand when either is
+    /// NaN, so a NaN never replaces an accumulator. Returns how many values
+    /// it consumed (a multiple of 8) and the two extremes (`±∞` if none).
+    /// Which of two equal zeros survives is unspecified; the caller fixes
+    /// the sign of a zero result.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx,avx2")]
+    // SAFETY: the caller guarantees AVX2; `j + 8 <= w.len()` bounds each
+    // unaligned 8-float load, and the final stores go to local arrays.
+    pub unsafe fn min_max_avx2(w: &[f32]) -> (usize, f32, f32) {
+        let mut lo = _mm256_set1_ps(f32::INFINITY);
+        let mut hi = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut j = 0usize;
+        while j + 8 <= w.len() {
+            let v = _mm256_loadu_ps(w.as_ptr().add(j));
+            lo = _mm256_min_ps(v, lo);
+            hi = _mm256_max_ps(v, hi);
+            j += 8;
+        }
+        let (mut lanes_lo, mut lanes_hi) = ([0.0f32; 8], [0.0f32; 8]);
+        _mm256_storeu_ps(lanes_lo.as_mut_ptr(), lo);
+        _mm256_storeu_ps(lanes_hi.as_mut_ptr(), hi);
+        let lo = lanes_lo
+            .into_iter()
+            .fold(f32::INFINITY, |a, x| if x < a { x } else { a });
+        let hi = lanes_hi
+            .into_iter()
+            .fold(f32::NEG_INFINITY, |a, x| if x > a { x } else { a });
+        (j, lo, hi)
+    }
+
+    /// SSE2 form of [`min_max_avx2`], over whole 4-value blocks.
+    ///
+    /// # Safety
+    ///
+    /// Requires SSE2.
+    #[target_feature(enable = "sse2")]
+    // SAFETY: the caller guarantees SSE2; `j + 4 <= w.len()` bounds each
+    // unaligned 4-float load, and the final stores go to local arrays.
+    pub unsafe fn min_max_sse2(w: &[f32]) -> (usize, f32, f32) {
+        let mut lo = _mm_set1_ps(f32::INFINITY);
+        let mut hi = _mm_set1_ps(f32::NEG_INFINITY);
+        let mut j = 0usize;
+        while j + 4 <= w.len() {
+            let v = _mm_loadu_ps(w.as_ptr().add(j));
+            lo = _mm_min_ps(v, lo);
+            hi = _mm_max_ps(v, hi);
+            j += 4;
+        }
+        let (mut lanes_lo, mut lanes_hi) = ([0.0f32; 4], [0.0f32; 4]);
+        _mm_storeu_ps(lanes_lo.as_mut_ptr(), lo);
+        _mm_storeu_ps(lanes_hi.as_mut_ptr(), hi);
+        let lo = lanes_lo
+            .into_iter()
+            .fold(f32::INFINITY, |a, x| if x < a { x } else { a });
+        let hi = lanes_hi
+            .into_iter()
+            .fold(f32::NEG_INFINITY, |a, x| if x > a { x } else { a });
+        (j, lo, hi)
+    }
+
+    /// AVX2 form of the quantizer's code pass (`quant::code_of`): for whole
+    /// 8-value blocks, `w / scale + zero` by a true division and an add,
+    /// clamped to `[0, top]` (`max` returns its second operand, 0, for a
+    /// NaN), then truncated and bumped by one where the fraction is at
+    /// least 0.5. Returns how many codes it wrote (a multiple of 8).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `out.len() >= w.len()`, and `top < 256`.
+    #[target_feature(enable = "avx,avx2")]
+    // SAFETY: the caller guarantees AVX2 and `out.len() >= w.len()`. The
+    // loop runs while `j + 8 <= w.len()`, so the 8-float load reads
+    // `w[j .. j + 8]` and the 8-byte store writes `out[j .. j + 8]`.
+    pub unsafe fn codes_avx2(w: &[f32], scale: f32, zero: f32, top: f32, out: &mut [u8]) -> usize {
+        let (vs, vz, vt) = (
+            _mm256_set1_ps(scale),
+            _mm256_set1_ps(zero),
+            _mm256_set1_ps(top),
+        );
+        let half = _mm256_set1_ps(0.5);
+        let mut j = 0usize;
+        while j + 8 <= w.len() {
+            let x = _mm256_add_ps(_mm256_div_ps(_mm256_loadu_ps(w.as_ptr().add(j)), vs), vz);
+            let y = _mm256_min_ps(_mm256_max_ps(x, _mm256_setzero_ps()), vt);
+            let t = _mm256_cvttps_epi32(y);
+            let frac = _mm256_sub_ps(y, _mm256_cvtepi32_ps(t));
+            // The mask lanes are -1 where rounding goes up.
+            let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(frac, half));
+            let c = _mm256_sub_epi32(t, up);
+            let c16 = _mm_packs_epi32(_mm256_castsi256_si128(c), _mm256_extracti128_si256::<1>(c));
+            _mm_storel_epi64(out.as_mut_ptr().add(j).cast(), _mm_packus_epi16(c16, c16));
+            j += 8;
+        }
+        j
+    }
+
+    /// SSE2 form of the quantizer's code pass (see [`codes_avx2`]), 4
+    /// values at a time.
+    ///
+    /// # Safety
+    ///
+    /// Requires SSE2; `out.len() >= w.len()`, and `top < 256`.
+    #[target_feature(enable = "sse2")]
+    // SAFETY: the caller guarantees SSE2 and `out.len() >= w.len()`;
+    // `j + 4 <= w.len()` bounds the 4-float load from `w` and the 4-byte
+    // write to `out`.
+    pub unsafe fn codes_sse2(w: &[f32], scale: f32, zero: f32, top: f32, out: &mut [u8]) -> usize {
+        let (vs, vz, vt) = (_mm_set1_ps(scale), _mm_set1_ps(zero), _mm_set1_ps(top));
+        let half = _mm_set1_ps(0.5);
+        let mut j = 0usize;
+        while j + 4 <= w.len() {
+            let x = _mm_add_ps(_mm_div_ps(_mm_loadu_ps(w.as_ptr().add(j)), vs), vz);
+            let y = _mm_min_ps(_mm_max_ps(x, _mm_setzero_ps()), vt);
+            let t = _mm_cvttps_epi32(y);
+            let frac = _mm_sub_ps(y, _mm_cvtepi32_ps(t));
+            let c = _mm_sub_epi32(t, _mm_castps_si128(_mm_cmpge_ps(frac, half)));
+            let c16 = _mm_packs_epi32(c, c);
+            let word = _mm_cvtsi128_si32(_mm_packus_epi16(c16, c16)) as u32;
+            out[j..j + 4].copy_from_slice(&word.to_le_bytes());
+            j += 4;
+        }
+        j
+    }
 }
 
 #[cfg(test)]
@@ -624,6 +848,15 @@ mod tests {
     fn scalar_is_always_available() {
         assert!(KernelBackend::Scalar.is_available());
         assert!(detected_backend() >= KernelBackend::Scalar);
+    }
+
+    /// A build without the `simd` feature dispatches to scalar only. Every
+    /// dependent crate turns on this crate's default features, so only a
+    /// `--no-default-features` test of this crate runs this.
+    #[test]
+    #[cfg(not(feature = "simd"))]
+    fn scalar_only_build_detects_scalar() {
+        assert_eq!(detected_backend(), KernelBackend::Scalar);
     }
 
     #[test]
