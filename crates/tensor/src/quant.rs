@@ -28,8 +28,8 @@
 //! dispatches like the GEMM micro-kernels: a scalar form a byte at a time,
 //! and SSE2 / AVX2 forms that widen 16 codes at once to `f32` and apply the
 //! subtract and the multiply as separate instructions, never fused. The
-//! quantizer's code pass is dispatched the same way. Every backend is
-//! byte-identical to the retained per-element reference loops.
+//! quantizer's min/max and code passes are dispatched the same way. Every
+//! backend is byte-identical to the retained per-element reference loops.
 
 use crate::matrix::{Matrix, NT_COLS};
 use crate::simd::{active_backend, KernelBackend};
@@ -114,8 +114,8 @@ impl QuantizedMatrix {
     /// * each value's code is `w / scale + zero`, rounded half away from
     ///   zero and clamped to `[0, levels − 1]`; NaN codes as 0.
     ///
-    /// The code pass runs on the [`active_backend`] with no libm call and
-    /// no index division. Clamping `w / scale + zero` before rounding
+    /// The min/max and code passes run on the [`active_backend`], with no
+    /// libm call and no index division. Clamping `w / scale + zero` before rounding
     /// gives the same code as rounding first, and on the clamped,
     /// non-negative range, truncating and then comparing the fraction with
     /// 0.5 is exactly round-half-away-from-zero. The division stays a true
@@ -128,8 +128,9 @@ impl QuantizedMatrix {
         Self::quantize_with_backend(m, config, active_backend())
     }
 
-    /// [`QuantizedMatrix::quantize`] with the kernel backend of the code
-    /// pass pinned explicitly. Bit-identical at any backend.
+    /// [`QuantizedMatrix::quantize`] with the kernel backend of the
+    /// min/max and code passes pinned explicitly. Bit-identical at any
+    /// backend.
     ///
     /// # Panics
     ///
@@ -1163,12 +1164,30 @@ mod proptests {
             }
         }
 
-        /// At every available backend the decode is byte-identical to the
-        /// per-element reference, through `dequantize_into` and through the
-        /// fused GEMM's panels, for bits 2–8 and ragged tails. Odd column
-        /// counts and odd group sizes start spans on a high nibble.
+        /// Round-trip error never exceeds the analytic bound, for random
+        /// shapes, widths and value ranges.
         #[test]
-        fn decode_matches_reference_at_every_backend(
+        fn quantize_error_bound_holds(
+            rows in 1usize..6,
+            cols in 1usize..200,
+            bits in 3u32..=8,
+            scale in 0.01f32..100.0,
+            seed in 0u64..50,
+        ) {
+            let m = crate::init::seeded_matrix(rows, cols, seed, scale);
+            let cfg = QuantConfig { bits, group_size: 32, zero_group_size: 64 };
+            let q = QuantizedMatrix::quantize(&m, cfg);
+            let d = q.dequantize();
+            prop_assert!(m.max_abs_diff(&d) <= q.error_bound() * 1.001);
+        }
+
+        /// At every available backend the grouped decode is byte-identical
+        /// to the retained per-element reference, through `dequantize_into`
+        /// and through the fused GEMM's panels, for bits 2–8 and ragged
+        /// tails. Odd column counts and odd group sizes start spans on a
+        /// high nibble.
+        #[test]
+        fn grouped_dequantize_matches_reference(
             rows in 0usize..11,
             cols in 0usize..150,
             bits in 2u32..=8,
@@ -1200,42 +1219,6 @@ mod proptests {
                     "fused, backend {}", backend
                 );
             }
-        }
-
-        /// Round-trip error never exceeds the analytic bound, for random
-        /// shapes, widths and value ranges.
-        #[test]
-        fn quantize_error_bound_holds(
-            rows in 1usize..6,
-            cols in 1usize..200,
-            bits in 3u32..=8,
-            scale in 0.01f32..100.0,
-            seed in 0u64..50,
-        ) {
-            let m = crate::init::seeded_matrix(rows, cols, seed, scale);
-            let cfg = QuantConfig { bits, group_size: 32, zero_group_size: 64 };
-            let q = QuantizedMatrix::quantize(&m, cfg);
-            let d = q.dequantize();
-            prop_assert!(m.max_abs_diff(&d) <= q.error_bound() * 1.001);
-        }
-
-        /// The grouped bulk dequantizer is byte-identical to the retained
-        /// per-element reference for every bit width and ragged tail.
-        #[test]
-        fn grouped_dequantize_matches_reference(
-            rows in 0usize..6,
-            cols in 0usize..150,
-            bits in 2u32..=8,
-            seed in 0u64..50,
-        ) {
-            let m = crate::init::seeded_matrix(rows, cols, seed, 1.0);
-            let cfg = QuantConfig { bits, group_size: 32, zero_group_size: 64 };
-            let q = QuantizedMatrix::quantize(&m, cfg);
-            let mut fast = Matrix::zeros(0, 0);
-            let mut reference = Matrix::zeros(0, 0);
-            q.dequantize_into(&mut fast);
-            q.dequantize_reference_into(&mut reference);
-            prop_assert_eq!(fast, reference);
         }
 
         /// The fused quantized GEMM is byte-identical to dequantize +
