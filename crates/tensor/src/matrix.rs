@@ -105,8 +105,9 @@ fn axpy_scalar(a: f32, x: &[f32], out: &mut [f32]) {
 pub(crate) fn axpy_b(backend: KernelBackend, a: f32, x: &[f32], out: &mut [f32]) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     match backend {
-        // SAFETY: availability was checked when `backend` was selected
-        // (detection or `force_backend`), and `x` covers `out`.
+        // SAFETY: `backend` is available: the entry point that took it
+        // asserted so (`assert_available`), or it came from
+        // `active_backend`. `x` covers `out`.
         KernelBackend::Avx2 => return unsafe { crate::simd::x86::axpy_avx2(a, x, out) },
         KernelBackend::Sse2 => return unsafe { crate::simd::x86::axpy_sse2(a, x, out) },
         KernelBackend::Scalar => {}
@@ -164,8 +165,8 @@ pub(crate) fn nt_micro_1xu_b(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     match backend {
-        // SAFETY: availability was checked when `backend` was selected,
-        // and the caller guarantees the row lengths.
+        // SAFETY: `backend` is available (asserted by the entry point that
+        // took it, or from `active_backend`), and the caller guarantees the row lengths.
         KernelBackend::Avx2 => {
             return unsafe { crate::simd::x86::nt_micro_1x8_avx2(a_row, rows, acc) }
         }
@@ -192,8 +193,8 @@ pub(crate) fn nt_micro_2xu_b(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     match backend {
-        // SAFETY: availability was checked when `backend` was selected,
-        // and the caller guarantees `a0.len() == a1.len()` and the row
+        // SAFETY: `backend` is available (asserted by the entry point that
+        // took it, or from `active_backend`), and the caller guarantees `a0.len() == a1.len()` and the row
         // lengths (doc contract above).
         KernelBackend::Avx2 => {
             return unsafe { crate::simd::x86::nt_micro_2x8_avx2(a0, a1, rows, acc0, acc1) }
@@ -492,7 +493,7 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics on any shape mismatch.
+    /// Panics on any shape mismatch, or if `backend` is unavailable.
     pub fn matmul_into_with_backend(
         &self,
         rhs: &Matrix,
@@ -500,6 +501,7 @@ impl Matrix {
         threads: usize,
         backend: KernelBackend,
     ) {
+        backend.assert_available();
         assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
         assert_eq!(out.rows, self.rows, "output rows mismatch");
         assert_eq!(out.cols, rhs.cols, "output cols mismatch");
@@ -579,7 +581,7 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics on any shape mismatch.
+    /// Panics on any shape mismatch, or if `backend` is unavailable.
     pub fn matmul_nt_into_with_backend(
         &self,
         rhs: &Matrix,
@@ -587,6 +589,7 @@ impl Matrix {
         threads: usize,
         backend: KernelBackend,
     ) {
+        backend.assert_available();
         assert_eq!(self.cols, rhs.cols, "inner dimension mismatch");
         assert_eq!(out.rows, self.rows, "output rows mismatch");
         assert_eq!(out.cols, rhs.rows, "output cols mismatch");
@@ -621,8 +624,10 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.cols` or `out.len() != self.rows`.
+    /// Panics if `x.len() != self.cols` or `out.len() != self.rows`,
+    /// or if `backend` is unavailable.
     pub fn matvec_into_with_backend(&self, x: &[f32], out: &mut [f32], backend: KernelBackend) {
+        backend.assert_available();
         assert_eq!(x.len(), self.cols, "matvec input width mismatch");
         assert_eq!(out.len(), self.rows, "matvec output width mismatch");
         mm_nt_rows(x, 1, self.cols, &self.data, self.rows, out, backend);
@@ -830,7 +835,8 @@ pub fn matvec_strided_into(x: &[f32], rows: &StridedRows<'_>, idx: &[usize], out
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != idx.len()` or `x.len() != rows.width()`.
+/// Panics if `out.len() != idx.len()` or `x.len() != rows.width()`,
+/// or if `backend` is unavailable.
 // analyze: no_alloc
 pub fn matvec_strided_into_with_backend(
     x: &[f32],
@@ -839,6 +845,7 @@ pub fn matvec_strided_into_with_backend(
     out: &mut [f32],
     backend: KernelBackend,
 ) {
+    backend.assert_available();
     assert_eq!(out.len(), idx.len(), "strided matvec output len mismatch");
     assert_eq!(x.len(), rows.width(), "strided matvec input width mismatch");
     let mut i = 0;
@@ -870,8 +877,8 @@ fn wr_block_b(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     match backend {
-        // SAFETY: availability was checked when `backend` was selected,
-        // and the caller guarantees the row lengths.
+        // SAFETY: `backend` is available (asserted by the entry point that
+        // took it, or from `active_backend`), and the caller guarantees the row lengths.
         KernelBackend::Avx2 => return unsafe { crate::simd::x86::wr_block_avx2(wv, sel, out) },
         KernelBackend::Sse2 => return unsafe { crate::simd::x86::wr_block_sse2(wv, sel, out) },
         KernelBackend::Scalar => {}
@@ -929,7 +936,8 @@ pub fn weighted_rows_into(w: &[f32], rows: &StridedRows<'_>, idx: &[usize], out:
 ///
 /// # Panics
 ///
-/// Panics if `w.len() != idx.len()` or `out.len() != rows.width()`.
+/// Panics if `w.len() != idx.len()` or `out.len() != rows.width()`,
+/// or if `backend` is unavailable.
 // analyze: no_alloc
 pub fn weighted_rows_into_with_backend(
     w: &[f32],
@@ -938,6 +946,7 @@ pub fn weighted_rows_into_with_backend(
     out: &mut [f32],
     backend: KernelBackend,
 ) {
+    backend.assert_available();
     assert_eq!(w.len(), idx.len(), "weighted rows weight len mismatch");
     assert_eq!(
         out.len(),

@@ -26,9 +26,10 @@
 //!
 //! At 4 bits both decode through one nibble kernel that [`KernelBackend`]
 //! dispatches like the GEMM micro-kernels: a scalar form a byte at a time,
-//! and SSE2 / AVX2 forms that widen 16 codes at once to `f32` and apply the
+//! and an AVX2 form that widens 16 codes at once to `f32` and applies the
 //! subtract and the multiply as separate instructions, never fused. The
-//! quantizer's min/max and code passes are dispatched the same way. Every
+//! quantizer's min/max and code passes are dispatched the same way. The
+//! SSE2 backend runs the scalar forms of these three kernels. Every
 //! backend is byte-identical to the retained per-element reference loops.
 
 use crate::matrix::{Matrix, NT_COLS};
@@ -129,14 +130,20 @@ impl QuantizedMatrix {
     }
 
     /// [`QuantizedMatrix::quantize`] with the kernel backend of the
-    /// min/max and code passes pinned explicitly. Bit-identical at any
-    /// backend.
+    /// min/max and code passes pinned explicitly, for the tests that
+    /// compare backends. Bit-identical at any backend.
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid (see [`QuantConfig`]).
-    pub fn quantize_with_backend(m: &Matrix, config: QuantConfig, backend: KernelBackend) -> Self {
+    /// Panics if `config` is invalid (see [`QuantConfig`]) or `backend` is
+    /// unavailable.
+    pub(crate) fn quantize_with_backend(
+        m: &Matrix,
+        config: QuantConfig,
+        backend: KernelBackend,
+    ) -> Self {
         config.validate();
+        backend.assert_available();
         let g = config.group_size as usize;
         let zg = config.zero_group_size as usize;
         let top = (config.levels() - 1) as f32;
@@ -262,8 +269,14 @@ impl QuantizedMatrix {
     }
 
     /// [`QuantizedMatrix::dequantize_into`] with the kernel backend pinned
-    /// explicitly. Bit-identical at any backend.
-    pub fn dequantize_into_with_backend(&self, out: &mut Matrix, backend: KernelBackend) {
+    /// explicitly, for the tests that compare backends. Bit-identical at
+    /// any backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is unavailable.
+    pub(crate) fn dequantize_into_with_backend(&self, out: &mut Matrix, backend: KernelBackend) {
+        backend.assert_available();
         let n = self.rows * self.cols;
         let mut buf = std::mem::replace(out, Matrix::zeros(0, 0)).into_vec();
         buf.clear();
@@ -363,7 +376,7 @@ impl QuantizedMatrix {
     ///
     /// # Panics
     ///
-    /// Panics on any shape mismatch.
+    /// Panics on any shape mismatch, or if `backend` is unavailable.
     // analyze: no_alloc
     pub fn matmul_nt_fused_with_backend(
         &self,
@@ -371,6 +384,7 @@ impl QuantizedMatrix {
         out: &mut Matrix,
         backend: KernelBackend,
     ) {
+        backend.assert_available();
         assert_eq!(a.cols(), self.cols, "inner dimension mismatch");
         assert_eq!(out.rows(), a.rows(), "output rows mismatch");
         assert_eq!(out.cols(), self.rows, "output cols mismatch");
@@ -522,18 +536,20 @@ struct GroupCursor {
 /// The minimum and maximum of `ws`, NaNs skipped (`±∞` when every value
 /// is NaN). The extremes are unique as numbers, so any order of
 /// comparisons finds them; only the sign of a zero result depends on the
-/// order. Like the reference's sequential `f32::min` / `f32::max` fold,
-/// this keeps the first of equal values, so a zero result takes the sign
-/// of the first zero in `ws`. (`f32::min` leaves that sign unspecified,
-/// and LLVM may vectorize a `min` reduction in another order.) The SIMD
-/// forms take the whole vector blocks and a scalar fold the rest.
+/// order. Only the minimum's sign reaches a stored bit (through the zero
+/// point `−lo / scale`; the scale reads `hi − lo`, whose value the sign of
+/// a zero `hi` never changes). Like the reference's sequential `f32::min`
+/// fold, a zero minimum takes the sign of the first zero in `ws`.
+/// (`f32::min` leaves that sign unspecified, and LLVM may vectorize a
+/// `min` reduction in another order.) The AVX2 form takes the whole
+/// vector blocks and a scalar fold the rest.
 fn min_max(backend: KernelBackend, ws: &[f32]) -> (f32, f32) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     let (done, lo, hi) = match backend {
-        // SAFETY: availability was checked when `backend` was selected.
+        // SAFETY: `backend` is available (asserted by the entry point that
+        // took it, or from `active_backend`).
         KernelBackend::Avx2 => unsafe { crate::simd::x86::min_max_avx2(ws) },
-        KernelBackend::Sse2 => unsafe { crate::simd::x86::min_max_sse2(ws) },
-        KernelBackend::Scalar => (0, f32::INFINITY, f32::NEG_INFINITY),
+        KernelBackend::Sse2 | KernelBackend::Scalar => (0, f32::INFINITY, f32::NEG_INFINITY),
     };
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     let (done, lo, hi) = {
@@ -543,11 +559,11 @@ fn min_max(backend: KernelBackend, ws: &[f32]) -> (f32, f32) {
     let (lo, hi) = ws[done..].iter().fold((lo, hi), |(lo, hi), &w| {
         (if w < lo { w } else { lo }, if w > hi { w } else { hi })
     });
-    let first_zero = || ws.iter().copied().find(|&w| w == 0.0).unwrap_or(0.0);
-    (
-        if lo == 0.0 { first_zero() } else { lo },
-        if hi == 0.0 { first_zero() } else { hi },
-    )
+    if lo == 0.0 {
+        let first_zero = ws.iter().copied().find(|&w| w == 0.0).unwrap_or(0.0);
+        return (first_zero, hi);
+    }
+    (lo, hi)
 }
 
 /// One code of the quantizer: `w / scale + zero` clamped to `[0, top]`,
@@ -562,16 +578,16 @@ fn code_of(w: f32, scale: f32, zero: f32, top: f32) -> u8 {
 }
 
 /// The quantizer's code pass over one zero group's values, dispatched per
-/// backend: the SIMD forms take the whole vector blocks and [`code_of`]
+/// backend: the AVX2 form takes the whole vector blocks and [`code_of`]
 /// the rest. All forms are byte-identical.
 fn codes_b(backend: KernelBackend, w: &[f32], scale: f32, zero: f32, top: f32, out: &mut [u8]) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     let done = match backend {
-        // SAFETY: availability was checked when `backend` was selected, and
-        // `out` is as long as `w`; `top` is at most 255.
+        // SAFETY: `backend` is available (asserted by the entry point that
+        // took it, or from `active_backend`); `out` is as long as `w`, and
+        // `top` is at most 255.
         KernelBackend::Avx2 => unsafe { crate::simd::x86::codes_avx2(w, scale, zero, top, out) },
-        KernelBackend::Sse2 => unsafe { crate::simd::x86::codes_sse2(w, scale, zero, top, out) },
-        KernelBackend::Scalar => 0,
+        KernelBackend::Sse2 | KernelBackend::Scalar => 0,
     };
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     let done = {
@@ -628,7 +644,7 @@ fn dequant4_scalar(bytes: &[u8], zero: f32, scale: f32, out: &mut [f32]) {
 
 /// Backend dispatch for the 4-bit decode of the `out.len()` codes from
 /// flat index `start` of `packed`. A span starting on a high nibble
-/// decodes that code first; the SIMD forms then take the whole 16-code
+/// decodes that code first; the AVX2 form then takes the whole 16-code
 /// blocks and the scalar form the rest. All forms are byte-identical.
 // analyze: no_alloc
 fn dequant4_b(
@@ -650,11 +666,11 @@ fn dequant4_b(
     }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     let done = match backend {
-        // SAFETY: availability was checked when `backend` was selected, and
-        // `bytes` holds every code of `out`, two per byte.
+        // SAFETY: `backend` is available (asserted by the entry point that
+        // took it, or from `active_backend`), and `bytes` holds every code
+        // of `out`, two per byte.
         KernelBackend::Avx2 => unsafe { crate::simd::x86::dequant4_avx2(bytes, zero, scale, out) },
-        KernelBackend::Sse2 => unsafe { crate::simd::x86::dequant4_sse2(bytes, zero, scale, out) },
-        KernelBackend::Scalar => 0,
+        KernelBackend::Sse2 | KernelBackend::Scalar => 0,
     };
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     let done = {

@@ -33,7 +33,8 @@
 //! only; k-tails shorter than a block fall back to the scalar chain
 //! continuation (same lanes, same order).
 //!
-//! The [`crate::quant`] kernels follow the same contract. The 4-bit decode
+//! The [`crate::quant`] kernels follow the same contract, in an AVX2 form
+//! only (the SSE2 backend runs their scalar forms). The 4-bit decode
 //! splits 8 packed bytes into 16 nibbles, widens them to `f32` exactly and
 //! computes `(code − zero) · scale` as a separate subtract and multiply.
 //! The quantizer's code pass keeps the true division, and its min/max pass
@@ -87,6 +88,18 @@ impl KernelBackend {
     /// Whether this build *and* this CPU can run the backend.
     pub fn is_available(self) -> bool {
         self <= detected_backend()
+    }
+
+    /// Panics unless the backend [`is_available`](Self::is_available):
+    /// the `*_with_backend` kernel entry points run the intrinsics of the
+    /// backend they are given, so an unavailable one must never reach them.
+    #[track_caller]
+    pub(crate) fn assert_available(self) {
+        assert!(
+            self.is_available(),
+            "kernel backend {self} unavailable (detected: {})",
+            detected_backend()
+        );
     }
 
     fn from_u8(v: u8) -> Option<KernelBackend> {
@@ -149,11 +162,7 @@ static FORCED: AtomicU8 = AtomicU8::new(0);
 /// silently falling back would make an A/B benchmark lie.
 pub fn force_backend(backend: Option<KernelBackend>) {
     if let Some(b) = backend {
-        assert!(
-            b.is_available(),
-            "kernel backend {b} unavailable (detected: {})",
-            detected_backend()
-        );
+        b.assert_available();
     }
     FORCED.store(backend.map_or(0, KernelBackend::to_u8), Ordering::Relaxed);
 }
@@ -615,32 +624,15 @@ pub(crate) mod x86 {
         }
     }
 
-    /// Splits 8 packed bytes into their 16 4-bit codes, in stream order:
-    /// byte `i`'s low nibble is code `2i`, its high nibble code `2i + 1`.
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2; `bytes` must point at 8 readable bytes.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    // SAFETY: the caller guarantees SSE2 and 8 readable bytes at `bytes`;
-    // `loadl_epi64` reads exactly 8 unaligned bytes, the rest is
-    // register-only.
-    unsafe fn nibbles_16(bytes: *const u8) -> __m128i {
-        let b = _mm_loadl_epi64(bytes.cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let lo = _mm_and_si128(b, mask);
-        let hi = _mm_and_si128(_mm_srli_epi16::<4>(b), mask);
-        _mm_unpacklo_epi8(lo, hi)
-    }
-
     /// AVX2 form of the 4-bit decode (`quant::dequant4_scalar`):
     /// `out[j] = (c_j − zero) · scale` over whole 16-code blocks, the codes
-    /// packed two per byte from `bytes[0]`. Each code is widened to `i32`,
-    /// converted to `f32` (exact below 2^24), then subtracted and
-    /// multiplied as two rounded operations — the scalar expression, lane
-    /// for lane, never fused. Returns how many codes it decoded (a multiple
-    /// of 16); the caller finishes the rest.
+    /// packed two per byte from `bytes[0]`. Each block's 8 bytes split into
+    /// 16 nibbles in stream order (byte `i`'s low nibble is code `2i`, its
+    /// high nibble code `2i + 1`); each code is widened to `i32`, converted
+    /// to `f32` (exact below 2^24), then subtracted and multiplied as two
+    /// rounded operations — the scalar expression, lane for lane, never
+    /// fused. Returns how many codes it decoded (a multiple of 16); the
+    /// caller finishes the rest.
     ///
     /// # Safety
     ///
@@ -648,14 +640,20 @@ pub(crate) mod x86 {
     // analyze: no_alloc
     #[target_feature(enable = "avx,avx2")]
     // SAFETY: the caller guarantees AVX2 and `bytes.len() >= out.len() / 2`.
-    // The loop runs while `j + 16 <= out.len()`, so `nibbles_16` reads the
-    // 8 bytes `j / 2 .. j / 2 + 8`, all in `bytes`, and the two 8-float
-    // stores cover `out[j .. j + 16]`.
+    // The loop runs while `j + 16 <= out.len()`, so `loadl_epi64` reads the
+    // 8 unaligned bytes `j / 2 .. j / 2 + 8`, all in `bytes`, and the two
+    // 8-float stores cover `out[j .. j + 16]`.
     pub unsafe fn dequant4_avx2(bytes: &[u8], zero: f32, scale: f32, out: &mut [f32]) -> usize {
         let (vz, vs) = (_mm256_set1_ps(zero), _mm256_set1_ps(scale));
+        let mask = _mm_set1_epi8(0x0F);
         let mut j = 0usize;
         while j + 16 <= out.len() {
-            let codes = nibbles_16(bytes.as_ptr().add(j / 2));
+            let b = _mm_loadl_epi64(bytes.as_ptr().add(j / 2).cast());
+            let (lo, hi) = (
+                _mm_and_si128(b, mask),
+                _mm_and_si128(_mm_srli_epi16::<4>(b), mask),
+            );
+            let codes = _mm_unpacklo_epi8(lo, hi);
             let f0 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(codes));
             let f1 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_srli_si128::<8>(codes)));
             let dst = out.as_mut_ptr().add(j);
@@ -666,48 +664,12 @@ pub(crate) mod x86 {
         j
     }
 
-    /// SSE2 form of the 4-bit decode (see [`dequant4_avx2`]): the codes
-    /// are widened to `i32` by interleaving with zero bytes.
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2; `bytes` must hold at least `out.len() / 2` bytes.
-    // analyze: no_alloc
-    #[target_feature(enable = "sse2")]
-    // SAFETY: the caller guarantees SSE2 and `bytes.len() >= out.len() / 2`.
-    // `j + 16 <= out.len()` keeps the 8-byte `nibbles_16` read inside
-    // `bytes` and the four 4-float stores inside `out[j .. j + 16]`.
-    pub unsafe fn dequant4_sse2(bytes: &[u8], zero: f32, scale: f32, out: &mut [f32]) -> usize {
-        let (vz, vs) = (_mm_set1_ps(zero), _mm_set1_ps(scale));
-        let z = _mm_setzero_si128();
-        let mut j = 0usize;
-        while j + 16 <= out.len() {
-            let codes = nibbles_16(bytes.as_ptr().add(j / 2));
-            let (w0, w1) = (_mm_unpacklo_epi8(codes, z), _mm_unpackhi_epi8(codes, z));
-            let words = [
-                _mm_unpacklo_epi16(w0, z),
-                _mm_unpackhi_epi16(w0, z),
-                _mm_unpacklo_epi16(w1, z),
-                _mm_unpackhi_epi16(w1, z),
-            ];
-            for (q, w) in words.into_iter().enumerate() {
-                let f = _mm_cvtepi32_ps(w);
-                _mm_storeu_ps(
-                    out.as_mut_ptr().add(j + 4 * q),
-                    _mm_mul_ps(_mm_sub_ps(f, vz), vs),
-                );
-            }
-            j += 16;
-        }
-        j
-    }
-
     /// AVX2 minimum and maximum over the whole 8-value blocks of `w`, NaNs
     /// skipped: `min_ps(w, lo)` returns its second operand when either is
     /// NaN, so a NaN never replaces an accumulator. Returns how many values
     /// it consumed (a multiple of 8) and the two extremes (`±∞` if none).
     /// Which of two equal zeros survives is unspecified; the caller fixes
-    /// the sign of a zero result.
+    /// the sign of a zero minimum.
     ///
     /// # Safety
     ///
@@ -728,36 +690,6 @@ pub(crate) mod x86 {
         let (mut lanes_lo, mut lanes_hi) = ([0.0f32; 8], [0.0f32; 8]);
         _mm256_storeu_ps(lanes_lo.as_mut_ptr(), lo);
         _mm256_storeu_ps(lanes_hi.as_mut_ptr(), hi);
-        let lo = lanes_lo
-            .into_iter()
-            .fold(f32::INFINITY, |a, x| if x < a { x } else { a });
-        let hi = lanes_hi
-            .into_iter()
-            .fold(f32::NEG_INFINITY, |a, x| if x > a { x } else { a });
-        (j, lo, hi)
-    }
-
-    /// SSE2 form of [`min_max_avx2`], over whole 4-value blocks.
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2.
-    #[target_feature(enable = "sse2")]
-    // SAFETY: the caller guarantees SSE2; `j + 4 <= w.len()` bounds each
-    // unaligned 4-float load, and the final stores go to local arrays.
-    pub unsafe fn min_max_sse2(w: &[f32]) -> (usize, f32, f32) {
-        let mut lo = _mm_set1_ps(f32::INFINITY);
-        let mut hi = _mm_set1_ps(f32::NEG_INFINITY);
-        let mut j = 0usize;
-        while j + 4 <= w.len() {
-            let v = _mm_loadu_ps(w.as_ptr().add(j));
-            lo = _mm_min_ps(v, lo);
-            hi = _mm_max_ps(v, hi);
-            j += 4;
-        }
-        let (mut lanes_lo, mut lanes_hi) = ([0.0f32; 4], [0.0f32; 4]);
-        _mm_storeu_ps(lanes_lo.as_mut_ptr(), lo);
-        _mm_storeu_ps(lanes_hi.as_mut_ptr(), hi);
         let lo = lanes_lo
             .into_iter()
             .fold(f32::INFINITY, |a, x| if x < a { x } else { a });
@@ -799,34 +731,6 @@ pub(crate) mod x86 {
             let c16 = _mm_packs_epi32(_mm256_castsi256_si128(c), _mm256_extracti128_si256::<1>(c));
             _mm_storel_epi64(out.as_mut_ptr().add(j).cast(), _mm_packus_epi16(c16, c16));
             j += 8;
-        }
-        j
-    }
-
-    /// SSE2 form of the quantizer's code pass (see [`codes_avx2`]), 4
-    /// values at a time.
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2; `out.len() >= w.len()`, and `top < 256`.
-    #[target_feature(enable = "sse2")]
-    // SAFETY: the caller guarantees SSE2 and `out.len() >= w.len()`;
-    // `j + 4 <= w.len()` bounds the 4-float load from `w` and the 4-byte
-    // write to `out`.
-    pub unsafe fn codes_sse2(w: &[f32], scale: f32, zero: f32, top: f32, out: &mut [u8]) -> usize {
-        let (vs, vz, vt) = (_mm_set1_ps(scale), _mm_set1_ps(zero), _mm_set1_ps(top));
-        let half = _mm_set1_ps(0.5);
-        let mut j = 0usize;
-        while j + 4 <= w.len() {
-            let x = _mm_add_ps(_mm_div_ps(_mm_loadu_ps(w.as_ptr().add(j)), vs), vz);
-            let y = _mm_min_ps(_mm_max_ps(x, _mm_setzero_ps()), vt);
-            let t = _mm_cvttps_epi32(y);
-            let frac = _mm_sub_ps(y, _mm_cvtepi32_ps(t));
-            let c = _mm_sub_epi32(t, _mm_castps_si128(_mm_cmpge_ps(frac, half)));
-            let c16 = _mm_packs_epi32(c, c);
-            let word = _mm_cvtsi128_si32(_mm_packus_epi16(c16, c16)) as u32;
-            out[j..j + 4].copy_from_slice(&word.to_le_bytes());
-            j += 4;
         }
         j
     }
@@ -888,5 +792,62 @@ mod tests {
             panic!("kernel backend avx2 unavailable (detected: avx2) [synthetic]");
         }
         force_backend(Some(KernelBackend::Avx2));
+    }
+
+    /// Every entry point that takes a backend rejects an unavailable one
+    /// before an intrinsic can run. The shapes are all valid, so only the
+    /// availability check can panic. A CPU or build that has every backend
+    /// checks nothing here; the `--no-default-features` run checks both
+    /// vector backends.
+    #[test]
+    fn entry_points_reject_unavailable_backends() {
+        use crate::matrix::{
+            matvec_strided_into_with_backend, weighted_rows_into_with_backend, Matrix, StridedRows,
+        };
+        use crate::quant::{QuantConfig, QuantizedMatrix};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let w = Matrix::from_fn(8, 16, |r, c| (r * 16 + c) as f32 * 0.01);
+        let q = QuantizedMatrix::quantize(&w, QuantConfig::paper_default());
+        let a = Matrix::from_fn(2, 16, |r, c| (r + c) as f32);
+        let rows = StridedRows::new(w.as_slice(), 16, 0, 16);
+        let idx = [0usize, 3];
+        let unavailable = [KernelBackend::Sse2, KernelBackend::Avx2]
+            .into_iter()
+            .filter(|b| !b.is_available());
+        for b in unavailable {
+            let calls: [(&str, &dyn Fn()); 8] = [
+                ("matmul_into", &|| {
+                    let mut out = Matrix::zeros(2, 8);
+                    a.matmul_into_with_backend(&w.transpose(), &mut out, 1, b);
+                }),
+                ("matmul_nt_into", &|| {
+                    a.matmul_nt_into_with_backend(&w, &mut Matrix::zeros(2, 8), 1, b);
+                }),
+                ("matvec_into", &|| {
+                    w.matvec_into_with_backend(a.row(0), &mut [0.0; 8], b);
+                }),
+                ("matvec_strided_into", &|| {
+                    matvec_strided_into_with_backend(a.row(0), &rows, &idx, &mut [0.0; 2], b);
+                }),
+                ("weighted_rows_into", &|| {
+                    weighted_rows_into_with_backend(&[0.5, 0.25], &rows, &idx, &mut [0.0; 16], b);
+                }),
+                ("quantize", &|| {
+                    QuantizedMatrix::quantize_with_backend(&w, QuantConfig::paper_default(), b);
+                }),
+                ("dequantize_into", &|| {
+                    q.dequantize_into_with_backend(&mut Matrix::zeros(0, 0), b);
+                }),
+                ("matmul_nt_fused", &|| {
+                    q.matmul_nt_fused_with_backend(&a, &mut Matrix::zeros(2, 8), b);
+                }),
+            ];
+            for (name, call) in calls {
+                assert!(
+                    catch_unwind(AssertUnwindSafe(call)).is_err(),
+                    "{name} ran on unavailable backend {b}"
+                );
+            }
+        }
     }
 }
