@@ -16,7 +16,7 @@
 
 pub const PANIC_CEILINGS: &[(&str, usize)] = &[
     ("analyze", 0),
-    ("baselines", 38),
+    ("baselines", 27),
     ("bench", 45),
     ("core", 55),
     // The facade crate re-exports only.

@@ -1,5 +1,6 @@
 //! Shared accounting for the baseline engines.
 
+use klotski_model::hardware::HardwareSpec;
 use klotski_model::spec::ModelSpec;
 use klotski_model::workload::Workload;
 
@@ -31,22 +32,10 @@ impl ResidentFootprint {
     pub fn for_single_batch(spec: &ModelSpec, wl: &Workload) -> Self {
         let bs = wl.batch_size as u64;
         let prompt = wl.prompt_len as u64;
-        let attn_weights: u64 = (0..spec.n_layers)
-            .map(|l| {
-                let mut b = spec.attn_bytes();
-                if !spec.is_moe_layer(l) {
-                    b += spec.dense_ffn_bytes();
-                }
-                if spec.is_moe_layer(l) {
-                    b += spec.gate_bytes();
-                }
-                b
-            })
-            .sum();
         let hidden = spec.hidden_bytes(bs * prompt);
         let scores = bs * spec.n_heads * prompt * prompt * 2;
         ResidentFootprint {
-            attn_weights,
+            attn_weights: spec.non_expert_layer_bytes(),
             embed: spec.embed_bytes(),
             kv: spec.kv_bytes_total(bs, wl.max_context()),
             activations: 8 * hidden + 3 * scores,
@@ -90,21 +79,9 @@ impl ResidentFootprint {
 /// layer up lives on disk). Engines without tiered placement (MoE-Infinity,
 /// Fiddler) pay the disk-read path for those experts — this is what makes
 /// their Mixtral-8×22B Environment-1 numbers collapse in the paper.
-pub fn dram_expert_cutoff(spec: &ModelSpec, dram_bytes: u64) -> u32 {
-    let budget = (dram_bytes as f64 * 0.92) as u64;
-    let non_expert: u64 = (0..spec.n_layers)
-        .map(|l| {
-            let mut b = spec.attn_bytes();
-            if spec.is_moe_layer(l) {
-                b += spec.gate_bytes();
-            } else {
-                b += spec.dense_ffn_bytes();
-            }
-            b
-        })
-        .sum::<u64>()
-        + spec.embed_bytes();
-    let mut left = budget.saturating_sub(non_expert);
+pub fn dram_expert_cutoff(spec: &ModelSpec, hw: &HardwareSpec) -> u32 {
+    let non_expert = spec.non_expert_layer_bytes() + spec.embed_bytes();
+    let mut left = hw.dram_budget().saturating_sub(non_expert);
     for l in 0..spec.n_layers {
         let bytes = if spec.is_moe_layer(l) {
             spec.n_experts as u64 * spec.expert_bytes()
@@ -156,14 +133,18 @@ mod tests {
     #[test]
     fn dram_cutoff_reflects_capacity() {
         let spec = ModelSpec::mixtral_8x7b();
+        let dram = |dram_bytes| HardwareSpec {
+            dram_bytes,
+            ..HardwareSpec::env1_rtx3090()
+        };
         // 93 GB model in 256 GB DRAM: everything fits.
-        assert_eq!(dram_expert_cutoff(&spec, 256_000_000_000), 32);
+        assert_eq!(dram_expert_cutoff(&spec, &dram(256_000_000_000)), 32);
         let big = ModelSpec::mixtral_8x22b();
         // 282 GB model in 256 GB DRAM: tail layers spill.
-        let cutoff = dram_expert_cutoff(&big, 256_000_000_000);
+        let cutoff = dram_expert_cutoff(&big, &dram(256_000_000_000));
         assert!(cutoff < 56, "cutoff = {cutoff}");
         assert!(cutoff > 30, "cutoff = {cutoff}");
         // Env 2's 800 GB holds everything.
-        assert_eq!(dram_expert_cutoff(&big, 800_000_000_000), 56);
+        assert_eq!(dram_expert_cutoff(&big, &dram(800_000_000_000)), 56);
     }
 }

@@ -71,9 +71,7 @@ impl Engine for Fiddler {
             None => BTreeSet::new(),
         };
         let static_vram = footprint.total() + resident.len() as u64 * spec.expert_bytes();
-        sim.pool_mut(Tier::Vram)
-            .alloc(static_vram.min(sc.hw.vram_bytes))
-            .expect("footprint checked against VRAM");
+        sim.pool_mut(Tier::Vram).alloc_up_to(static_vram);
         sim.pool_mut(Tier::Dram).alloc_up_to(spec.total_bytes());
 
         let mut carry: Option<TaskId> = None;
@@ -82,7 +80,7 @@ impl Engine for Fiddler {
         // When the model exceeds DRAM, tail-layer experts live on disk:
         // both the CPU path (weights must reach DRAM first) and the GPU
         // path (disk → DRAM → VRAM) pay the disk read.
-        let disk_cutoff = dram_expert_cutoff(spec, sc.hw.dram_bytes);
+        let disk_cutoff = dram_expert_cutoff(spec, &sc.hw);
 
         for batch in 0..wl.num_batches {
             let s0 = batch * wl.batch_size;

@@ -112,7 +112,7 @@ impl Engine for MoeInfinity {
         // Without tiered placement, the experts of the tail layers live on
         // disk when the model exceeds DRAM; fetching them pays the disk
         // read before the PCIe hop.
-        let disk_cutoff = dram_expert_cutoff(spec, sc.hw.dram_bytes);
+        let disk_cutoff = dram_expert_cutoff(spec, &sc.hw);
         let fetch_time = |layer: u32| {
             if layer >= disk_cutoff {
                 cost.disk_time(spec.expert_bytes()) + cost.expert_h2d_time(1.0)

@@ -79,7 +79,7 @@ fn run_seq(sc: &Scenario, name: String, overlap: bool) -> Result<InferenceReport
         sc,
         view,
         overlap,
-        disk_cutoff: dram_expert_cutoff(spec, sc.hw.dram_bytes),
+        disk_cutoff: dram_expert_cutoff(spec, &sc.hw),
         kv_bytes: spec.kv_bytes_total(wl.batch_size as u64, wl.max_context()),
         prices: StepCompute::default(),
         chain: None,

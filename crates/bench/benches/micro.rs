@@ -20,7 +20,7 @@ use klotski_moe::model::MoeModel;
 use klotski_sim::event::EventQueue;
 use klotski_sim::prelude::*;
 use klotski_tensor::init::xavier_matrix;
-use klotski_tensor::quant::{QuantConfig, QuantizedMatrix};
+use klotski_tensor::quant::QuantizedMatrix;
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("sim/event_queue_push_pop_10k", |b| {
@@ -106,34 +106,24 @@ fn bench_prefetcher(c: &mut Criterion) {
 fn bench_quantizer(c: &mut Criterion) {
     let w = xavier_matrix(64, 1024, 5);
     c.bench_function("tensor/quantize_64x1024_4bit", |b| {
-        b.iter(|| black_box(QuantizedMatrix::quantize(&w, QuantConfig::paper_default())))
+        b.iter(|| black_box(QuantizedMatrix::quantize(&w)))
     });
     // One expert matrix, as the native store quantizes 96 of them per
     // `run_pipeline` call: the group-at-a-time quantizer vs the retained
     // per-element reference loop.
     let expert = xavier_matrix(1024, 256, 6);
     c.bench_function("tensor/quantize_1024x256_4bit", |b| {
-        b.iter(|| {
-            black_box(QuantizedMatrix::quantize(
-                &expert,
-                QuantConfig::paper_default(),
-            ))
-        })
+        b.iter(|| black_box(QuantizedMatrix::quantize(&expert)))
     });
     c.bench_function("tensor/quantize_1024x256_4bit_reference", |b| {
-        b.iter(|| {
-            black_box(QuantizedMatrix::quantize_reference(
-                &expert,
-                QuantConfig::paper_default(),
-            ))
-        })
+        b.iter(|| black_box(QuantizedMatrix::quantize_reference(&expert)))
     });
-    let q = QuantizedMatrix::quantize(&w, QuantConfig::paper_default());
+    let q = QuantizedMatrix::quantize(&w);
     c.bench_function("tensor/dequantize_64x1024_4bit", |b| {
         b.iter(|| black_box(q.dequantize()))
     });
-    // Group-at-a-time dequantization (bulk bit-stream refill, one
-    // scale/zero load per group) vs the retained per-element reference.
+    // Group-at-a-time dequantization (the nibble kernel, one scale/zero
+    // load per group) vs the retained per-element reference.
     let mut out = klotski_tensor::matrix::Matrix::zeros(64, 1024);
     c.bench_function("tensor/dequantize_into_64x1024_grouped", |b| {
         b.iter(|| {
@@ -153,16 +143,14 @@ fn bench_simd_kernels(c: &mut Criterion) {
     use klotski_tensor::matrix::Matrix;
     use klotski_tensor::simd::{detected_backend, KernelBackend};
     // The 2x8 register-blocked nt kernel at an expert-FFN shape, scalar vs
-    // every backend the CPU (and feature set) offers. All variants are
+    // AVX2 where the CPU (and feature set) offers it. Both are
     // bit-identical; only the instruction mix differs.
     let xs = xavier_matrix(16, 256, 3);
     let w = xavier_matrix(1024, 256, 4);
     let mut out = Matrix::zeros(16, 1024);
     let mut backends = vec![KernelBackend::Scalar];
-    for b in [KernelBackend::Sse2, KernelBackend::Avx2] {
-        if b.is_available() {
-            backends.push(b);
-        }
+    if KernelBackend::Avx2.is_available() {
+        backends.push(KernelBackend::Avx2);
     }
     for &backend in &backends {
         c.bench_function(&format!("tensor/matmul_nt_16x256x1024_{backend}"), |b| {
@@ -190,7 +178,7 @@ fn bench_fused_quant_gemm(c: &mut Criterion) {
     // Staged dequantize-then-GEMM (what the slot path did before fusion)
     // vs the fused quantized-domain GEMM, at an expert-FFN shape.
     let w = xavier_matrix(1024, 256, 6);
-    let q = QuantizedMatrix::quantize(&w, QuantConfig::paper_default());
+    let q = QuantizedMatrix::quantize(&w);
     let xs = xavier_matrix(16, 256, 7);
     let mut dense = Matrix::zeros(1024, 256);
     let mut out = Matrix::zeros(16, 1024);
@@ -220,11 +208,6 @@ fn bench_fused_quant_gemm(c: &mut Criterion) {
 }
 
 fn bench_native_kernels(c: &mut Criterion) {
-    let a = xavier_matrix(64, 64, 1);
-    let bm = xavier_matrix(64, 64, 2);
-    c.bench_function("tensor/matmul_64x64x64", |b| {
-        b.iter(|| black_box(a.matmul(&bm)))
-    });
     // Tiled/register-blocked nt kernel vs the retained naive reference, at
     // an expert-FFN-like shape.
     let xs = xavier_matrix(16, 256, 3);

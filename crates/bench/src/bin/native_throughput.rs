@@ -14,15 +14,16 @@
 //!   GEMMs inline) vs the default pool;
 //! * **kernels** — the default pipeline with the tensor micro-kernels
 //!   forced to scalar (a [`BackendGuard`] held around the call) vs the
-//!   detected backend (AVX2 or SSE2; the SIMD kernels are a default
-//!   feature of `klotski-tensor`);
+//!   detected backend (AVX2 where the CPU has it, else scalar; the SIMD
+//!   kernels are a default feature of `klotski-tensor`);
 //! * **quant** — a 4-bit expert store, staged (I/O-thread dequantize into
 //!   a dense slot, then dense GEMMs) vs fused (GEMM straight off the
 //!   packed codes).
 //!
 //! Every run must reproduce its cell's first run — tokens and final hidden
 //! states, bit for bit — so the reference cells assert the pipeline equals
-//! `generate`. Pipeline sides are timed by [`NativeRunResult::elapsed`]
+//! `generate`. Pipeline sides are timed by
+//! [`NativeRunResult::elapsed`](klotski_core::native::NativeRunResult::elapsed)
 //! (store build excluded); the `generate` side is timed here. Each side is
 //! the best of 2 runs.
 //!

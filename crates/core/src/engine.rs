@@ -244,7 +244,7 @@ impl Engine for KlotskiEngine {
             .expect("placement guarantees DRAM weight fit");
         let disk_bytes: u64 = (0..sc.spec.n_layers)
             .filter(|&l| placement.is_expert_on_disk(l))
-            .map(|l| expert_layer_bytes(&sc.spec, l))
+            .map(|l| sc.spec.expert_layer_bytes(l))
             .sum();
         sim.pool_mut(Tier::Disk).alloc_up_to(disk_bytes);
 
@@ -304,14 +304,6 @@ fn task_bound(
     let layers =
         wl.num_batches.div_ceil(group_size) as usize * wl.gen_len as usize * spec.n_layers as usize;
     layers * per_layer
-}
-
-fn expert_layer_bytes(spec: &ModelSpec, layer: u32) -> u64 {
-    if spec.is_moe_layer(layer) {
-        spec.n_experts as u64 * spec.expert_bytes()
-    } else {
-        spec.dense_ffn_bytes()
-    }
 }
 
 /// Durations and sizes that are the same for every layer of one step,
@@ -474,7 +466,7 @@ impl<'a> Builder<'a> {
         // on the DRAM→VRAM transfer path only (the paper dequantizes before
         // compute and reports that quantization barely moves the disk-bound
         // Mixtral-8×22B Env-1 numbers, which pins the quantizer to PCIe).
-        let bytes = expert_layer_bytes(self.spec, layer);
+        let bytes = self.spec.expert_layer_bytes(layer);
         let id = self
             .sim
             .task(
@@ -873,7 +865,7 @@ impl<'a> Builder<'a> {
             .free_on_end(Tier::Vram, freed);
         if stage_dep.is_some() {
             // The staged DRAM window slot is released once the layer is done.
-            end = end.free_on_end(Tier::Dram, expert_layer_bytes(spec, l));
+            end = end.free_on_end(Tier::Dram, spec.expert_layer_bytes(l));
         }
         let end = end.submit();
         self.layer_ends.push(end);

@@ -146,10 +146,10 @@ pub fn plan_placement(
     // DRAM: non-expert weights + KV always live here; experts fill the rest.
     let kv = kv_total_bytes(spec, wl, compression);
     let non_expert: u64 = (0..spec.n_layers)
-        .map(|l| spec.layer_bytes(l) - expert_bytes_of_layer(spec, l))
+        .map(|l| spec.layer_bytes(l) - spec.expert_layer_bytes(l))
         .sum::<u64>()
         + spec.embed_bytes();
-    let dram_budget = (hw.dram_bytes as f64 * 0.92) as u64;
+    let dram_budget = hw.dram_budget();
     let fixed = kv + non_expert;
     if fixed > dram_budget {
         return Err(PlacementError {
@@ -165,7 +165,7 @@ pub fn plan_placement(
     let mut dram_layers = 0u32;
     let mut dram_used = fixed;
     for l in resident..spec.n_layers {
-        let bytes = expert_bytes_of_layer(spec, l);
+        let bytes = spec.expert_layer_bytes(l);
         if dram_used + bytes > dram_budget {
             break;
         }
@@ -185,7 +185,7 @@ pub fn plan_placement(
         dram_layers -= reserve;
         disk_layers += reserve;
         dram_used -= (0..reserve).fold(0, |acc, i| {
-            acc + expert_bytes_of_layer(spec, resident + dram_layers + i)
+            acc + spec.expert_layer_bytes(resident + dram_layers + i)
         });
         window
     };
@@ -201,14 +201,6 @@ pub fn plan_placement(
         dram_weights: dram_used - kv,
         dram_kv: kv,
     })
-}
-
-fn expert_bytes_of_layer(spec: &ModelSpec, layer: u32) -> u64 {
-    if spec.is_moe_layer(layer) {
-        spec.n_experts as u64 * spec.expert_bytes()
-    } else {
-        spec.dense_ffn_bytes()
-    }
 }
 
 #[cfg(test)]

@@ -215,18 +215,8 @@ impl Planner {
         // cache and the non-expert weights must fit DRAM (with headroom for
         // pinned buffers and the disk staging window).
         let kv_factor = self.compression.kv_factor(wl.max_context());
-        let dram_budget = (hw.dram_bytes as f64 * 0.92) as u64;
-        let non_expert: u64 = (0..spec.n_layers)
-            .map(|l| {
-                let mut b = spec.attn_bytes();
-                if spec.is_moe_layer(l) {
-                    b += spec.gate_bytes();
-                } else {
-                    b += spec.dense_ffn_bytes();
-                }
-                b
-            })
-            .sum::<u64>()
+        let dram_budget = hw.dram_budget();
+        let non_expert = spec.non_expert_layer_bytes()
             + spec.embed_bytes()
             + 8 * spec.n_experts.max(1) as u64 * spec.expert_bytes();
         let kv_per_group_seq =

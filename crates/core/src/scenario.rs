@@ -179,29 +179,6 @@ impl StepPlan {
     }
 }
 
-/// Step-granular extension of [`Engine`].
-///
-/// The blanket implementation derives a [`StepPlan`] from an atomic
-/// [`Engine::run`], so *every* engine — including `&dyn Engine` trait
-/// objects — is usable step-wise without opting in, and stepped execution
-/// stays byte-identical to the atomic path. Engines with a native notion
-/// of per-step cost (e.g. an analytic cost model) can override
-/// [`StepEngine::plan_steps`] to skip the full simulation.
-pub trait StepEngine: Engine {
-    /// Plans the scenario as a prefill span plus uniform decode steps.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Engine::run`]: out-of-memory is a *result*
-    /// (`StepPlan::oom`), errors are configuration or internal bugs.
-    fn plan_steps(&self, scenario: &Scenario) -> Result<StepPlan, EngineError> {
-        let report = self.run(scenario)?;
-        Ok(StepPlan::from_report(&report, scenario.workload.gen_len))
-    }
-}
-
-impl<E: Engine + ?Sized> StepEngine for E {}
-
 /// Errors from engine runs.
 #[derive(Debug)]
 pub enum EngineError {
@@ -358,31 +335,6 @@ mod tests {
         let plan = StepPlan::from_report(&report(10, 5, true), 4);
         assert!(plan.oom);
         assert_eq!(plan.total(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn blanket_step_engine_matches_run() {
-        struct Fixed;
-        impl Engine for Fixed {
-            fn name(&self) -> String {
-                "fixed".into()
-            }
-            fn run(&self, _: &Scenario) -> Result<InferenceReport, EngineError> {
-                Ok(report(12_000_007, 2_000_000, false))
-            }
-        }
-        let sc = Scenario::generate(
-            ModelSpec::opt_1_3b(),
-            HardwareSpec::env1_rtx3090(),
-            Workload::new(2, 1, 8, 7),
-            1,
-        );
-        // Via the blanket impl, both the concrete type and the trait object
-        // plan steps that reconstruct run() exactly.
-        let plan = Fixed.plan_steps(&sc).unwrap();
-        assert_eq!(plan.total(), SimDuration::from_nanos(12_000_007));
-        let dynamic: &dyn Engine = &Fixed;
-        assert_eq!(dynamic.plan_steps(&sc).unwrap(), plan);
     }
 
     #[test]

@@ -95,6 +95,13 @@ impl HardwareSpec {
         }
     }
 
+    /// The DRAM bytes the model and its KV cache may fill: 92% of
+    /// `dram_bytes`, the rest held back as headroom for pinned buffers and
+    /// disk staging.
+    pub fn dram_budget(&self) -> u64 {
+        (self.dram_bytes as f64 * 0.92) as u64
+    }
+
     /// Tier capacities for the simulator's memory pools.
     pub fn tier_capacities(&self) -> TierCapacities {
         TierCapacities {

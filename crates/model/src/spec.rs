@@ -315,6 +315,32 @@ impl ModelSpec {
         }
     }
 
+    /// Bytes of block `layer`'s offloadable FFN weights: every expert of a
+    /// MoE block, or the FFN of a dense one.
+    pub fn expert_layer_bytes(&self, layer: u32) -> u64 {
+        if self.is_moe_layer(layer) {
+            self.n_experts as u64 * self.expert_bytes()
+        } else {
+            self.dense_ffn_bytes()
+        }
+    }
+
+    /// Weight bytes of all blocks except their experts: each block's
+    /// attention, plus the gate of a MoE block or the FFN of a dense one.
+    /// Embeddings are not included.
+    pub fn non_expert_layer_bytes(&self) -> u64 {
+        (0..self.n_layers)
+            .map(|l| {
+                let ffn_or_gate = if self.is_moe_layer(l) {
+                    self.gate_bytes()
+                } else {
+                    self.dense_ffn_bytes()
+                };
+                self.attn_bytes() + ffn_or_gate
+            })
+            .sum()
+    }
+
     /// Embedding + LM-head bytes.
     pub fn embed_bytes(&self) -> u64 {
         ((2 * self.vocab * self.d_model) as f64 * self.dtype.bytes()) as u64

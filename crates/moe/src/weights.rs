@@ -212,7 +212,7 @@ impl FfnScratch {
 /// matrices as [`QuantizedMatrix`] — with a batched forward that computes
 /// straight off the packed codes via the fused quantized GEMM. No
 /// full-precision staging matrix exists on this path: a VRAM slot holding
-/// one of these is `bits/8 + metadata` bytes per parameter instead of 4.
+/// one of these is half a byte plus metadata per parameter instead of 4.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedExpertWeights {
     /// Gate projection, packed.
@@ -224,16 +224,12 @@ pub struct QuantizedExpertWeights {
 }
 
 impl QuantizedExpertWeights {
-    /// Quantizes a full-precision expert.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid (see [`QuantConfig`]).
-    pub fn quantize(expert: &ExpertWeights, config: QuantConfig) -> Self {
+    /// Quantizes a full-precision expert into the [`QuantConfig`] format.
+    pub fn quantize(expert: &ExpertWeights, _: QuantConfig) -> Self {
         QuantizedExpertWeights {
-            w1: QuantizedMatrix::quantize(&expert.w1, config),
-            w2: QuantizedMatrix::quantize(&expert.w2, config),
-            w3: QuantizedMatrix::quantize(&expert.w3, config),
+            w1: QuantizedMatrix::quantize(&expert.w1),
+            w2: QuantizedMatrix::quantize(&expert.w2),
+            w3: QuantizedMatrix::quantize(&expert.w3),
         }
     }
 

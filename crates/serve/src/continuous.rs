@@ -24,7 +24,7 @@
 //!   attainment per class.
 //!
 //! Cost accounting reuses the calibrated
-//! [`estimate_step_service`](crate::admission::estimate_step_service)
+//! [`estimate_step_service`]
 //! decomposition, whose step sums equal
 //! [`estimate_group_service`](crate::admission::estimate_group_service)
 //! *exactly* — so a full group costs the same whether it runs atomically
@@ -156,7 +156,7 @@ pub struct ContinuousReport {
 ///
 /// This is the cost-parity baseline for continuous batching: the
 /// continuous scheduler prices its steps with
-/// [`estimate_step_service`](crate::admission::estimate_step_service),
+/// [`estimate_step_service`],
 /// whose step sums equal the group estimate exactly — so benchmarking
 /// continuous against run-to-completion *with this engine* isolates the
 /// scheduling policy from any pricing difference. It is also the only

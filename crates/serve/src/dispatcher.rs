@@ -18,11 +18,11 @@
 //! * [`DispatchPolicy::CostAware`] — route to the replica whose
 //!   [`CostModel`]-estimated completion of the new request is earliest,
 //!   reusing the same
-//!   [`estimate_group_service`](crate::admission::estimate_group_service)
+//!   [`estimate_group_service`]
 //!   machinery as cost-aware admission: it sees *how expensive* a queue
 //!   is, not just how long.
 //!
-//! Results merge into one [`ServeReport`](crate::server::ServeReport) with
+//! Results merge into one [`ServeReport`] with
 //! per-replica utilization, so the request-level SLO metrics work
 //! unchanged. With `replicas == 1` every policy degenerates to the
 //! single-engine run and the report is byte-identical to

@@ -3,7 +3,7 @@
 //! The offline [`InferenceReport`](klotski_core::report::InferenceReport)
 //! measures one batch group; a server is judged on *request* latency
 //! distributions under an SLO. This module folds a
-//! [`ServeReport`](crate::server::ServeReport) into the numbers serving
+//! [`ServeReport`] into the numbers serving
 //! papers quote: TTFT / TPOT / end-to-end at p50/p95/p99, goodput (tokens
 //! per second from requests that met the SLO), and sustained throughput.
 //! Multi-replica reports summarize identically (the outcomes are merged),

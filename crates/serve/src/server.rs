@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use klotski_core::scenario::{Engine, EngineError, Scenario, StepEngine};
+use klotski_core::scenario::{Engine, EngineError, Scenario, StepPlan};
 use klotski_model::cost::CostModel;
 use klotski_model::hardware::HardwareSpec;
 use klotski_model::spec::ModelSpec;
@@ -561,10 +561,10 @@ impl Replica {
         // The engine/serve boundary is step-level: the run is consumed as a
         // StepPlan (prefill + uniform decode steps, remainder pinned to the
         // last step), with each request finishing at its own step boundary.
-        // The blanket plan derives from the atomic run, so this
-        // run-to-completion path is byte-identical to executing run()
-        // directly — the golden pins hold it there.
-        let plan = ctx.engine.plan_steps(&scenario)?;
+        // The plan reconstructs the atomic run's total exactly, so this
+        // run-to-completion path is byte-identical to the run itself — the
+        // golden pins hold it there.
+        let plan = StepPlan::from_report(&ctx.engine.run(&scenario)?, wl.gen_len);
         let oom = plan.oom;
         let (service, prefill) = if oom {
             (SimDuration::ZERO, SimDuration::ZERO)

@@ -12,7 +12,7 @@
 //! time-varying rate multiplier over any base process
 //! ([`generate_with_profile`] warps the base stream so its instantaneous
 //! rate tracks the profile), and recorded
-//! [`RequestTrace`](klotski_model::trace::RequestTrace)s replay verbatim
+//! [`RequestTrace`]s replay verbatim
 //! through [`replay`] — the cluster simulator's three load regimes.
 
 use klotski_model::trace::RequestTrace;
@@ -346,7 +346,7 @@ pub fn generate_with_profile(
 }
 
 /// Records an open-loop stream as a replayable
-/// [`RequestTrace`](klotski_model::trace::RequestTrace).
+/// [`RequestTrace`].
 ///
 /// # Panics
 ///

@@ -1,20 +1,20 @@
 //! # klotski-tensor — dense kernels and quantization
 //!
 //! The minimal numerical substrate for the native (really-executed) MoE
-//! path: row-major `f32` [`matrix::Matrix`] with matmul variants, the
-//! transformer activation/normalization kernels in [`ops`], HQQ-style
-//! group-wise quantization in [`quant`], and reproducible initialization in
-//! [`init`]. The GEMM micro-kernels, the 4-bit decode and the quantizer's
-//! code pass dispatch at run time to the SSE2 or AVX2 backends in
-//! [`simd`], byte-identical to scalar; the default `simd` feature compiles
-//! them in.
+//! path: row-major `f32` [`matrix::Matrix`] with the `A · Bᵀ` GEMM and the
+//! strided attention kernels, the activation, normalization, softmax and
+//! top-k kernels in [`ops`], the paper's 4-bit group-wise quantization in
+//! [`quant`], and reproducible initialization in [`init`]. The GEMM
+//! micro-kernels, the 4-bit decode and the quantizer's passes dispatch at
+//! run time to the AVX2 backend in [`simd`] when the CPU has it, byte-identical
+//! to scalar; the default `simd` feature compiles it in.
 //!
 //! ```
 //! use klotski_tensor::init::xavier_matrix;
-//! use klotski_tensor::quant::{QuantConfig, QuantizedMatrix};
+//! use klotski_tensor::quant::QuantizedMatrix;
 //!
 //! let w = xavier_matrix(16, 64, 7);
-//! let q = QuantizedMatrix::quantize(&w, QuantConfig::paper_default());
+//! let q = QuantizedMatrix::quantize(&w);
 //! assert!(w.max_abs_diff(&q.dequantize()) <= q.error_bound());
 //! ```
 
@@ -31,7 +31,7 @@ pub mod simd;
 pub mod prelude {
     pub use crate::init::{norm_weight, seeded_matrix, sub_seed, xavier_matrix};
     pub use crate::matrix::Matrix;
-    pub use crate::ops::{argmax, relu, rmsnorm_inplace, silu, softmax_inplace, top_k};
+    pub use crate::ops::{argmax, rmsnorm_inplace, silu, softmax_inplace, top_k};
     pub use crate::quant::{QuantConfig, QuantizedMatrix};
     pub use crate::simd::{active_backend, detected_backend, KernelBackend};
 }

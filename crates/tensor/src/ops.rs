@@ -1,5 +1,5 @@
-//! Activation functions, normalizations, softmax and top-k — the
-//! non-matmul kernels of a transformer block.
+//! SiLU, RMS normalization, softmax and top-k — the non-matmul kernels of
+//! the native MoE block.
 
 /// Numerically stable in-place softmax over one slice.
 ///
@@ -36,11 +36,6 @@ pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
 }
 
-/// ReLU activation.
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
 /// In-place RMS normalization with learned `weight`, as in Mixtral.
 ///
 /// # Panics
@@ -52,23 +47,6 @@ pub fn rmsnorm_inplace(xs: &mut [f32], weight: &[f32], eps: f32) {
     let inv = 1.0 / (ms + eps).sqrt();
     for (x, &w) in xs.iter_mut().zip(weight) {
         *x = *x * inv * w;
-    }
-}
-
-/// In-place LayerNorm with learned `weight` and `bias`.
-///
-/// # Panics
-///
-/// Panics on any length mismatch.
-pub fn layernorm_inplace(xs: &mut [f32], weight: &[f32], bias: &[f32], eps: f32) {
-    assert_eq!(xs.len(), weight.len(), "layernorm shape mismatch");
-    assert_eq!(xs.len(), bias.len(), "layernorm shape mismatch");
-    let n = xs.len() as f32;
-    let mean: f32 = xs.iter().sum::<f32>() / n;
-    let var: f32 = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n;
-    let inv = 1.0 / (var + eps).sqrt();
-    for ((x, &w), &b) in xs.iter_mut().zip(weight).zip(bias) {
-        *x = (*x - mean) * inv * w + b;
     }
 }
 
@@ -159,16 +137,6 @@ mod tests {
         rmsnorm_inplace(&mut xs, &w, 1e-6);
         let rms: f32 = (xs.iter().map(|x| x * x).sum::<f32>() / 4.0).sqrt();
         assert!((rms - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn layernorm_centers_and_scales() {
-        let mut xs = vec![1.0, 2.0, 3.0, 4.0];
-        let w = vec![1.0; 4];
-        let b = vec![0.0; 4];
-        layernorm_inplace(&mut xs, &w, &b, 1e-6);
-        let mean: f32 = xs.iter().sum::<f32>() / 4.0;
-        assert!(mean.abs() < 1e-6);
     }
 
     #[test]

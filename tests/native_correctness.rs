@@ -93,25 +93,19 @@ fn quantized_store_bounds_drift() {
     let model = MoeModel::new(MoeConfig::tiny(45));
     let p = prompts(3, 8, model.config().vocab, 9);
     let exact = run_pipeline(&model, &p, 4, &NativePipelineConfig::default());
-    for bits in [4u32, 8] {
-        let cfg = NativePipelineConfig {
-            quant: Some(QuantConfig {
-                bits,
-                ..QuantConfig::paper_default()
-            }),
-            ..Default::default()
-        };
-        let q = run_pipeline(&model, &p, 4, &cfg);
-        let drift: f32 = q
-            .final_hidden
-            .iter()
-            .zip(&exact.final_hidden)
-            .flat_map(|(a, b)| a.iter().zip(b).map(|(x, y)| (x - y).abs()))
-            .fold(0.0, f32::max);
-        assert!(drift > 0.0, "{bits}-bit must not be lossless");
-        let bound = if bits == 8 { 0.2 } else { 1.5 };
-        assert!(drift < bound, "{bits}-bit drift {drift} exceeds {bound}");
-    }
+    let cfg = NativePipelineConfig {
+        quant: Some(QuantConfig::paper_default()),
+        ..Default::default()
+    };
+    let q = run_pipeline(&model, &p, 4, &cfg);
+    let drift: f32 = q
+        .final_hidden
+        .iter()
+        .zip(&exact.final_hidden)
+        .flat_map(|(a, b)| a.iter().zip(b).map(|(x, y)| (x - y).abs()))
+        .fold(0.0, f32::max);
+    assert!(drift > 0.0, "4-bit must not be lossless");
+    assert!(drift < 1.5, "4-bit drift {drift} exceeds 1.5");
 }
 
 #[test]
