@@ -16,8 +16,8 @@
 //!    comment.
 //! 4. **no_alloc** — blocks marked `// analyze: no_alloc` contain no
 //!    allocation tokens (backed dynamically by the alloc-pin test).
-//! 5. **panic** — per-crate ratcheted ceilings on `.unwrap()`/`.expect(`
-//!    density in non-test code (see [`ratchet`]).
+//! 5. **panic** — per-crate ratcheted ceilings on the number of
+//!    `.unwrap()`/`.expect(` sites in non-test code (see [`ratchet`]).
 //!
 //! Genuine exceptions are allowlisted in place with
 //! `analyze: allow(<rule>) -- <justification>` comments; stale or
@@ -41,11 +41,9 @@ pub struct CrateCount {
     pub krate: String,
     /// Measured non-test unwrap/expect sites.
     pub sites: usize,
-    /// Non-test, non-blank code lines — the density denominator.
+    /// Non-test, non-blank code lines.
     pub code_lines: usize,
-    /// Measured density, in sites per 10k non-test lines (rounded up).
-    pub density: usize,
-    /// Ratchet density ceiling, if the crate is registered.
+    /// Ratchet site ceiling, if the crate is registered.
     pub ceiling: Option<usize>,
 }
 
@@ -156,7 +154,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     panic_counts.sort();
     for (krate, sites, code_lines) in panic_counts {
         let ceiling = ratchet::ceiling(&krate);
-        let density = ratchet::density_per_10k(sites, code_lines);
         match ceiling {
             None => report.findings.push(Finding {
                 path: format!("crates/{krate}"),
@@ -166,13 +163,13 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
                     "crate `{krate}` has no panic-ratchet ceiling; add it to crates/analyze/src/ratchet.rs"
                 ),
             }),
-            Some(max) if density > max => report.findings.push(Finding {
+            Some(max) if sites > max => report.findings.push(Finding {
                 path: format!("crates/{krate}"),
                 line: 0,
                 rule: rules::RULE_PANIC,
                 message: format!(
-                    "crate `{krate}` has {sites} non-test unwrap/expect sites in {code_lines} lines \
-                     ({density}/10k), over its ratchet density ceiling of {max}/10k"
+                    "crate `{krate}` has {sites} non-test unwrap/expect sites, \
+                     over its ratchet ceiling of {max}"
                 ),
             }),
             Some(_) => {}
@@ -181,7 +178,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
             krate,
             sites,
             code_lines,
-            density,
             ceiling,
         });
     }
@@ -198,18 +194,16 @@ pub fn render(report: &Report) -> String {
         report.files_scanned,
         report.findings.len()
     ));
-    out.push_str(
-        "panic ratchet (non-test unwrap/expect density, sites per 10k lines / ceiling):\n",
-    );
+    out.push_str("panic ratchet (non-test unwrap/expect sites / ceiling, non-test lines):\n");
     for c in &report.panics {
         match c.ceiling {
             Some(max) => out.push_str(&format!(
-                "  {:<12} {:>3} sites / {:>5} lines = {:>3} / {}\n",
-                c.krate, c.sites, c.code_lines, c.density, max
+                "  {:<12} {:>3} / {:<3} {:>5} lines\n",
+                c.krate, c.sites, max, c.code_lines
             )),
             None => out.push_str(&format!(
-                "  {:<12} {:>3} sites / {:>5} lines = {:>3} / (unregistered)\n",
-                c.krate, c.sites, c.code_lines, c.density
+                "  {:<12} {:>3} / (unregistered) {:>5} lines\n",
+                c.krate, c.sites, c.code_lines
             )),
         }
     }

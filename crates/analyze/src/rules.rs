@@ -75,9 +75,9 @@ pub struct FileReport {
     pub findings: Vec<Finding>,
     /// Non-test `.unwrap()` / `.expect(` sites, for the panic ratchet.
     pub panic_sites: usize,
-    /// Non-test, non-blank code lines — the denominator of the panic
-    /// density ratchet. Comment-only lines do not count: padding a file
-    /// with prose must not buy panic headroom.
+    /// Non-test, non-blank code lines — the per-crate size the analyzer
+    /// reports. Comment-only lines do not count, so prose neither grows
+    /// nor shrinks a crate.
     pub code_lines: usize,
 }
 
