@@ -80,24 +80,79 @@ fn prompts(n: usize, len: usize, vocab: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn assert_steady_state_alloc_free(cfg: &NativePipelineConfig, what: &str) {
-    let model = MoeModel::new(MoeConfig::tiny(7));
-    let p = prompts(3, 5, model.config().vocab);
+/// One measured shape: the model, the group, and the two generation
+/// lengths whose runs must allocate equally often.
+struct Shape {
+    model: MoeConfig,
+    n_seqs: usize,
+    prompt_len: usize,
+    short: usize,
+    long: usize,
+}
+
+/// `MoeConfig::tiny` with 3 sequences: every expert computes at most 3
+/// tokens per step.
+fn tiny() -> Shape {
+    Shape {
+        model: MoeConfig::tiny(7),
+        n_seqs: 3,
+        prompt_len: 5,
+        short: 4,
+        long: 12,
+    }
+}
+
+/// The benchmark's model widths on one layer, with 32 sequences: about 8
+/// tokens per expert per step, the dense-GEMM shape the benchmark times.
+fn bench() -> Shape {
+    Shape {
+        model: MoeConfig {
+            n_layers: 1,
+            d_model: 256,
+            d_ff: 1024,
+            n_heads: 8,
+            head_dim: 32,
+            n_experts: 8,
+            top_k: 2,
+            vocab: 512,
+            seed: 77,
+        },
+        n_seqs: 32,
+        prompt_len: 1,
+        short: 1,
+        long: 2,
+    }
+}
+
+fn assert_steady_state_alloc_free(shape: &Shape, cfg: &NativePipelineConfig, what: &str) {
+    let model = MoeModel::new(shape.model);
+    let p = prompts(shape.n_seqs, shape.prompt_len, model.config().vocab);
+    let (short, long) = (shape.short, shape.long);
     // Warm process-global one-time state (backend detection, TLS, ...)
     // outside the measured window.
-    let _ = run_pipeline(&model, &p, 2, cfg);
+    let _ = run_pipeline(&model, &p, short, cfg);
 
-    let (short_events, short) = counted(|| run_pipeline(&model, &p, 4, cfg));
-    let (long_events, long) = counted(|| run_pipeline(&model, &p, 12, cfg));
+    let (short_events, short_run) = counted(|| run_pipeline(&model, &p, short, cfg));
+    let (long_events, long_run) = counted(|| run_pipeline(&model, &p, long, cfg));
 
     assert!(short_events > 0, "counter is not seeing allocations");
-    assert_eq!(long.tokens[0].len(), 12, "long run generated its tokens");
-    assert_eq!(short.tokens[0].len(), 4, "short run generated its tokens");
     assert_eq!(
-        long_events, short_events,
-        "{what}: 8 extra decode steps changed the allocation count \
-         ({short_events} events for gen_len=4 vs {long_events} for gen_len=12) — \
-         the steady-state loop allocated"
+        long_run.tokens[0].len(),
+        long,
+        "long run generated its tokens"
+    );
+    assert_eq!(
+        short_run.tokens[0].len(),
+        short,
+        "short run generated its tokens"
+    );
+    assert_eq!(
+        long_events,
+        short_events,
+        "{what}: {} extra decode step(s) changed the allocation count \
+         ({short_events} events for gen_len={short} vs {long_events} for gen_len={long}) — \
+         the steady-state loop allocated",
+        long - short
     );
 }
 
@@ -121,15 +176,30 @@ fn quantized(compute_workers: usize, fused_quant: bool) -> NativePipelineConfig 
 fn steady_state_decode_is_allocation_free_on_every_thread() {
     // Staged quantization dequantizes into the circulating slot buffers
     // instead of computing in the quantized domain; the pipeline must stay
-    // allocation-free either way, with expert compute inline or pooled.
-    for (cfg, what) in [
-        (dense(1), "dense, inline compute"),
-        (quantized(1, true), "fused 4-bit, inline compute"),
-        (quantized(1, false), "staged 4-bit, inline compute"),
-        (dense(3), "dense, 3 workers"),
-        (quantized(3, true), "fused 4-bit, 3 workers"),
-        (quantized(3, false), "staged 4-bit, 3 workers"),
+    // allocation-free either way, with expert compute inline or pooled,
+    // and at the benchmark's shape, where each expert's GEMMs are large.
+    for (shape, cfg, what) in [
+        (tiny(), dense(1), "tiny, dense, inline compute"),
+        (
+            tiny(),
+            quantized(1, true),
+            "tiny, fused 4-bit, inline compute",
+        ),
+        (
+            tiny(),
+            quantized(1, false),
+            "tiny, staged 4-bit, inline compute",
+        ),
+        (tiny(), dense(3), "tiny, dense, 3 workers"),
+        (tiny(), quantized(3, true), "tiny, fused 4-bit, 3 workers"),
+        (tiny(), quantized(3, false), "tiny, staged 4-bit, 3 workers"),
+        (bench(), dense(1), "bench, dense, inline compute"),
+        (
+            bench(),
+            quantized(1, true),
+            "bench, fused 4-bit, inline compute",
+        ),
     ] {
-        assert_steady_state_alloc_free(&cfg, what);
+        assert_steady_state_alloc_free(&shape, &cfg, what);
     }
 }

@@ -155,7 +155,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
     for &backend in &backends {
         c.bench_function(&format!("tensor/matmul_nt_16x256x1024_{backend}"), |b| {
             b.iter(|| {
-                xs.matmul_nt_into_with_backend(&w, &mut out, 1, backend);
+                xs.matmul_nt_into_with_backend(&w, &mut out, backend);
                 black_box(out.row(15)[1023])
             })
         });
@@ -223,11 +223,17 @@ fn bench_native_kernels(c: &mut Criterion) {
     c.bench_function("moe/expert_forward_tiny", |b| {
         b.iter(|| black_box(model.expert_out(0, 0, &x)))
     });
-    // Batched expert forward vs the same tokens one at a time.
+    // Batched expert forward vs the same tokens one at a time. The batched
+    // form reuses its output and scratch, as the pipeline does.
     let e = klotski_moe::weights::ExpertWeights::seeded(model.config(), 0, 0);
     let toks = xavier_matrix(16, model.config().d_model, 5);
+    let mut out = klotski_tensor::matrix::Matrix::zeros(0, 0);
+    let mut scratch = klotski_moe::weights::FfnScratch::default();
     c.bench_function("moe/expert_forward_batch_16", |b| {
-        b.iter(|| black_box(e.forward_batch(&toks)))
+        b.iter(|| {
+            e.forward_batch_into(&toks, &mut out, &mut scratch);
+            black_box(out.row(15)[0])
+        })
     });
     c.bench_function("moe/expert_forward_16_per_token", |b| {
         b.iter(|| {

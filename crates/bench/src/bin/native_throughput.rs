@@ -11,7 +11,9 @@
 //!   group-batched attention, the worker pool), on the bench model
 //!   (prefill and decode) and on an attention-heavy shape (decode);
 //! * **workers** — the default pipeline with 1 compute worker (expert
-//!   GEMMs inline) vs the default pool;
+//!   GEMMs inline) vs 2 workers. Explicit counts on both sides: the
+//!   default resolves to 1 on hosts with ≤ 3 cores, where 1 against the
+//!   default would compare a configuration with itself;
 //! * **kernels** — the default pipeline with the tensor micro-kernels
 //!   forced to scalar (a [`BackendGuard`] held around the call) vs the
 //!   detected backend (AVX2 where the CPU has it, else scalar; the SIMD
@@ -296,11 +298,19 @@ fn main() {
         backend: None,
     };
     let reference = ("reference", generate, default);
-    let one_worker = NativePipelineConfig {
-        compute_workers: 1,
+    let n_workers = |compute_workers| NativePipelineConfig {
+        compute_workers,
         ..Default::default()
     };
-    let workers = ("workers", Side::pipeline("1_worker", one_worker), default);
+    let workers = (
+        "workers",
+        Side::pipeline("1_worker", n_workers(1)),
+        Side::pipeline("2_workers", n_workers(2)),
+    );
+    println!(
+        "workers: 1 vs 2 compute workers (the default pipeline uses {})",
+        NativePipelineConfig::default().compute_workers
+    );
     let scalar = Side {
         label: "scalar",
         backend: Some(KernelBackend::Scalar),

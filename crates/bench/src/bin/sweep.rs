@@ -1,5 +1,6 @@
-//! Design-choice ablations beyond the paper's Table 3: the knobs DESIGN.md
-//! calls out, each swept in isolation.
+//! Design-choice ablations beyond the paper's Table 3: the settings the
+//! paper fixes by argument rather than by measurement, or names as a
+//! trade-off, each swept in isolation.
 //!
 //! 1. prefetch depth K (the paper fixes K = k and argues more is waste);
 //! 2. correlation-table warm-up size (the §8 pre-run);

@@ -19,10 +19,10 @@
 //! payoff of §5 — many batches' tokens amortize each expert transfer, so
 //! each resident expert should also amortize its *compute*):
 //!
-//! * **Batched expert GEMMs** ([`ExpertWeights::forward_batch`]): all
-//!   tokens routed to an arrived expert are stacked into one matrix and
-//!   pushed through the FFN as two GEMMs, streaming the weights once per
-//!   group instead of once per token.
+//! * **Batched expert GEMMs** ([`ExpertWeights::forward_batch_into`]):
+//!   all tokens routed to an arrived expert are stacked into one matrix
+//!   and pushed through the FFN as two GEMMs, streaming the weights once
+//!   per group instead of once per token.
 //! * **Batched attention** ([`MoeModel::attn_block_batch`]): each step's
 //!   attention runs over the whole group at once — Q/K/V and the output
 //!   projection are single GEMMs (the projection weights are shared by
@@ -38,6 +38,13 @@
 //!   queue — a pull model, so load balances itself by token count (an
 //!   expert with many tokens occupies one worker while others drain the
 //!   rest; see He et al., 2025 on imbalanced per-expert loads).
+//!
+//! The I/O thread and the worker pool are the pipeline's only
+//! parallelism. Every kernel runs single-threaded on the thread that calls
+//! it — the inference thread when expert compute is inline, a worker
+//! otherwise — so the run spawns all its threads up front and none per
+//! step: a per-GEMM thread team would oversubscribe the pool and allocate
+//! on every decode step.
 //!
 //! No lever changes a single bit of output: every per-element
 //! accumulation order is identical to the sequential reference
@@ -81,8 +88,10 @@ pub struct NativePipelineConfig {
     /// [`MoeModel::generate_h2o`].
     pub h2o: Option<H2oConfig>,
     /// Compute workers for parallel expert execution (≤ 1 computes inline
-    /// on the inference thread). Output is bit-identical at any worker
-    /// count.
+    /// on the inference thread). Each worker runs one expert's batched
+    /// forward at a time, single-threaded, so experts — not the rows of
+    /// one GEMM — are the unit of compute parallelism. Output is
+    /// bit-identical at any worker count.
     pub compute_workers: usize,
     /// With `quant` set: keep experts **packed** in the VRAM slots and
     /// compute through the fused quantized GEMM (`true`, the default) — no
@@ -157,26 +166,10 @@ enum VramExpert {
 
 impl VramExpert {
     /// Batched SwiGLU forward into a reused output matrix and
-    /// [`FfnScratch`] — allocation-free once the buffers hit their
-    /// high-water shapes. `threads` only applies to the dense GEMMs; the
-    /// fused quantized path is single-threaded per expert (the worker
-    /// pool parallelizes across experts instead). Bit-identical across
-    /// forms when the packed codes decode to the dense weights.
-    fn forward_batch_threaded_into(
-        &self,
-        xs: &Matrix,
-        out: &mut Matrix,
-        scratch: &mut FfnScratch,
-        threads: usize,
-    ) {
-        match self {
-            VramExpert::Dense(w) => w.forward_batch_threaded_into(xs, out, scratch, threads),
-            VramExpert::Packed(q) => q.forward_batch_into(xs, out, scratch),
-        }
-    }
-
-    /// Batched forward with an automatic thread count (inline compute on
-    /// the inference thread, where no worker pool competes for cores).
+    /// [`FfnScratch`], single-threaded and allocation-free once the
+    /// buffers hit their high-water shapes — the same call inline and on
+    /// a worker. Bit-identical across forms when the packed codes decode
+    /// to the dense weights.
     fn forward_batch_into(&self, xs: &Matrix, out: &mut Matrix, scratch: &mut FfnScratch) {
         match self {
             VramExpert::Dense(w) => w.forward_batch_into(xs, out, scratch),
@@ -326,14 +319,8 @@ pub fn run_pipeline(
                     let mut scratch = FfnScratch::default();
                     scratch.reserve(n_seqs, mcfg.d_ff);
                     while let Ok(mut task) = rx.recv() {
-                        // The pool already parallelizes across experts;
-                        // intra-GEMM threading on top would oversubscribe.
-                        task.weights.forward_batch_threaded_into(
-                            &task.xs,
-                            &mut task.out,
-                            &mut scratch,
-                            1,
-                        );
+                        task.weights
+                            .forward_batch_into(&task.xs, &mut task.out, &mut scratch);
                         if worker_event_tx
                             .send(Event::Computed {
                                 expert: task.expert,

@@ -1,13 +1,16 @@
 //! The DRAM-tier expert store.
 //!
 //! Experts are the offloaded tensor class (they dominate MoE parameter
-//! counts); attention, gate and norm weights stay resident. The store can
-//! hold experts quantized — fetching then either performs the
-//! dequantization the paper does "before computation" (§7) on the I/O
-//! thread ([`ExpertStore::fetch_into`]), or hands over the packed bytes
-//! themselves ([`ExpertStore::fetch_packed_into`]) for the fused
-//! quantized-GEMM path, where compute runs straight off the codes and no
-//! full-precision slab ever exists in the slot buffer.
+//! counts); attention, gate and norm weights stay resident. A dense store
+//! borrows the model's own experts — the model's weights already are the
+//! DRAM tier, so building the store copies nothing — and fetching one into
+//! a VRAM slot is a copy. A quantized store holds its own packed experts:
+//! fetching then either performs the dequantization the paper does
+//! "before computation" (§7) on the I/O thread
+//! ([`ExpertStore::fetch_into`]), or hands over the packed bytes themselves
+//! ([`ExpertStore::fetch_packed_into`]) for the fused quantized-GEMM path,
+//! where compute runs straight off the codes and no full-precision slab
+//! ever exists in the slot buffer.
 
 use klotski_moe::model::MoeModel;
 use klotski_moe::weights::{ExpertWeights, QuantizedExpertWeights};
@@ -15,22 +18,25 @@ use klotski_tensor::quant::QuantConfig;
 
 /// One expert as stored in the DRAM tier.
 #[derive(Debug, Clone)]
-pub enum StoredExpert {
-    /// Full precision (fetch is a copy).
-    Full(ExpertWeights),
+pub enum StoredExpert<'m> {
+    /// Full precision, borrowed from the model (fetch is a copy).
+    Full(&'m ExpertWeights),
     /// Group-quantized (fetch dequantizes, or copies the packed bytes).
-    Quantized(QuantizedExpertWeights),
+    /// Boxed, so a borrowed variant stays pointer-sized.
+    Quantized(Box<QuantizedExpertWeights>),
 }
 
-/// The expert weights of a whole model, held in the slow tier.
+/// The expert weights of a whole model, held in the slow tier. A dense
+/// store borrows them from the model it was built from.
 #[derive(Debug, Clone)]
-pub struct ExpertStore {
-    experts: Vec<Vec<StoredExpert>>,
+pub struct ExpertStore<'m> {
+    experts: Vec<Vec<StoredExpert<'m>>>,
 }
 
-impl ExpertStore {
-    /// Builds a store from `model`'s weights, optionally quantizing.
-    pub fn from_model(model: &MoeModel, quant: Option<QuantConfig>) -> Self {
+impl<'m> ExpertStore<'m> {
+    /// Builds a store from `model`'s weights: borrowed as they are, or
+    /// quantized into packed copies.
+    pub fn from_model(model: &'m MoeModel, quant: Option<QuantConfig>) -> Self {
         let experts = model
             .weights()
             .layers
@@ -40,10 +46,10 @@ impl ExpertStore {
                     .experts
                     .iter()
                     .map(|e| match quant {
-                        None => StoredExpert::Full(e.clone()),
-                        Some(cfg) => {
-                            StoredExpert::Quantized(QuantizedExpertWeights::quantize(e, cfg))
-                        }
+                        None => StoredExpert::Full(e),
+                        Some(cfg) => StoredExpert::Quantized(Box::new(
+                            QuantizedExpertWeights::quantize(e, cfg),
+                        )),
                     })
                     .collect()
             })
@@ -61,23 +67,20 @@ impl ExpertStore {
         self.experts.first().map_or(0, Vec::len)
     }
 
-    /// Fetches (`layer`, `expert`) into "VRAM": clones full-precision
-    /// weights or dequantizes — the I/O-thread work of one expert transfer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn fetch(&self, layer: usize, expert: usize) -> ExpertWeights {
+    /// [`ExpertStore::fetch_into`] into a fresh buffer.
+    #[cfg(test)]
+    fn fetch(&self, layer: usize, expert: usize) -> ExpertWeights {
         let mut out = ExpertWeights::placeholder();
         self.fetch_into(layer, expert, &mut out);
         out
     }
 
-    /// [`ExpertStore::fetch`] into a reused slot buffer: after the buffer
-    /// has been used once, every subsequent fetch is a pure copy (or
-    /// dequantization) into resident memory with **no allocation** — the
-    /// VRAM-slot-buffer reuse a real offloading runtime gets from its
-    /// staging pool.
+    /// Fetches (`layer`, `expert`) into "VRAM", a reused slot buffer:
+    /// copies full-precision weights or dequantizes — the I/O-thread work
+    /// of one expert transfer. After the buffer has been used once, every
+    /// subsequent fetch is a pure copy (or dequantization) into resident
+    /// memory with **no allocation** — the VRAM-slot-buffer reuse a real
+    /// offloading runtime gets from its staging pool.
     ///
     /// # Panics
     ///

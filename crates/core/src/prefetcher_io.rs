@@ -8,9 +8,10 @@
 //! never write the drifted in-memory copy back.
 //!
 //! The format is a small line-oriented text codec (one header line plus one
-//! line per non-zero counter) rather than JSON: the workspace deliberately
-//! carries no JSON dependency (see DESIGN.md §4), and the table is a pure
-//! counter dump with no nesting to express.
+//! line per non-zero counter) rather than JSON: the workspace builds offline
+//! from path dependencies alone (`vendor/` holds a stand-in only for crates
+//! the seed code already imported), so it carries no JSON crate, and the
+//! table is a pure counter dump with no nesting to express.
 
 use std::error::Error;
 use std::fmt;

@@ -6,7 +6,7 @@
 //! matrix as an opaque transferable blob.
 
 use klotski_tensor::init::{norm_weight, sub_seed, xavier_matrix};
-use klotski_tensor::matrix::{auto_threads, Matrix};
+use klotski_tensor::matrix::Matrix;
 use klotski_tensor::ops::silu;
 use klotski_tensor::quant::{QuantConfig, QuantizedMatrix};
 
@@ -94,7 +94,11 @@ impl ExpertWeights {
     }
 
     /// Applies the expert to a whole batch of hidden vectors at once —
-    /// `xs` is `[n_tokens, d_model]` row-major, one routed token per row.
+    /// `xs` is `[n_tokens, d_model]` row-major, one routed token per row —
+    /// into a reused output matrix and [`FfnScratch`]. With pre-reserved
+    /// buffers (see [`FfnScratch::reserve`]) the call performs no heap
+    /// allocation, and it spawns no thread: the native pipeline runs it
+    /// inline on its inference thread or on one of its compute workers.
     ///
     /// This is the Klotski aggregation payoff: the expert's three weight
     /// matrices are streamed **once per batch** (two GEMMs + activation)
@@ -107,49 +111,16 @@ impl ExpertWeights {
     /// # Panics
     ///
     /// Panics if `xs.cols()` does not match `d_model`.
-    pub fn forward_batch(&self, xs: &Matrix) -> Matrix {
-        let threads = auto_threads(xs.rows() * self.w1.rows() * self.w1.cols());
-        self.forward_batch_threaded(xs, threads)
-    }
-
-    /// [`ExpertWeights::forward_batch`] into a reused output matrix and
-    /// [`FfnScratch`] — the allocation-free form for decode hot loops.
-    /// Bit-identical to the allocating form. Picks the same automatic
-    /// intra-GEMM thread count as [`ExpertWeights::forward_batch`]; below
-    /// the parallel threshold (every decode-sized batch) the GEMMs run
-    /// inline with no thread spawns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.cols()` does not match `d_model`.
-    pub fn forward_batch_into(&self, xs: &Matrix, out: &mut Matrix, scratch: &mut FfnScratch) {
-        let threads = auto_threads(xs.rows() * self.w1.rows() * self.w1.cols());
-        self.forward_batch_threaded_into(xs, out, scratch, threads);
-    }
-
-    /// [`ExpertWeights::forward_batch_threaded`] into a reused output
-    /// matrix and [`FfnScratch`]. With pre-reserved buffers (see
-    /// [`FfnScratch::reserve`]) the call performs no heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.cols()` does not match `d_model`.
     // analyze: no_alloc
-    pub fn forward_batch_threaded_into(
-        &self,
-        xs: &Matrix,
-        out: &mut Matrix,
-        scratch: &mut FfnScratch,
-        threads: usize,
-    ) {
+    pub fn forward_batch_into(&self, xs: &Matrix, out: &mut Matrix, scratch: &mut FfnScratch) {
         assert_eq!(xs.cols(), self.w1.cols(), "expert input width mismatch");
         let n_tokens = xs.rows();
         let d_ff = self.w1.rows();
         let d_model = self.w2.rows();
         scratch.gate.resize(n_tokens, d_ff);
-        xs.matmul_nt_into_threaded(&self.w1, &mut scratch.gate, threads);
+        xs.matmul_nt_into(&self.w1, &mut scratch.gate);
         scratch.up.resize(n_tokens, d_ff);
-        xs.matmul_nt_into_threaded(&self.w3, &mut scratch.up, threads);
+        xs.matmul_nt_into(&self.w3, &mut scratch.up);
         for (g, &u) in scratch
             .gate
             .as_mut_slice()
@@ -159,23 +130,14 @@ impl ExpertWeights {
             *g = silu(*g) * u;
         }
         out.resize(n_tokens, d_model);
-        scratch.gate.matmul_nt_into_threaded(&self.w2, out, threads);
+        scratch.gate.matmul_nt_into(&self.w2, out);
     }
 
-    /// [`ExpertWeights::forward_batch`] with an explicit GEMM thread count
-    /// (1 = fully serial). Callers that already provide parallelism at the
-    /// expert level — e.g. the native pipeline's compute worker pool —
-    /// should pass 1, otherwise each worker spawning its own row-parallel
-    /// team oversubscribes the machine. Output is bit-identical at any
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.cols()` does not match `d_model`.
-    pub fn forward_batch_threaded(&self, xs: &Matrix, threads: usize) -> Matrix {
+    /// [`ExpertWeights::forward_batch_into`] into fresh buffers.
+    #[cfg(test)]
+    fn forward_batch(&self, xs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        let mut scratch = FfnScratch::default();
-        self.forward_batch_threaded_into(xs, &mut out, &mut scratch, threads);
+        self.forward_batch_into(xs, &mut out, &mut FfnScratch::default());
         out
     }
 
@@ -191,7 +153,8 @@ impl ExpertWeights {
 /// `up` projection matrices. One per compute site (the native pipeline's
 /// inference thread and each compute worker keep their own); after
 /// [`FfnScratch::reserve`] — or the first call at the high-water batch
-/// shape — every `forward_batch_*_into` call is allocation-free.
+/// shape — every `forward_batch_into` call, dense or quantized, is
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct FfnScratch {
     gate: Matrix,
@@ -201,7 +164,7 @@ pub struct FfnScratch {
 impl FfnScratch {
     /// Pre-sizes both intermediates for batches of up to `rows` tokens
     /// against experts with `d_ff` hidden width, so no later
-    /// `forward_batch_*_into` call allocates.
+    /// `forward_batch_into` call allocates.
     pub fn reserve(&mut self, rows: usize, d_ff: usize) {
         self.gate.resize(rows, d_ff);
         self.up.resize(rows, d_ff);
@@ -256,26 +219,14 @@ impl QuantizedExpertWeights {
         self.w3.copy_from(&src.w3);
     }
 
-    /// Batched SwiGLU forward straight off the packed codes: both GEMM
-    /// pairs run through [`QuantizedMatrix::matmul_nt_fused_into`], so
-    /// dequantization happens a 64-code panel at a time in registers.
-    /// Output is **bit-identical** to dequantizing this expert and calling
-    /// [`ExpertWeights::forward_batch`] (the fused GEMM preserves both the
-    /// dequant expression and every accumulation chain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.cols()` does not match `d_model`.
-    pub fn forward_batch(&self, xs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        let mut scratch = FfnScratch::default();
-        self.forward_batch_into(xs, &mut out, &mut scratch);
-        out
-    }
-
-    /// [`QuantizedExpertWeights::forward_batch`] into a reused output
-    /// matrix and [`FfnScratch`] — the allocation-free form for decode
-    /// hot loops. Bit-identical to the allocating form.
+    /// Batched SwiGLU forward straight off the packed codes, into a reused
+    /// output matrix and [`FfnScratch`] — allocation-free and single-threaded,
+    /// like the dense form. Both GEMM pairs run through
+    /// [`QuantizedMatrix::matmul_nt_fused_into`], so dequantization happens
+    /// a 64-code panel at a time in registers. Output is **bit-identical**
+    /// to dequantizing this expert and calling
+    /// [`ExpertWeights::forward_batch_into`] (the fused GEMM preserves both
+    /// the dequant expression and every accumulation chain).
     ///
     /// # Panics
     ///
@@ -300,6 +251,14 @@ impl QuantizedExpertWeights {
         }
         out.resize(n_tokens, d_model);
         self.w2.matmul_nt_fused_into(&scratch.gate, out);
+    }
+
+    /// [`QuantizedExpertWeights::forward_batch_into`] into fresh buffers.
+    #[cfg(test)]
+    fn forward_batch(&self, xs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_batch_into(xs, &mut out, &mut FfnScratch::default());
+        out
     }
 
     /// Actual stored bytes across the three matrices (codes + metadata).

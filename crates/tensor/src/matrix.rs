@@ -7,13 +7,14 @@
 //! results:
 //!
 //! * a `*_naive` reference (the textbook loop, kept in-tree so tests can
-//!   assert exact agreement),
+//!   assert exact agreement), and
 //! * a cache-blocked (tiled) kernel, the default, which reorders *which
 //!   element is computed when* but never the per-element accumulation
-//!   order, and
-//! * for the GEMM, a row-parallel threaded variant that splits output rows
-//!   over a scoped thread team (each row's arithmetic is untouched, so
-//!   parallelism is numerics-neutral).
+//!   order.
+//!
+//! Every kernel runs on its caller's thread and spawns none: the native
+//! pipeline's parallelism is its own long-lived I/O thread and compute
+//! workers, which a per-GEMM thread team would only oversubscribe.
 //!
 //! The bit-exactness invariant is what lets the native MoE pipeline swap
 //! per-token matvecs for batched GEMMs without perturbing the
@@ -35,25 +36,6 @@ const TILE_I: usize = 16;
 /// Output-column block (j-tile): bounds the working set of B rows touched
 /// per pass.
 const TILE_J: usize = 64;
-
-/// Multiply-add count below which spawning threads costs more than it
-/// saves (≈1M mul-adds ≈ 0.5 ms single-threaded).
-const PAR_MADD_THRESHOLD: usize = 1 << 20;
-
-/// How many worker threads are worth using for a kernel of `madds`
-/// multiply-adds: 1 below 2^20 (about 0.5 ms single-threaded), else the
-/// machine's parallelism capped at 8. Results are identical at any thread
-/// count; this only tunes wall-clock.
-pub fn auto_threads(madds: usize) -> usize {
-    if madds < PAR_MADD_THRESHOLD {
-        1
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    }
-}
 
 /// `out[j] += a · x[j]` — the one-row step of the weighted-rows kernel,
 /// with one product rounded before each add (the per-element order every
@@ -231,30 +213,6 @@ fn mm_nt_rows(
     }
 }
 
-/// Splits `out` into per-thread contiguous row chunks and runs `kernel`
-/// on each chunk in a scoped thread team. Row-disjoint writes keep every
-/// row's arithmetic identical to the single-threaded kernel.
-fn par_rows<K>(a: &[f32], m: usize, k: usize, n: usize, out: &mut [f32], threads: usize, kernel: K)
-where
-    K: Fn(&[f32], usize, usize, &mut [f32]) + Copy + Send,
-{
-    let threads = threads.clamp(1, m.max(1));
-    if threads <= 1 || k == 0 || n == 0 {
-        kernel(a, m, k, out);
-        return;
-    }
-    let chunk_rows = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        for a_chunk in a.chunks(chunk_rows * k) {
-            let rows_here = a_chunk.len() / k;
-            let (o_chunk, tail) = std::mem::take(&mut rest).split_at_mut(rows_here * n);
-            rest = tail;
-            scope.spawn(move || kernel(a_chunk, rows_here, k, o_chunk));
-        }
-    });
-}
-
 /// A dense row-major `f32` matrix.
 ///
 /// # Examples
@@ -262,9 +220,12 @@ where
 /// ```
 /// use klotski_tensor::matrix::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::identity(2);
-/// assert_eq!(a.matmul_nt(&b), a);
+/// // A weight matrix stored `[out_features, in_features]`, applied to a
+/// // batch of two rows: `x · wᵀ`.
+/// let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+/// let w = Matrix::from_fn(3, 2, |r, c| (r + c) as f32);
+/// let y = x.matmul_nt(&w);
+/// assert_eq!(y.row(1), &[4.0, 11.0, 18.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -296,7 +257,8 @@ impl Matrix {
     }
 
     /// The `n × n` identity.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m.data[i * n + i] = 1.0;
@@ -320,7 +282,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if rows have unequal lengths.
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[&[f32]]) -> Self {
         let n_rows = rows.len();
         let n_cols = rows.first().map_or(0, |r| r.len());
         let mut data = Vec::with_capacity(n_rows * n_cols);
@@ -430,21 +393,10 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_nt_into_threaded(rhs, out, 1);
+        self.matmul_nt_into_with_backend(rhs, out, active_backend());
     }
 
-    /// [`Matrix::matmul_nt_into`] with output rows split over `threads`
-    /// scoped threads (1 runs inline). Bit-identical at any thread count;
-    /// use [`auto_threads`] to pick a worthwhile count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_nt_into_threaded(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
-        self.matmul_nt_into_with_backend(rhs, out, threads, active_backend());
-    }
-
-    /// [`Matrix::matmul_nt_into_threaded`] with the kernel backend pinned
+    /// [`Matrix::matmul_nt_into`] with the kernel backend pinned
     /// explicitly rather than read from the process-global setting —
     /// race-free for A/B tests and benchmarks. Bit-identical at any
     /// backend.
@@ -452,27 +404,25 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on any shape mismatch, or if `backend` is unavailable.
+    // analyze: no_alloc
     pub fn matmul_nt_into_with_backend(
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
-        threads: usize,
         backend: KernelBackend,
     ) {
         backend.assert_available();
         assert_eq!(self.cols, rhs.cols, "inner dimension mismatch");
         assert_eq!(out.rows, self.rows, "output rows mismatch");
         assert_eq!(out.cols, rhs.rows, "output cols mismatch");
-        let (k, n) = (self.cols, rhs.rows);
-        let b = &rhs.data;
-        par_rows(
+        mm_nt_rows(
             &self.data,
             self.rows,
-            k,
-            n,
+            self.cols,
+            &rhs.data,
+            rhs.rows,
             &mut out.data,
-            threads,
-            move |a, m, k, o| mm_nt_rows(a, m, k, b, n, o, backend),
+            backend,
         );
     }
 
@@ -504,7 +454,7 @@ impl Matrix {
     }
 
     /// Reference `self · rhsᵀ`: the naive per-element dot product, kept so
-    /// tests can assert the tiled/threaded kernels are bit-identical.
+    /// tests can assert the tiled kernel is bit-identical.
     ///
     /// # Panics
     ///
@@ -527,7 +477,8 @@ impl Matrix {
     }
 
     /// Transpose (new allocation).
-    pub fn transpose(&self) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
@@ -876,18 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_kernels_match_at_any_thread_count() {
-        let a = Matrix::from_fn(23, 40, |r, c| ((r * 40 + c) as f32 * 0.2).sin());
-        let bt = Matrix::from_fn(31, 40, |r, c| ((2 * r + c) as f32 * 0.3).cos());
-        let nt = a.matmul_nt_naive(&bt);
-        for threads in [1usize, 2, 3, 8, 64] {
-            let mut out = Matrix::zeros(23, 31);
-            a.matmul_nt_into_threaded(&bt, &mut out, threads);
-            assert_eq!(out, nt, "nt threads={threads}");
-        }
-    }
-
-    #[test]
     fn empty_shapes_are_handled() {
         let a = Matrix::zeros(0, 5);
         let bt = Matrix::zeros(3, 5);
@@ -896,14 +835,6 @@ mod tests {
         let dt = Matrix::zeros(3, 0);
         let out = c.matmul_nt(&dt); // inner dimension zero: all-zero result
         assert_eq!(out, Matrix::zeros(4, 3));
-    }
-
-    #[test]
-    fn auto_threads_has_a_floor_and_ceiling() {
-        assert_eq!(auto_threads(0), 1);
-        assert_eq!(auto_threads(1000), 1);
-        assert!(auto_threads(usize::MAX) >= 1);
-        assert!(auto_threads(usize::MAX) <= 8);
     }
 
     #[test]
@@ -1077,7 +1008,7 @@ mod proptests {
             let a = Matrix::from_vec(m, k, raw_a[..m * k].to_vec());
             let bt = Matrix::from_vec(n, k, raw_b[..n * k].to_vec());
             let mut nt_ref = Matrix::zeros(m, n);
-            a.matmul_nt_into_with_backend(&bt, &mut nt_ref, 1, KernelBackend::Scalar);
+            a.matmul_nt_into_with_backend(&bt, &mut nt_ref, KernelBackend::Scalar);
             let mut mv_ref = vec![0.0f32; n];
             if m > 0 {
                 bt.matvec_into_with_backend(a.row(0), &mut mv_ref, KernelBackend::Scalar);
@@ -1085,7 +1016,7 @@ mod proptests {
             if KernelBackend::Avx2.is_available() {
                 let backend = KernelBackend::Avx2;
                 let mut out = Matrix::zeros(m, n);
-                a.matmul_nt_into_with_backend(&bt, &mut out, 1, backend);
+                a.matmul_nt_into_with_backend(&bt, &mut out, backend);
                 prop_assert_eq!(&out, &nt_ref, "nt {}", backend);
                 if m > 0 {
                     let mut mv = vec![0.0f32; n];
@@ -1135,24 +1066,19 @@ mod proptests {
             }
         }
 
-        /// Tiled and threaded A·Bᵀ are bit-identical to the naive kernel
-        /// on arbitrary shapes, including empty and 1-row matrices.
+        /// Tiled A·Bᵀ is bit-identical to the naive kernel on arbitrary
+        /// shapes, including empty and 1-row matrices.
         #[test]
         fn tiled_matmul_nt_matches_naive_exactly(
             m in 0usize..35,
             k in 0usize..70,
             n in 0usize..70,
-            threads in 1usize..5,
             raw_a in proptest::collection::vec(-10.0f32..10.0, 35 * 70),
             raw_b in proptest::collection::vec(-10.0f32..10.0, 70 * 70),
         ) {
             let a = Matrix::from_vec(m, k, raw_a[..m * k].to_vec());
             let b = Matrix::from_vec(n, k, raw_b[..n * k].to_vec());
-            let reference = a.matmul_nt_naive(&b);
-            prop_assert_eq!(&a.matmul_nt(&b), &reference);
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_nt_into_threaded(&b, &mut out, threads);
-            prop_assert_eq!(&out, &reference);
+            prop_assert_eq!(&a.matmul_nt(&b), &a.matmul_nt_naive(&b));
         }
     }
 }

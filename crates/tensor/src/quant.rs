@@ -963,7 +963,7 @@ mod proptests {
             let deq = q.dequantize();
             for backend in backends() {
                 let mut staged = Matrix::zeros(m, n);
-                a.matmul_nt_into_with_backend(&deq, &mut staged, 1, backend);
+                a.matmul_nt_into_with_backend(&deq, &mut staged, backend);
                 let mut fused = Matrix::from_fn(m, n, |_, _| -7.0);
                 q.matmul_nt_fused_with_backend(&a, &mut fused, backend);
                 prop_assert_eq!(&fused, &staged, "backend {}", backend);

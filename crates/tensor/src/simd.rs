@@ -40,8 +40,8 @@
 //! # Backend selection
 //!
 //! [`active_backend`] is what the public kernels use: the best detected
-//! backend, unless overridden process-wide with [`force_backend`] (or the
-//! scoped [`BackendGuard`]). Because every backend is bit-identical, a
+//! backend, unless overridden process-wide for the life of a
+//! [`BackendGuard`]. Because every backend is bit-identical, a
 //! concurrent override is *observable only in wall-clock*: benchmarks force
 //! backends sequentially, tests that must pin a backend use the
 //! `*_with_backend` kernel entry points instead of the global.
@@ -142,33 +142,18 @@ pub fn detected_backend() -> KernelBackend {
 /// 0 = no override (use [`detected_backend`]); else `KernelBackend::to_u8`.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
-/// Forces every kernel entry point that doesn't take an explicit backend
-/// to use `backend` (or clears the override with `None`). Process-global;
-/// prefer the scoped [`BackendGuard`] unless the override should outlive
-/// the current scope.
-///
-/// # Panics
-///
-/// Panics if `backend` is not available in this build / on this CPU —
-/// silently falling back would make an A/B benchmark lie.
-pub fn force_backend(backend: Option<KernelBackend>) {
-    if let Some(b) = backend {
-        b.assert_available();
-    }
-    FORCED.store(backend.map_or(0, KernelBackend::to_u8), Ordering::Relaxed);
-}
-
 /// The backend the implicit-backend kernel entry points currently use:
 /// the forced override if set, else [`detected_backend`].
 pub fn active_backend() -> KernelBackend {
     KernelBackend::from_u8(FORCED.load(Ordering::Relaxed)).unwrap_or_else(detected_backend)
 }
 
-/// Scoped [`force_backend`]: forces on construction, restores the previous
-/// override on drop. Hold one around a call — a whole native pipeline run,
-/// say, whose I/O and worker threads read the same global — to pin its
-/// backend for that scope; `native_throughput` times scalar against the
-/// detected backend this way.
+/// A scoped, process-global backend override: every kernel entry point
+/// that doesn't take an explicit backend uses the forced one until the
+/// guard drops, which restores the previous override. Hold one around a
+/// call — a whole native pipeline run, say, whose I/O and worker threads
+/// read the same global — to pin its backend for that scope;
+/// `native_throughput` times scalar against the detected backend this way.
 #[derive(Debug)]
 pub struct BackendGuard {
     prev: u8,
@@ -179,10 +164,11 @@ impl BackendGuard {
     ///
     /// # Panics
     ///
-    /// Panics if `backend` is unavailable (see [`force_backend`]).
+    /// Panics if `backend` is not available in this build / on this CPU —
+    /// silently falling back would make an A/B benchmark lie.
     pub fn force(backend: KernelBackend) -> Self {
-        let prev = FORCED.load(Ordering::Relaxed);
-        force_backend(Some(backend));
+        backend.assert_available();
+        let prev = FORCED.swap(backend.to_u8(), Ordering::Relaxed);
         BackendGuard { prev }
     }
 }
@@ -619,7 +605,7 @@ mod tests {
             // panic so the test holds everywhere.
             panic!("kernel backend avx2 unavailable (detected: avx2) [synthetic]");
         }
-        force_backend(Some(KernelBackend::Avx2));
+        let _g = BackendGuard::force(KernelBackend::Avx2);
     }
 
     /// Every entry point that takes a backend rejects an unavailable one
@@ -644,7 +630,7 @@ mod tests {
         }
         let calls: [(&str, &dyn Fn()); 7] = [
             ("matmul_nt_into", &|| {
-                a.matmul_nt_into_with_backend(&w, &mut Matrix::zeros(2, 8), 1, b);
+                a.matmul_nt_into_with_backend(&w, &mut Matrix::zeros(2, 8), b);
             }),
             ("matvec_into", &|| {
                 w.matvec_into_with_backend(a.row(0), &mut [0.0; 8], b);
