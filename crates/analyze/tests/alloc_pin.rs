@@ -83,6 +83,7 @@ fn prompts(n: usize, len: usize, vocab: usize) -> Vec<Vec<u32>> {
 /// One measured shape: the model, the group, and the two generation
 /// lengths whose runs must allocate equally often.
 struct Shape {
+    name: &'static str,
     model: MoeConfig,
     n_seqs: usize,
     prompt_len: usize,
@@ -94,6 +95,7 @@ struct Shape {
 /// tokens per step.
 fn tiny() -> Shape {
     Shape {
+        name: "tiny",
         model: MoeConfig::tiny(7),
         n_seqs: 3,
         prompt_len: 5,
@@ -106,6 +108,7 @@ fn tiny() -> Shape {
 /// tokens per expert per step, the dense-GEMM shape the benchmark times.
 fn bench() -> Shape {
     Shape {
+        name: "bench",
         model: MoeConfig {
             n_layers: 1,
             d_model: 256,
@@ -149,9 +152,10 @@ fn assert_steady_state_alloc_free(shape: &Shape, cfg: &NativePipelineConfig, wha
     assert_eq!(
         long_events,
         short_events,
-        "{what}: {} extra decode step(s) changed the allocation count \
+        "{} shape, {what}: {} extra decode step(s) changed the allocation count \
          ({short_events} events for gen_len={short} vs {long_events} for gen_len={long}) — \
          the steady-state loop allocated",
+        shape.name,
         long - short
     );
 }
@@ -179,26 +183,14 @@ fn steady_state_decode_is_allocation_free_on_every_thread() {
     // allocation-free either way, with expert compute inline or pooled,
     // and at the benchmark's shape, where each expert's GEMMs are large.
     for (shape, cfg, what) in [
-        (tiny(), dense(1), "tiny, dense, inline compute"),
-        (
-            tiny(),
-            quantized(1, true),
-            "tiny, fused 4-bit, inline compute",
-        ),
-        (
-            tiny(),
-            quantized(1, false),
-            "tiny, staged 4-bit, inline compute",
-        ),
-        (tiny(), dense(3), "tiny, dense, 3 workers"),
-        (tiny(), quantized(3, true), "tiny, fused 4-bit, 3 workers"),
-        (tiny(), quantized(3, false), "tiny, staged 4-bit, 3 workers"),
-        (bench(), dense(1), "bench, dense, inline compute"),
-        (
-            bench(),
-            quantized(1, true),
-            "bench, fused 4-bit, inline compute",
-        ),
+        (tiny(), dense(1), "dense, inline compute"),
+        (tiny(), quantized(1, true), "fused 4-bit, inline compute"),
+        (tiny(), quantized(1, false), "staged 4-bit, inline compute"),
+        (tiny(), dense(3), "dense, 3 workers"),
+        (tiny(), quantized(3, true), "fused 4-bit, 3 workers"),
+        (tiny(), quantized(3, false), "staged 4-bit, 3 workers"),
+        (bench(), dense(1), "dense, inline compute"),
+        (bench(), quantized(1, true), "fused 4-bit, inline compute"),
     ] {
         assert_steady_state_alloc_free(&shape, &cfg, what);
     }

@@ -262,11 +262,6 @@ pub fn attend_batch(
     }
 
     // Q/K/V for the whole group as single GEMMs (weights streamed once).
-    // Deliberately single-threaded: spawning a scoped thread team per call
-    // would heap-allocate in the decode hot loop (breaking the
-    // zero-allocation contract) and fight the caller's own parallelism —
-    // the native pipeline already keeps its worker pool busy with expert
-    // GEMMs while the inference thread attends.
     scratch.normed.matmul_nt_into(&w.wq, &mut scratch.q);
     scratch.normed.matmul_nt_into(&w.wk, &mut scratch.k);
     scratch.normed.matmul_nt_into(&w.wv, &mut scratch.v);

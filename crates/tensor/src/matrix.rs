@@ -258,7 +258,7 @@ impl Matrix {
 
     /// The `n × n` identity.
     #[cfg(test)]
-    pub(crate) fn identity(n: usize) -> Self {
+    fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m.data[i * n + i] = 1.0;
@@ -283,7 +283,7 @@ impl Matrix {
     ///
     /// Panics if rows have unequal lengths.
     #[cfg(test)]
-    pub(crate) fn from_rows(rows: &[&[f32]]) -> Self {
+    fn from_rows(rows: &[&[f32]]) -> Self {
         let n_rows = rows.len();
         let n_cols = rows.first().map_or(0, |r| r.len());
         let mut data = Vec::with_capacity(n_rows * n_cols);
@@ -478,7 +478,7 @@ impl Matrix {
 
     /// Transpose (new allocation).
     #[cfg(test)]
-    pub(crate) fn transpose(&self) -> Matrix {
+    fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
