@@ -125,3 +125,119 @@ fn h2o_composes_with_quantized_store() {
         .fold(0.0, f32::max);
     assert!(drift > 0.0 && drift < 1.5, "drift = {drift}");
 }
+
+/// 64-bit FNV-1a over every generated token, then the bit pattern of every
+/// final-hidden value, in sequence order.
+fn output_fnv(tokens: &[Vec<u32>], final_hidden: &[Vec<f32>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let words = tokens
+        .iter()
+        .flatten()
+        .copied()
+        .chain(final_hidden.iter().flatten().map(|v| v.to_bits()));
+    for b in words.flat_map(u32::to_le_bytes) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn pin_prompts(n: usize, len: usize, vocab: usize) -> Vec<Vec<u32>> {
+    (0..n)
+        .map(|s| {
+            (0..len)
+                .map(|p| ((s * 31 + p * 7 + 3) % vocab) as u32)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn heavy_hitter_outputs_are_pinned() {
+    // Every prompt outgrows its budget, so eviction shapes every output
+    // below. The pipeline and the reference must both reproduce these
+    // exact bits.
+    let model = MoeModel::new(MoeConfig::small(55));
+    let prompts: Vec<Vec<u32>> = (0..4)
+        .map(|s| (0..20).map(|p| ((s * 13 + p * 5) % 128) as u32).collect())
+        .collect();
+    let h2o = H2oConfig {
+        budget: 8,
+        sinks: 2,
+    };
+    let reference = model.generate_h2o(&prompts, 5, h2o);
+    let piped = run_pipeline(
+        &model,
+        &prompts,
+        5,
+        &NativePipelineConfig {
+            h2o: Some(h2o),
+            ..Default::default()
+        },
+    );
+    let small = 0xf6b2_d043_3285_f039;
+    assert_eq!(
+        output_fnv(&reference.tokens, &reference.final_hidden),
+        small,
+        "small(55) reference"
+    );
+    assert_eq!(
+        output_fnv(&piped.tokens, &piped.final_hidden),
+        small,
+        "small(55) pipeline"
+    );
+
+    // One slot and a worker pool: fetches serialize behind slot returns.
+    let model = MoeModel::new(MoeConfig::tiny(29));
+    let prompts = pin_prompts(4, 9, model.config().vocab);
+    let h2o = H2oConfig {
+        budget: 6,
+        sinks: 2,
+    };
+    let reference = model.generate_h2o(&prompts, 3, h2o);
+    let piped = run_pipeline(
+        &model,
+        &prompts,
+        3,
+        &NativePipelineConfig {
+            vram_slots: 1,
+            h2o: Some(h2o),
+            compute_workers: 3,
+            ..Default::default()
+        },
+    );
+    let pooled = 0x8a8b_79f5_9c1e_f5bd;
+    assert_eq!(
+        output_fnv(&reference.tokens, &reference.final_hidden),
+        pooled,
+        "tiny(29) reference"
+    );
+    assert_eq!(
+        output_fnv(&piped.tokens, &piped.final_hidden),
+        pooled,
+        "tiny(29) pipeline"
+    );
+
+    // The fused 4-bit store, which the reference does not model.
+    use klotski::tensor::quant::QuantConfig;
+    let model = MoeModel::new(MoeConfig::tiny(66));
+    let prompts = pin_prompts(3, 16, model.config().vocab);
+    let piped = run_pipeline(
+        &model,
+        &prompts,
+        4,
+        &NativePipelineConfig {
+            h2o: Some(H2oConfig {
+                budget: 7,
+                sinks: 1,
+            }),
+            quant: Some(QuantConfig::paper_default()),
+            ..Default::default()
+        },
+    );
+    assert_eq!(
+        output_fnv(&piped.tokens, &piped.final_hidden),
+        0x0d52_8757_ef63_c76b,
+        "tiny(66) fused 4-bit pipeline"
+    );
+}
