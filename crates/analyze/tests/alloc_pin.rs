@@ -20,7 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use klotski_core::native::{run_pipeline, NativePipelineConfig};
+use klotski_moe::attention::AttnMask;
 use klotski_moe::config::MoeConfig;
+use klotski_moe::h2o::H2oConfig;
 use klotski_moe::model::MoeModel;
 use klotski_tensor::quant::QuantConfig;
 
@@ -176,12 +178,26 @@ fn quantized(compute_workers: usize, fused_quant: bool) -> NativePipelineConfig 
     }
 }
 
+/// Heavy-hitter attention (budget 6, sinks 2): the tiny shape's 5-token
+/// prompts plus decode outgrow the budget, so every decode step evicts.
+fn heavy_hitter(compute_workers: usize) -> NativePipelineConfig {
+    NativePipelineConfig {
+        compute_workers,
+        mask: AttnMask::HeavyHitter(H2oConfig {
+            budget: 6,
+            sinks: 2,
+        }),
+        ..Default::default()
+    }
+}
+
 #[test]
 fn steady_state_decode_is_allocation_free_on_every_thread() {
     // Staged quantization dequantizes into the circulating slot buffers
     // instead of computing in the quantized domain; the pipeline must stay
     // allocation-free either way, with expert compute inline or pooled,
-    // and at the benchmark's shape, where each expert's GEMMs are large.
+    // under heavy-hitter attention, which evicts on every step, and at the
+    // benchmark's shape, where each expert's GEMMs are large.
     for (shape, cfg, what) in [
         (tiny(), dense(1), "dense, inline compute"),
         (tiny(), quantized(1, true), "fused 4-bit, inline compute"),
@@ -189,6 +205,8 @@ fn steady_state_decode_is_allocation_free_on_every_thread() {
         (tiny(), dense(3), "dense, 3 workers"),
         (tiny(), quantized(3, true), "fused 4-bit, 3 workers"),
         (tiny(), quantized(3, false), "staged 4-bit, 3 workers"),
+        (tiny(), heavy_hitter(1), "heavy-hitter, inline compute"),
+        (tiny(), heavy_hitter(3), "heavy-hitter, 3 workers"),
         (bench(), dense(1), "dense, inline compute"),
         (bench(), quantized(1, true), "fused 4-bit, inline compute"),
     ] {

@@ -30,9 +30,11 @@
 //!   token) and per-sequence scores/AV go through blocked strided kernels
 //!   over the contiguous KV slabs, all in a reused
 //!   [`AttnScratch`](klotski_moe::attention::AttnScratch) — zero heap
-//!   allocations in the attention block at steady state. Only the `h2o`
-//!   policy attends per token ([`MoeModel::attn_block_h2o`]): its
-//!   heavy-hitter state updates are sequential by design.
+//!   allocations in the attention block at steady state. This is the one
+//!   attention path under every mask: the heavy-hitter policy's
+//!   accumulate-and-evict update is per sequence and per layer, so it runs
+//!   inside the same per-sequence scores/AV walk, on state each
+//!   sequence's [`KvCache`] holds.
 //! * **A compute worker pool**: independent arrived experts are computed
 //!   in parallel by `compute_workers` crossbeam workers sharing one task
 //!   queue — a pull model, so load balances itself by token count (an
@@ -61,7 +63,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Sender};
 use klotski_moe::attention::AttnMask;
 use klotski_moe::gate::{RouteScratch, Routing};
-use klotski_moe::h2o::{H2oConfig, H2oState};
 use klotski_moe::kv::KvCache;
 use klotski_moe::model::MoeModel;
 use klotski_moe::weights::{ExpertWeights, FfnScratch, QuantizedExpertWeights};
@@ -81,12 +82,10 @@ pub struct NativePipelineConfig {
     /// numerics, so bit-exactness versus the reference holds only with
     /// `None`.
     pub quant: Option<QuantConfig>,
-    /// Attention mask (dense or StreamingLLM).
+    /// Attention mask: dense, StreamingLLM, or the heavy-hitter KV policy
+    /// (the §9.8 future-work extension). Under every mask the output is
+    /// bit-identical to [`MoeModel::generate`] with the same mask.
     pub mask: AttnMask,
-    /// Heavy-hitter KV policy (the §9.8 future-work extension); when set,
-    /// it replaces `mask`, and bit-exactness is checked against
-    /// [`MoeModel::generate_h2o`].
-    pub h2o: Option<H2oConfig>,
     /// Compute workers for parallel expert execution (≤ 1 computes inline
     /// on the inference thread). Each worker runs one expert's batched
     /// forward at a time, single-threaded, so experts — not the rows of
@@ -120,7 +119,6 @@ impl Default for NativePipelineConfig {
             prefetch_k: 2,
             quant: None,
             mask: AttnMask::Dense,
-            h2o: None,
             compute_workers: default_compute_workers(),
             fused_quant: true,
         }
@@ -224,8 +222,8 @@ struct ComputeTask {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.vram_slots == 0`, prompts are empty, or any prompt is
-/// empty.
+/// Panics if `cfg.vram_slots == 0`, prompts are empty, any prompt is
+/// empty, or `cfg.mask` is invalid (see [`AttnMask::validate`]).
 pub fn run_pipeline(
     model: &MoeModel,
     prompts: &[Vec<u32>],
@@ -233,6 +231,7 @@ pub fn run_pipeline(
     cfg: &NativePipelineConfig,
 ) -> NativeRunResult {
     assert!(cfg.vram_slots >= 1, "need at least one VRAM slot");
+    cfg.mask.validate();
     assert!(!prompts.is_empty(), "no prompts");
     for (s, prompt) in prompts.iter().enumerate() {
         assert!(!prompt.is_empty(), "empty prompt for sequence {s}");
@@ -353,12 +352,6 @@ pub fn run_pipeline(
             .iter()
             .map(|p| model.new_cache_with_capacity(p.len() + gen_len))
             .collect();
-        // Per-sequence heavy-hitter state, only under the h2o policy.
-        let mut h2o_states: Vec<H2oState> = cfg.h2o.map_or_else(Vec::new, |c| {
-            (0..n_seqs)
-                .map(|_| H2oState::new(mcfg.n_layers, c))
-                .collect()
-        });
 
         // Hot-loop state, allocated once and reused across all steps and
         // layers: per-sequence working + carry hidden states, the per-layer
@@ -407,11 +400,8 @@ pub fn run_pipeline(
         let total_steps = max_prompt + gen_len;
         // Pre-size the attention scratch to the run's high-water shapes
         // (full group, longest possible cache) so the attention block of
-        // every step is allocation-free. Skipped under h2o, which never
-        // touches the scratch.
-        if cfg.h2o.is_none() {
-            attn_scratch.reserve(n_seqs, total_steps);
-        }
+        // every step is allocation-free.
+        attn_scratch.reserve(n_seqs, total_steps);
 
         // analyze: no_alloc
         for step in 0..total_steps {
@@ -455,23 +445,15 @@ pub fn run_pipeline(
 
                 // (2) Attention for every active sequence (weights
                 // shared): the whole group through one set of Q/K/V/O
-                // GEMMs — except under h2o, whose heavy-hitter updates are
-                // sequential, so it walks sequences one at a time.
-                if cfg.h2o.is_some() {
-                    for &s in &active {
-                        h[s] =
-                            model.attn_block_h2o(layer, &h[s], &mut caches[s], &mut h2o_states[s]);
-                    }
-                } else {
-                    model.attn_block_batch(
-                        layer,
-                        &mut h,
-                        &active,
-                        &mut caches,
-                        cfg.mask,
-                        &mut attn_scratch,
-                    );
-                }
+                // GEMMs.
+                model.attn_block_batch(
+                    layer,
+                    &mut h,
+                    &active,
+                    &mut caches,
+                    cfg.mask,
+                    &mut attn_scratch,
+                );
 
                 // (3) Gate every token; group tokens by expert.
                 for group in tokens_of.iter_mut() {
@@ -623,6 +605,7 @@ fn top_k_by_into(counts: &[u64], k: usize, idx: &mut Vec<usize>, out: &mut Vec<u
 mod tests {
     use super::*;
     use klotski_moe::config::MoeConfig;
+    use klotski_moe::h2o::H2oConfig;
     use klotski_tensor::simd::{BackendGuard, KernelBackend};
 
     fn prompts(n: usize, len: usize, vocab: usize) -> Vec<Vec<u32>> {
@@ -777,9 +760,9 @@ mod tests {
             budget: 6,
             sinks: 2,
         };
-        let reference = model.generate_h2o(&p, 4, h2o_cfg);
+        let reference = model.generate(&p, 4, AttnMask::HeavyHitter(h2o_cfg));
         let cfg = NativePipelineConfig {
-            h2o: Some(h2o_cfg),
+            mask: AttnMask::HeavyHitter(h2o_cfg),
             ..Default::default()
         };
         let piped = run_pipeline(&model, &p, 4, &cfg);
@@ -886,14 +869,14 @@ mod tests {
             budget: 6,
             sinks: 2,
         };
-        let reference = model.generate_h2o(&p, 3, h2o_cfg);
+        let reference = model.generate(&p, 3, AttnMask::HeavyHitter(h2o_cfg));
         let piped = run_pipeline(
             &model,
             &p,
             3,
             &NativePipelineConfig {
                 vram_slots: 1,
-                h2o: Some(h2o_cfg),
+                mask: AttnMask::HeavyHitter(h2o_cfg),
                 compute_workers: 3,
                 ..Default::default()
             },

@@ -1,12 +1,18 @@
-//! Multi-head causal attention with optional StreamingLLM masking.
+//! Multi-head causal attention with optional StreamingLLM or heavy-hitter
+//! masking.
 //!
 //! One token is processed at a time against a per-sequence [`KvCache`] —
 //! the token's K/V are appended first, then the query attends over the
 //! cached (visible) positions. [`AttnMask`] selects which positions are
-//! visible: everything (dense causal) or the StreamingLLM pattern of
-//! attention sinks plus a recent window (§7 "Sparse Attention").
+//! visible: everything (dense causal), the StreamingLLM pattern of
+//! attention sinks plus a recent window (§7 "Sparse Attention"), or the
+//! heavy-hitter set the cache keeps by accumulated attention mass
+//! ([`crate::h2o`], §9.8's future work). The third rule is stateful: each
+//! step adds every visible position's softmaxed score to its mass, head by
+//! head, and evicts after the heads loop.
 //!
-//! Two execution shapes produce **bit-identical** outputs:
+//! Two execution shapes produce **bit-identical** outputs under every
+//! mask:
 //!
 //! * [`attend_one`] — one token of one sequence, four blocked matvecs plus
 //!   scalar score/AV loops (the reference arithmetic);
@@ -26,6 +32,7 @@
 use klotski_tensor::matrix::{matvec_strided_into, weighted_rows_into, Matrix, StridedRows};
 use klotski_tensor::ops::softmax_inplace;
 
+use crate::h2o::H2oConfig;
 use crate::kv::KvCache;
 use crate::weights::AttnWeights;
 
@@ -42,29 +49,80 @@ pub enum AttnMask {
         /// Most recent visible positions.
         window: usize,
     },
+    /// Heavy-hitter selection ([`crate::h2o`]): the positions the
+    /// sequence's cache keeps at the layer, at most `budget` plus the
+    /// current one.
+    HeavyHitter(H2oConfig),
 }
 
 impl AttnMask {
-    /// Whether `pos` is visible out of `len` cached positions.
-    pub fn visible(&self, pos: usize, len: usize) -> bool {
-        match *self {
-            AttnMask::Dense => true,
-            AttnMask::Streaming { sinks, window } => pos < sinks || pos + window >= len,
+    /// Checks the mask's parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a heavy-hitter budget does not exceed its sink count.
+    pub fn validate(&self) {
+        if let AttnMask::HeavyHitter(cfg) = self {
+            cfg.validate();
         }
     }
 
     /// Number of visible positions out of `len`.
-    pub fn visible_count(&self, len: usize) -> usize {
+    #[cfg(test)]
+    fn visible_count(&self, len: usize) -> usize {
         match *self {
             AttnMask::Dense => len,
+            AttnMask::Streaming { sinks, window } => len.min(sinks + window),
+            AttnMask::HeavyHitter(cfg) => len.min(cfg.budget + 1),
+        }
+    }
+
+    /// Fills `visible` with the positions of `cache` at `layer` a query may
+    /// attend to, ascending, and `mass` with one zero per visible position
+    /// under heavy-hitter selection (empty otherwise): the step's
+    /// attention mass accumulates there.
+    fn visible_into(
+        &self,
+        cache: &KvCache,
+        layer: usize,
+        visible: &mut Vec<usize>,
+        mass: &mut Vec<f32>,
+    ) {
+        let len = cache.len(layer);
+        visible.clear();
+        mass.clear();
+        match *self {
+            AttnMask::Dense => visible.extend(0..len),
             AttnMask::Streaming { sinks, window } => {
-                if len <= sinks + window {
-                    len
-                } else {
-                    sinks + window
-                }
+                visible.extend((0..len).filter(|&p| p < sinks || p + window >= len));
+            }
+            AttnMask::HeavyHitter(_) => {
+                visible.extend_from_slice(cache.kept(layer));
+                mass.resize(visible.len(), 0.0);
             }
         }
+    }
+}
+
+/// Appends one position's K/V to `cache` at `layer`. Under heavy-hitter
+/// selection the new position also joins the kept set, so its own query
+/// sees it.
+fn append(cache: &mut KvCache, layer: usize, k: &[f32], v: &[f32], mask: AttnMask) {
+    cache.append(layer, k, v);
+    if let AttnMask::HeavyHitter(cfg) = mask {
+        let pos = cache.len(layer) - 1;
+        cache.heavy_hitters_mut(layer).admit(pos, cfg);
+    }
+}
+
+/// Ends one step of heavy-hitter selection: adds the step's `mass`
+/// (parallel to the kept positions) and evicts down to budget. Does
+/// nothing under the other masks.
+fn evict(cache: &mut KvCache, layer: usize, mass: &[f32], mask: AttnMask) {
+    if let AttnMask::HeavyHitter(cfg) = mask {
+        cache
+            .heavy_hitters_mut(layer)
+            .accumulate_and_evict(mass, cfg);
     }
 }
 
@@ -92,75 +150,47 @@ pub fn attend_one(
     let q = project(&w.wq, x);
     let k = project(&w.wk, x);
     let v = project(&w.wv, x);
-    cache.append(layer, &k, &v);
+    append(cache, layer, &k, &v, mask);
+    let (mut visible, mut mass) = (Vec::new(), Vec::new());
+    mask.visible_into(cache, layer, &mut visible, &mut mass);
 
-    let len = cache.len(layer);
-    let mut attended = vec![0.0f32; d_model];
-    match mask {
-        // Dense visibility is the contiguous 0..len range: iterate it
-        // directly instead of materializing an index Vec per call.
-        AttnMask::Dense => attend_heads(&q, cache, layer, 0..len, n_heads, head_dim, &mut attended),
-        AttnMask::Streaming { .. } => {
-            let visible: Vec<usize> = (0..len).filter(|&p| mask.visible(p, len)).collect();
-            attend_heads(
-                &q,
-                cache,
-                layer,
-                visible.iter().copied(),
-                n_heads,
-                head_dim,
-                &mut attended,
-            );
-        }
-    }
-
-    project(&w.wo, &attended)
-}
-
-/// The per-head scores → softmax → AV core of [`attend_one`], generic
-/// over the visible-position walk so the dense case needs no index
-/// allocation. Per-score dots and per-output-element AXPY accumulation run
-/// in ascending-position order — the accumulation order every batched or
-/// blocked variant must replicate exactly.
-fn attend_heads<I>(
-    q: &[f32],
-    cache: &KvCache,
-    layer: usize,
-    visible: I,
-    n_heads: usize,
-    head_dim: usize,
-    attended: &mut [f32],
-) where
-    I: Iterator<Item = usize> + Clone,
-{
+    // Per head: scores → softmax → AV. Per-score dots and per-output-element
+    // AXPY accumulation run in ascending-position order — the accumulation
+    // order every batched or blocked variant must replicate exactly.
     let scale = 1.0 / (head_dim as f32).sqrt();
+    let mut attended = vec![0.0f32; d_model];
     for h in 0..n_heads {
         let q_h = &q[h * head_dim..(h + 1) * head_dim];
-        // Scores over visible positions.
         let mut scores: Vec<f32> = visible
-            .clone()
-            .map(|p| {
+            .iter()
+            .map(|&p| {
                 let k_p = &cache.key_at(layer, p)[h * head_dim..(h + 1) * head_dim];
                 dot(q_h, k_p) * scale
             })
             .collect();
         softmax_inplace(&mut scores);
+        for (m, &s) in mass.iter_mut().zip(&scores) {
+            *m += s;
+        }
         let out_h = &mut attended[h * head_dim..(h + 1) * head_dim];
-        for (p, &s) in visible.clone().zip(&scores) {
+        for (&p, &s) in visible.iter().zip(&scores) {
             let v_p = &cache.value_at(layer, p)[h * head_dim..(h + 1) * head_dim];
             for (o, &vv) in out_h.iter_mut().zip(v_p) {
                 *o += s * vv;
             }
         }
     }
+    evict(cache, layer, &mass, mask);
+
+    project(&w.wo, &attended)
 }
 
 /// Reusable buffers for [`attend_batch`]: the group's stacked
-/// normalized/Q/K/V/attended/output matrices plus the per-sequence scores
-/// and visible-index buffers. Owned by the caller (the native pipeline
-/// keeps one for the whole run) so steady-state decode allocates nothing
-/// in the attention block — [`AttnScratch::reserve`] pre-sizes everything
-/// to the run's high-water shapes.
+/// normalized/Q/K/V/attended/output matrices plus the per-sequence scores,
+/// visible-index and attention-mass buffers. Owned by the caller (the
+/// native pipeline keeps one for the whole run) so steady-state decode
+/// allocates nothing in the attention block — [`AttnScratch::reserve`]
+/// pre-sizes everything to the run's high-water shapes.
 #[derive(Debug, Clone)]
 pub struct AttnScratch {
     n_heads: usize,
@@ -175,6 +205,7 @@ pub struct AttnScratch {
     pub(crate) out: Matrix,
     scores: Vec<f32>,
     visible: Vec<usize>,
+    mass: Vec<f32>,
 }
 
 impl AttnScratch {
@@ -192,6 +223,7 @@ impl AttnScratch {
             out: Matrix::zeros(0, 0),
             scores: Vec::new(),
             visible: Vec::new(),
+            mass: Vec::new(),
         }
     }
 
@@ -202,6 +234,7 @@ impl AttnScratch {
         self.input_mut(rows);
         self.scores.reserve(positions);
         self.visible.reserve(positions);
+        self.mass.reserve(positions);
     }
 
     /// Stages a group of `rows` sequences: resizes the per-row matrices
@@ -266,7 +299,13 @@ pub fn attend_batch(
     scratch.normed.matmul_nt_into(&w.wk, &mut scratch.k);
     scratch.normed.matmul_nt_into(&w.wv, &mut scratch.v);
     for (r, &s) in seqs.iter().enumerate() {
-        caches[s].append(layer, scratch.k.row(r), scratch.v.row(r));
+        append(
+            &mut caches[s],
+            layer,
+            scratch.k.row(r),
+            scratch.v.row(r),
+            mask,
+        );
     }
 
     // Per-sequence scores/AV over each cache's contiguous KV slab. The
@@ -279,14 +318,13 @@ pub fn attend_batch(
         ref mut attended,
         ref mut scores,
         ref mut visible,
+        ref mut mass,
         ..
     } = *scratch;
     let scale = 1.0 / (head_dim as f32).sqrt();
     for (r, &s) in seqs.iter().enumerate() {
         let cache = &caches[s];
-        let len = cache.len(layer);
-        visible.clear();
-        visible.extend((0..len).filter(|&p| mask.visible(p, len)));
+        mask.visible_into(cache, layer, visible, mass);
         scores.resize(visible.len(), 0.0);
         let keys = cache.keys(layer);
         let vals = cache.values(layer);
@@ -300,6 +338,9 @@ pub fn attend_batch(
                 *sv *= scale;
             }
             softmax_inplace(scores);
+            for (m, &sv) in mass.iter_mut().zip(scores.iter()) {
+                *m += sv;
+            }
             let v_rows = StridedRows::new(vals, d_model, off, head_dim);
             weighted_rows_into(
                 scores,
@@ -308,6 +349,7 @@ pub fn attend_batch(
                 &mut attended_row[off..off + head_dim],
             );
         }
+        evict(&mut caches[s], layer, mass, mask);
     }
 
     // Output projection for the whole group as one GEMM.
@@ -411,9 +453,14 @@ mod tests {
             sinks: 2,
             window: 3,
         };
-        let len = 10;
-        let visible: Vec<usize> = (0..len).filter(|&p| m.visible(p, len)).collect();
+        let mut cache = KvCache::new(1, 1);
+        for _ in 0..10 {
+            cache.append(0, &[0.0], &[0.0]);
+        }
+        let (mut visible, mut mass) = (Vec::new(), Vec::new());
+        m.visible_into(&cache, 0, &mut visible, &mut mass);
         assert_eq!(visible, vec![0, 1, 7, 8, 9]);
+        assert!(mass.is_empty(), "only heavy-hitter selection gathers mass");
         assert_eq!(m.visible_count(10), 5);
         assert_eq!(m.visible_count(4), 4);
         assert_eq!(AttnMask::Dense.visible_count(10), 10);
@@ -544,6 +591,16 @@ mod tests {
     }
 
     #[test]
+    fn attend_batch_matches_heavy_hitter_beyond_budget() {
+        // Warm past the budget so eviction runs in both shapes.
+        let mask = AttnMask::HeavyHitter(H2oConfig {
+            budget: 4,
+            sinks: 1,
+        });
+        check_batch_vs_one(&[9, 2, 12], &[0, 1, 2], mask, 4);
+    }
+
+    #[test]
     fn attend_batch_empty_group_is_noop() {
         let cfg = MoeConfig::tiny(7);
         let w = AttnWeights::seeded(&cfg, 0);
@@ -623,13 +680,13 @@ mod proptests {
     proptest! {
         /// `attend_batch` is bit-identical to per-sequence `attend_one`
         /// for random group sizes (including 1 and the empty group),
-        /// ragged cache lengths, and dense or streaming masks — outputs
-        /// and appended K/V alike.
+        /// ragged cache lengths, and dense, streaming or heavy-hitter
+        /// masks — outputs and caches (K/V and kept sets) alike.
         #[test]
         fn attend_batch_is_bit_identical_to_attend_one(
             n_seqs in 0usize..5,
             warm_raw in proptest::collection::vec(0usize..9, 5),
-            streaming in 0usize..2,
+            mask_kind in 0usize..3,
             sinks in 0usize..3,
             window in 1usize..4,
             salt in 0usize..1000,
@@ -638,10 +695,13 @@ mod proptests {
             let cfg = MoeConfig::tiny(17);
             let layer = 0;
             let w = AttnWeights::seeded(&cfg, 0);
-            let mask = if streaming == 1 {
-                AttnMask::Streaming { sinks, window }
-            } else {
-                AttnMask::Dense
+            let mask = match mask_kind {
+                0 => AttnMask::Dense,
+                1 => AttnMask::Streaming { sinks, window },
+                _ => AttnMask::HeavyHitter(H2oConfig {
+                    budget: sinks + window,
+                    sinks,
+                }),
             };
             let mut ref_caches: Vec<KvCache> = (0..n_seqs)
                 .map(|_| KvCache::new(cfg.n_layers, cfg.d_model))

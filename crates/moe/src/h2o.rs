@@ -9,14 +9,15 @@
 //! whenever the per-layer budget is exceeded (attention sinks are always
 //! kept).
 //!
-//! Unlike [`AttnMask`](crate::attention::AttnMask), the policy is
-//! *stateful* — scores accumulate across decoding steps — so it lives in an
-//! [`H2oState`] owned by the caller per sequence.
-
-use klotski_tensor::ops::softmax_inplace;
-
-use crate::kv::KvCache;
-use crate::weights::AttnWeights;
+//! The policy is the third visibility rule of
+//! [`AttnMask`](crate::attention::AttnMask), `HeavyHitter`, so both
+//! attention shapes run it. Unlike the other two rules it is *stateful* —
+//! scores accumulate across decoding steps — so each sequence's
+//! [`KvCache`](crate::kv::KvCache) holds the policy's state: per layer, the
+//! kept positions and their accumulated mass. The update is per sequence
+//! and per layer: each step admits the new position, attends over the kept
+//! set, sums every position's softmaxed score over the heads, and then
+//! evicts. This module holds that admission and eviction rule.
 
 /// Configuration of the heavy-hitter policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,143 +42,54 @@ impl H2oConfig {
     }
 }
 
-/// Per-sequence heavy-hitter state: the kept set and accumulated scores.
-#[derive(Debug, Clone)]
-pub struct H2oState {
-    cfg: H2oConfig,
-    /// Kept position indices per layer, ascending.
-    kept: Vec<Vec<usize>>,
-    /// Accumulated attention mass per kept position (parallel to `kept`).
-    scores: Vec<Vec<f32>>,
+/// One layer's heavy-hitter state: the kept positions, ascending, and the
+/// attention mass each has accumulated (parallel to `kept`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct HeavyHitters {
+    kept: Vec<usize>,
+    mass: Vec<f32>,
 }
 
-impl H2oState {
-    /// Fresh state for `n_layers` layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    pub fn new(n_layers: usize, cfg: H2oConfig) -> Self {
-        cfg.validate();
-        H2oState {
-            cfg,
-            kept: vec![Vec::new(); n_layers],
-            scores: vec![Vec::new(); n_layers],
+impl HeavyHitters {
+    /// The kept positions, ascending.
+    pub(crate) fn kept(&self) -> &[usize] {
+        &self.kept
+    }
+
+    /// Admits the newest position `pos` with no mass yet. Both lists are
+    /// sized once, at the first admission, to `budget + 1` entries — the
+    /// most they ever hold — so later steps never allocate.
+    pub(crate) fn admit(&mut self, pos: usize, cfg: H2oConfig) {
+        if self.kept.capacity() == 0 {
+            self.kept.reserve_exact(cfg.budget + 1);
+            self.mass.reserve_exact(cfg.budget + 1);
         }
+        self.kept.push(pos);
+        self.mass.push(0.0);
     }
 
-    /// The kept positions at `layer` (ascending).
-    pub fn kept(&self, layer: usize) -> &[usize] {
-        &self.kept[layer]
-    }
-
-    /// The policy configuration.
-    pub fn config(&self) -> H2oConfig {
-        self.cfg
-    }
-
-    fn admit(&mut self, layer: usize, pos: usize) {
-        self.kept[layer].push(pos);
-        self.scores[layer].push(0.0);
-    }
-
-    fn accumulate_and_evict(&mut self, layer: usize, step_scores: &[f32]) {
-        for (acc, &s) in self.scores[layer].iter_mut().zip(step_scores) {
+    /// Adds one step's mass (parallel to [`HeavyHitters::kept`]) and, over
+    /// budget, evicts the lowest-mass position that is neither a sink nor
+    /// the current one, ties going to the lower position.
+    pub(crate) fn accumulate_and_evict(&mut self, step_mass: &[f32], cfg: H2oConfig) {
+        for (acc, &s) in self.mass.iter_mut().zip(step_mass) {
             *acc += s;
         }
-        if self.kept[layer].len() <= self.cfg.budget {
+        if self.kept.len() <= cfg.budget {
             return;
         }
-        // Evict the coldest non-sink, non-current position.
-        let last = self.kept[layer].len() - 1;
-        let victim = self.kept[layer]
+        let last = self.kept.len() - 1;
+        let victim = self
+            .kept
             .iter()
             .enumerate()
-            .filter(|&(i, &pos)| pos >= self.cfg.sinks && i != last)
-            .min_by(|a, b| {
-                self.scores[layer][a.0]
-                    .total_cmp(&self.scores[layer][b.0])
-                    .then(a.1.cmp(b.1))
-            })
+            .filter(|&(i, &pos)| pos >= cfg.sinks && i != last)
+            .min_by(|a, b| self.mass[a.0].total_cmp(&self.mass[b.0]).then(a.1.cmp(b.1)))
             .map(|(i, _)| i)
             .expect("budget > sinks guarantees an evictable position");
-        self.kept[layer].remove(victim);
-        self.scores[layer].remove(victim);
+        self.kept.remove(victim);
+        self.mass.remove(victim);
     }
-}
-
-/// One token of attention under the heavy-hitter policy: appends the
-/// token's K/V, attends over the kept set, accumulates attention mass and
-/// evicts down to budget. Returns the `wo`-projected attention output
-/// (residual handling belongs to the caller, as in
-/// [`attend_one`](crate::attention::attend_one)).
-///
-/// While the sequence is shorter than the budget this is *exactly* dense
-/// attention.
-///
-/// # Panics
-///
-/// Panics if `x` is not `n_heads × head_dim` long.
-pub fn attend_one_h2o(
-    w: &AttnWeights,
-    layer: usize,
-    x: &[f32],
-    cache: &mut KvCache,
-    state: &mut H2oState,
-    n_heads: usize,
-    head_dim: usize,
-) -> Vec<f32> {
-    let d_model = n_heads * head_dim;
-    assert_eq!(x.len(), d_model, "attention input width mismatch");
-
-    let q = project(&w.wq, x);
-    let k = project(&w.wk, x);
-    let v = project(&w.wv, x);
-    let pos = cache.len(layer);
-    cache.append(layer, &k, &v);
-    state.admit(layer, pos);
-
-    let kept = state.kept(layer).to_vec();
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut attended = vec![0.0f32; d_model];
-    // Per-position attention mass summed over heads (the H2O statistic).
-    let mut mass = vec![0.0f32; kept.len()];
-
-    for h in 0..n_heads {
-        let q_h = &q[h * head_dim..(h + 1) * head_dim];
-        let mut scores: Vec<f32> = kept
-            .iter()
-            .map(|&p| {
-                let k_p = &cache.key_at(layer, p)[h * head_dim..(h + 1) * head_dim];
-                dot(q_h, k_p) * scale
-            })
-            .collect();
-        softmax_inplace(&mut scores);
-        let out_h = &mut attended[h * head_dim..(h + 1) * head_dim];
-        for ((&p, &s), m) in kept.iter().zip(&scores).zip(mass.iter_mut()) {
-            *m += s;
-            let v_p = &cache.value_at(layer, p)[h * head_dim..(h + 1) * head_dim];
-            for (o, &vv) in out_h.iter_mut().zip(v_p) {
-                *o += s * vv;
-            }
-        }
-    }
-
-    state.accumulate_and_evict(layer, &mass);
-    project(&w.wo, &attended)
-}
-
-fn project(w: &klotski_tensor::matrix::Matrix, x: &[f32]) -> Vec<f32> {
-    let rows = w.rows();
-    let mut out = vec![0.0f32; rows];
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = dot(w.row(i), x);
-    }
-    out
-}
-
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -185,6 +97,9 @@ mod tests {
     use super::*;
     use crate::attention::{attend_one, AttnMask};
     use crate::config::MoeConfig;
+    use crate::kv::KvCache;
+    use crate::model::MoeModel;
+    use crate::weights::AttnWeights;
 
     fn setup() -> (MoeConfig, AttnWeights) {
         let cfg = MoeConfig::tiny(8);
@@ -206,7 +121,6 @@ mod tests {
         };
         let mut dense_cache = KvCache::new(cfg.n_layers, cfg.d_model);
         let mut h2o_cache = KvCache::new(cfg.n_layers, cfg.d_model);
-        let mut state = H2oState::new(cfg.n_layers, h2o_cfg);
         for t in 0..10 {
             let x = token(t, cfg.d_model);
             let a = attend_one(
@@ -218,14 +132,14 @@ mod tests {
                 cfg.head_dim,
                 AttnMask::Dense,
             );
-            let b = attend_one_h2o(
+            let b = attend_one(
                 &w,
                 0,
                 &x,
                 &mut h2o_cache,
-                &mut state,
                 cfg.n_heads,
                 cfg.head_dim,
+                AttnMask::HeavyHitter(h2o_cfg),
             );
             assert_eq!(a, b, "token {t}: under budget, H2O must equal dense");
         }
@@ -238,14 +152,14 @@ mod tests {
             budget: 6,
             sinks: 2,
         };
+        let mask = AttnMask::HeavyHitter(h2o_cfg);
         let mut cache = KvCache::new(cfg.n_layers, cfg.d_model);
-        let mut state = H2oState::new(cfg.n_layers, h2o_cfg);
         for t in 0..24 {
             let x = token(t, cfg.d_model);
-            let _ = attend_one_h2o(&w, 0, &x, &mut cache, &mut state, cfg.n_heads, cfg.head_dim);
-            assert!(state.kept(0).len() <= h2o_cfg.budget, "token {t}");
+            let _ = attend_one(&w, 0, &x, &mut cache, cfg.n_heads, cfg.head_dim, mask);
+            assert!(cache.kept(0).len() <= h2o_cfg.budget, "token {t}");
         }
-        let kept = state.kept(0);
+        let kept = cache.kept(0);
         assert!(
             kept.contains(&0) && kept.contains(&1),
             "sinks evicted: {kept:?}"
@@ -263,7 +177,6 @@ mod tests {
         };
         let mut dense_cache = KvCache::new(cfg.n_layers, cfg.d_model);
         let mut h2o_cache = KvCache::new(cfg.n_layers, cfg.d_model);
-        let mut state = H2oState::new(cfg.n_layers, h2o_cfg);
         let mut diverged = false;
         for t in 0..16 {
             let x = token(t, cfg.d_model);
@@ -276,14 +189,14 @@ mod tests {
                 cfg.head_dim,
                 AttnMask::Dense,
             );
-            let b = attend_one_h2o(
+            let b = attend_one(
                 &w,
                 0,
                 &x,
                 &mut h2o_cache,
-                &mut state,
                 cfg.n_heads,
                 cfg.head_dim,
+                AttnMask::HeavyHitter(h2o_cfg),
             );
             if a != b {
                 diverged = true;
@@ -303,8 +216,8 @@ mod tests {
             budget: 8,
             sinks: 1,
         };
+        let mask = AttnMask::HeavyHitter(h2o_cfg);
         let mut cache = KvCache::new(cfg.n_layers, cfg.d_model);
-        let mut state = H2oState::new(cfg.n_layers, h2o_cfg);
         // Repeat the same token often so its (identical) early keys gather
         // mass.
         for t in 0..32 {
@@ -313,9 +226,9 @@ mod tests {
             } else {
                 token(t, cfg.d_model)
             };
-            let _ = attend_one_h2o(&w, 0, &x, &mut cache, &mut state, cfg.n_heads, cfg.head_dim);
+            let _ = attend_one(&w, 0, &x, &mut cache, cfg.n_heads, cfg.head_dim, mask);
         }
-        let kept = state.kept(0);
+        let kept = cache.kept(0);
         let window_start = 32 - (h2o_cfg.budget - h2o_cfg.sinks);
         let pure_recency = kept.iter().all(|&p| p < h2o_cfg.sinks || p >= window_start);
         assert!(
@@ -327,12 +240,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "budget must exceed")]
     fn degenerate_budget_rejected() {
-        let _ = H2oState::new(
+        let model = MoeModel::new(MoeConfig::tiny(8));
+        let _ = model.generate(
+            &[vec![1]],
             1,
-            H2oConfig {
+            AttnMask::HeavyHitter(H2oConfig {
                 budget: 2,
                 sinks: 2,
-            },
+            }),
         );
     }
 }

@@ -1,4 +1,12 @@
 //! Per-sequence KV caches.
+//!
+//! A cache also holds the per-layer state of the heavy-hitter policy
+//! ([`crate::h2o`]): which positions it keeps and the attention mass each
+//! has accumulated. Eviction is logical — evicted positions stay in the
+//! slabs and are never attended again — so the slabs' layout is the same
+//! under every [`AttnMask`](crate::attention::AttnMask).
+
+use crate::h2o::HeavyHitters;
 
 /// The key/value cache of one sequence across all layers.
 ///
@@ -10,6 +18,9 @@ pub struct KvCache {
     width: usize,
     keys: Vec<Vec<f32>>,
     values: Vec<Vec<f32>>,
+    /// Heavy-hitter state per layer (empty unless attended under
+    /// `AttnMask::HeavyHitter`).
+    heavy: Vec<HeavyHitters>,
 }
 
 impl KvCache {
@@ -20,6 +31,7 @@ impl KvCache {
             width,
             keys: vec![Vec::new(); n_layers],
             values: vec![Vec::new(); n_layers],
+            heavy: vec![HeavyHitters::default(); n_layers],
         }
     }
 
@@ -95,6 +107,17 @@ impl KvCache {
     /// The value of `pos` at `layer`.
     pub fn value_at(&self, layer: usize, pos: usize) -> &[f32] {
         &self.values[layer][pos * self.width..(pos + 1) * self.width]
+    }
+
+    /// The positions the heavy-hitter policy keeps at `layer`, ascending
+    /// (empty unless attended under `AttnMask::HeavyHitter`).
+    pub fn kept(&self, layer: usize) -> &[usize] {
+        self.heavy[layer].kept()
+    }
+
+    /// The heavy-hitter state of `layer`.
+    pub(crate) fn heavy_hitters_mut(&mut self, layer: usize) -> &mut HeavyHitters {
+        &mut self.heavy[layer]
     }
 
     /// Width of each key/value vector.

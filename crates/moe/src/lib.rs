@@ -2,8 +2,10 @@
 //!
 //! A real (tiny) Mixtral-style decoder executed on the CPU: RMSNorm,
 //! multi-head causal attention with per-sequence KV caches and optional
-//! StreamingLLM masking, softmax-top-k gating, SwiGLU experts, tied LM
-//! head, greedy decoding.
+//! StreamingLLM or heavy-hitter masking, softmax-top-k gating, SwiGLU
+//! experts, tied LM head, greedy decoding. Every mask runs through the
+//! same two attention shapes; the heavy-hitter policy's state
+//! ([`h2o`]) lives in each sequence's [`kv::KvCache`].
 //!
 //! Its purpose in the reproduction is *ground truth*: the reference runner
 //! ([`model::MoeModel::generate`]) executes tokens in canonical order, and

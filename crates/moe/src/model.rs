@@ -47,7 +47,8 @@ pub struct TokenCtx {
     pub token: u32,
     /// Its absolute position in the sequence.
     pub pos: usize,
-    /// Attention mask (dense or StreamingLLM).
+    /// Attention mask (dense, StreamingLLM or heavy-hitter); a
+    /// heavy-hitter mask's state lives in the sequence's [`KvCache`].
     pub mask: AttnMask,
     /// Prefill or decode (for the routing trace).
     pub phase: Phase,
@@ -205,30 +206,6 @@ impl MoeModel {
         }
     }
 
-    /// `h + attention(rmsnorm1(h))` under the heavy-hitter KV policy
-    /// (see [`crate::h2o`]), updating the per-sequence `state`.
-    pub fn attn_block_h2o(
-        &self,
-        layer: usize,
-        h: &[f32],
-        cache: &mut KvCache,
-        state: &mut crate::h2o::H2oState,
-    ) -> Vec<f32> {
-        let lw = &self.weights.layers[layer];
-        let mut normed = h.to_vec();
-        rmsnorm_inplace(&mut normed, &lw.attn.norm1, NORM_EPS);
-        let attn_out = crate::h2o::attend_one_h2o(
-            &lw.attn,
-            layer,
-            &normed,
-            cache,
-            state,
-            self.cfg.n_heads,
-            self.cfg.head_dim,
-        );
-        h.iter().zip(&attn_out).map(|(a, b)| a + b).collect()
-    }
-
     /// The pre-MoE normalized hidden state.
     pub fn moe_norm(&self, layer: usize, h: &[f32]) -> Vec<f32> {
         let mut normed = Vec::new();
@@ -369,7 +346,8 @@ impl MoeModel {
     }
 
     /// Greedy next token from hidden state `h`.
-    pub fn next_token(&self, h: &[f32]) -> u32 {
+    #[cfg(test)]
+    fn next_token(&self, h: &[f32]) -> u32 {
         self.next_token_with(h, &mut self.logits_scratch())
     }
 
@@ -386,17 +364,21 @@ impl MoeModel {
     }
 
     /// Reference generation: prompts processed sequentially, one token at a
-    /// time, in canonical (batch-major) order — the numerical ground truth.
+    /// time, in canonical (batch-major) order — the numerical ground truth,
+    /// under every [`AttnMask`]. Each sequence gets a fresh cache, so a
+    /// heavy-hitter mask starts from an empty kept set.
     ///
     /// # Panics
     ///
-    /// Panics if any prompt is empty or contains out-of-vocabulary tokens.
+    /// Panics if any prompt is empty or contains out-of-vocabulary tokens,
+    /// or if `mask` is invalid (see [`AttnMask::validate`]).
     pub fn generate(
         &self,
         prompts: &[Vec<u32>],
         gen_len: usize,
         mask: AttnMask,
     ) -> GenerationResult {
+        mask.validate();
         let mut tokens = Vec::with_capacity(prompts.len());
         let mut final_hidden = Vec::with_capacity(prompts.len());
         let mut routing = Vec::new();
@@ -429,77 +411,6 @@ impl MoeModel {
                     seq,
                 };
                 h = self.forward_token(ctx, &mut cache, &mut routing);
-            }
-            tokens.push(generated);
-            final_hidden.push(h);
-        }
-        GenerationResult {
-            tokens,
-            final_hidden,
-            routing,
-        }
-    }
-
-    /// Reference generation under the heavy-hitter KV policy — the ground
-    /// truth for pipelined execution with [`crate::h2o`] enabled. Each
-    /// sequence carries its own fresh [`H2oState`](crate::h2o::H2oState).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any prompt is empty or `cfg` is invalid.
-    pub fn generate_h2o(
-        &self,
-        prompts: &[Vec<u32>],
-        gen_len: usize,
-        cfg: crate::h2o::H2oConfig,
-    ) -> GenerationResult {
-        cfg.validate();
-        let mut tokens = Vec::with_capacity(prompts.len());
-        let mut final_hidden = Vec::with_capacity(prompts.len());
-        let mut routing = Vec::new();
-        let mut scratch = self.logits_scratch();
-        for (seq, prompt) in prompts.iter().enumerate() {
-            assert!(!prompt.is_empty(), "empty prompt for sequence {seq}");
-            let mut cache = self.new_cache_with_capacity(prompt.len() + gen_len);
-            let mut state = crate::h2o::H2oState::new(self.cfg.n_layers, cfg);
-            // The H2O path replaces the mask with stateful selection, so
-            // `ctx.mask` is unused here; Dense is a placeholder.
-            let forward = |ctx: TokenCtx,
-                           cache: &mut KvCache,
-                           state: &mut crate::h2o::H2oState,
-                           routing: &mut Vec<RoutingEvent>| {
-                let mut h = self.embed(ctx.token, ctx.pos);
-                for layer in 0..self.cfg.n_layers {
-                    h = self.attn_block_h2o(layer, &h, cache, state);
-                    h = self.moe_block(layer, &h, ctx, routing);
-                }
-                h
-            };
-            let mut h = Vec::new();
-            for (pos, &tok) in prompt.iter().enumerate() {
-                let ctx = TokenCtx {
-                    token: tok,
-                    pos,
-                    mask: AttnMask::Dense,
-                    phase: Phase::Prefill,
-                    step: pos,
-                    seq,
-                };
-                h = forward(ctx, &mut cache, &mut state, &mut routing);
-            }
-            let mut generated = Vec::with_capacity(gen_len);
-            for step in 0..gen_len {
-                let next = self.next_token_with(&h, &mut scratch);
-                generated.push(next);
-                let ctx = TokenCtx {
-                    token: next,
-                    pos: prompt.len() + step,
-                    mask: AttnMask::Dense,
-                    phase: Phase::Decode,
-                    step,
-                    seq,
-                };
-                h = forward(ctx, &mut cache, &mut state, &mut routing);
             }
             tokens.push(generated);
             final_hidden.push(h);

@@ -8,7 +8,7 @@
 
 use klotski::moe::attention::{attend_one, AttnMask};
 use klotski::moe::config::MoeConfig;
-use klotski::moe::h2o::{attend_one_h2o, H2oConfig, H2oState};
+use klotski::moe::h2o::H2oConfig;
 use klotski::moe::kv::KvCache;
 use klotski::moe::model::MoeModel;
 
@@ -26,7 +26,7 @@ fn main() {
     let mut dense_cache = KvCache::new(cfg.n_layers, cfg.d_model);
     let mut stream_cache = KvCache::new(cfg.n_layers, cfg.d_model);
     let mut h2o_cache = KvCache::new(cfg.n_layers, cfg.d_model);
-    let mut h2o = H2oState::new(cfg.n_layers, H2oConfig { budget, sinks: 2 });
+    let h2o_mask = AttnMask::HeavyHitter(H2oConfig { budget, sinks: 2 });
     let stream_mask = AttnMask::Streaming {
         sinks: 2,
         window: budget - 2,
@@ -55,14 +55,14 @@ fn main() {
             cfg.head_dim,
             stream_mask,
         );
-        let heavy = attend_one_h2o(
+        let heavy = attend_one(
             w,
             0,
             &normed,
             &mut h2o_cache,
-            &mut h2o,
             cfg.n_heads,
             cfg.head_dim,
+            h2o_mask,
         );
         let err = |a: &[f32], b: &[f32]| {
             a.iter()
@@ -77,7 +77,7 @@ fn main() {
     println!("sequence length {seq_len}, KV budget {budget} (sinks 2)");
     println!(
         "kept positions under heavy-hitter policy: {:?}",
-        h2o.kept(0)
+        h2o_cache.kept(0)
     );
     println!("max |Δ| vs dense attention:");
     println!("  StreamingLLM (recency window): {stream_err_max:.4}");

@@ -8,6 +8,7 @@ use klotski::core::prefetcher::{measure_accuracy, measure_accuracy_l2, Correlati
 use klotski::core::prefetcher_io::{parse_table, serialize_table};
 use klotski::model::spec::ModelSpec;
 use klotski::model::trace::{GatingModel, TraceConfig};
+use klotski::moe::attention::AttnMask;
 use klotski::moe::config::MoeConfig;
 use klotski::moe::h2o::H2oConfig;
 use klotski::moe::model::MoeModel;
@@ -72,13 +73,13 @@ fn h2o_pipeline_is_exact_and_bounded_end_to_end() {
         budget: 8,
         sinks: 2,
     };
-    let reference = model.generate_h2o(&prompts, 5, h2o);
+    let reference = model.generate(&prompts, 5, AttnMask::HeavyHitter(h2o));
     let piped = run_pipeline(
         &model,
         &prompts,
         5,
         &NativePipelineConfig {
-            h2o: Some(h2o),
+            mask: AttnMask::HeavyHitter(h2o),
             ..Default::default()
         },
     );
@@ -103,7 +104,7 @@ fn h2o_composes_with_quantized_store() {
         &prompts,
         4,
         &NativePipelineConfig {
-            h2o: Some(h2o),
+            mask: AttnMask::HeavyHitter(h2o),
             ..Default::default()
         },
     );
@@ -112,7 +113,7 @@ fn h2o_composes_with_quantized_store() {
         &prompts,
         4,
         &NativePipelineConfig {
-            h2o: Some(h2o),
+            mask: AttnMask::HeavyHitter(h2o),
             quant: Some(QuantConfig::paper_default()),
             ..Default::default()
         },
@@ -165,13 +166,13 @@ fn heavy_hitter_outputs_are_pinned() {
         budget: 8,
         sinks: 2,
     };
-    let reference = model.generate_h2o(&prompts, 5, h2o);
+    let reference = model.generate(&prompts, 5, AttnMask::HeavyHitter(h2o));
     let piped = run_pipeline(
         &model,
         &prompts,
         5,
         &NativePipelineConfig {
-            h2o: Some(h2o),
+            mask: AttnMask::HeavyHitter(h2o),
             ..Default::default()
         },
     );
@@ -194,14 +195,14 @@ fn heavy_hitter_outputs_are_pinned() {
         budget: 6,
         sinks: 2,
     };
-    let reference = model.generate_h2o(&prompts, 3, h2o);
+    let reference = model.generate(&prompts, 3, AttnMask::HeavyHitter(h2o));
     let piped = run_pipeline(
         &model,
         &prompts,
         3,
         &NativePipelineConfig {
             vram_slots: 1,
-            h2o: Some(h2o),
+            mask: AttnMask::HeavyHitter(h2o),
             compute_workers: 3,
             ..Default::default()
         },
@@ -227,7 +228,7 @@ fn heavy_hitter_outputs_are_pinned() {
         &prompts,
         4,
         &NativePipelineConfig {
-            h2o: Some(H2oConfig {
+            mask: AttnMask::HeavyHitter(H2oConfig {
                 budget: 7,
                 sinks: 1,
             }),
