@@ -94,24 +94,6 @@ impl Planner {
         }
     }
 
-    /// Expected number of distinct activated experts per layer when `tokens`
-    /// tokens each select `top_k` experts under `popularity` (or a uniform
-    /// fallback when no gating statistics are available).
-    pub fn expected_activated(&self, tokens: u64, popularity: Option<&[f64]>) -> f64 {
-        let spec = self.cost.spec();
-        let e = spec.n_experts as usize;
-        if e == 0 {
-            return 0.0;
-        }
-        let picks = tokens.saturating_mul(spec.top_k as u64) as f64;
-        let uniform = vec![1.0 / e as f64; e];
-        let pop = popularity.unwrap_or(&uniform);
-        pop.iter()
-            .map(|&p| 1.0 - (1.0 - p).powf(picks))
-            .sum::<f64>()
-            .min(e as f64)
-    }
-
     /// Evaluates inequalities (4)–(7) at group size `n`, returning every
     /// slack (LHS − RHS, in seconds; negative ⇒ violated) in paper order.
     pub fn slacks(&self, n: u32, batch_size: u32, gating: Option<&GatingModel>) -> [f64; 4] {
@@ -152,7 +134,7 @@ impl Planner {
             None => (k / spec.n_experts.max(1) as f64, None),
         };
 
-        let activated = self.expected_activated(tokens, avg_pop.as_deref());
+        let activated = spec.expected_activated(tokens, avg_pop.as_deref());
         let len_q = (activated - k).max(0.0);
 
         // Token split: hot experts take `hot_share` of the routed tokens.
@@ -368,9 +350,9 @@ mod tests {
 
     #[test]
     fn expected_activated_saturates() {
-        let p = planner(Compression::none());
-        let few = p.expected_activated(1, None);
-        let many = p.expected_activated(10_000, None);
+        let spec = ModelSpec::mixtral_8x7b();
+        let few = spec.expected_activated(1, None);
+        let many = spec.expected_activated(10_000, None);
         assert!(few < many);
         assert!(many <= 8.0 + 1e-9);
         assert!((many - 8.0).abs() < 1e-3, "all experts activate eventually");

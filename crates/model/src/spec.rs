@@ -60,32 +60,30 @@ impl FfnKind {
     }
 }
 
-/// A group-wise affine quantization scheme (HQQ-style), used to shrink
-/// transfer bytes (§7 "Compression" of the paper).
+/// Bits per quantized weight (the paper's preset).
+const QUANT_BITS: u32 = 4;
+/// Weights per scale group.
+const QUANT_GROUP_SIZE: u32 = 64;
+/// Weights per zero-point group.
+const QUANT_ZERO_GROUP_SIZE: u32 = 128;
+
+/// The group-wise affine quantization format (HQQ-style) the cost model
+/// prices, used to shrink transfer bytes (§7 "Compression" of the paper):
+/// 4 bits per weight, a scale per 64 weights and a zero point per 128. It
+/// is the only format and has no settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct QuantScheme {
-    /// Bits per weight (the paper presets 4).
-    pub bits: u32,
-    /// Weights per scale group (paper: 64).
-    pub group_size: u32,
-    /// Weights per zero-point group (paper: 128).
-    pub zero_group_size: u32,
-}
+pub struct QuantScheme;
 
 impl QuantScheme {
-    /// The paper's preset: 4 bits, group 64, zero-scale group 128.
+    /// The paper's format, the only one.
     pub fn paper_default() -> Self {
-        QuantScheme {
-            bits: 4,
-            group_size: 64,
-            zero_group_size: 128,
-        }
+        QuantScheme
     }
 
     /// Bytes per parameter including per-group scale/zero overhead
     /// (scales and zeros stored as 16-bit).
     pub fn bytes_per_param(&self) -> f64 {
-        self.bits as f64 / 8.0 + 2.0 / self.group_size as f64 + 2.0 / self.zero_group_size as f64
+        QUANT_BITS as f64 / 8.0 + 2.0 / QUANT_GROUP_SIZE as f64 + 2.0 / QUANT_ZERO_GROUP_SIZE as f64
     }
 
     /// Size ratio versus an unquantized dtype.
@@ -268,6 +266,24 @@ impl ModelSpec {
             return None;
         }
         Some((0..layer).filter(|&l| self.is_moe_layer(l)).count() as u32)
+    }
+
+    /// Expected number of distinct activated experts per layer when
+    /// `tokens` tokens each select `top_k` experts under `popularity` (or
+    /// uniformly, when no gating statistics are available). Allocates
+    /// nothing.
+    pub fn expected_activated(&self, tokens: u64, popularity: Option<&[f64]>) -> f64 {
+        let e = self.n_experts as usize;
+        if e == 0 {
+            return 0.0;
+        }
+        let picks = tokens.saturating_mul(self.top_k as u64) as f64;
+        let activated = |p: f64| 1.0 - (1.0 - p).powf(picks);
+        let sum: f64 = match popularity {
+            Some(pop) => pop.iter().map(|&p| activated(p)).sum(),
+            None => std::iter::repeat_n(1.0 / e as f64, e).map(activated).sum(),
+        };
+        sum.min(e as f64)
     }
 
     // ---- Sizes (bytes) --------------------------------------------------
@@ -523,11 +539,6 @@ mod tests {
         // ~0.55 B/param ⇒ ~27% of bf16.
         let f = q.factor_vs(Dtype::Bf16);
         assert!((0.25..0.30).contains(&f), "factor = {f}");
-        let q3 = QuantScheme {
-            bits: 3,
-            ..QuantScheme::paper_default()
-        };
-        assert!(q3.bytes_per_param() < q.bytes_per_param());
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   largest `n` whose estimated completion still fits the end-to-end
 //!   latency budget.
 
-use klotski_core::compress::Compression;
-use klotski_core::planner::Planner;
 use klotski_model::cost::CostModel;
 use klotski_sim::time::SimDuration;
 
@@ -215,14 +213,10 @@ pub fn estimate_step_service(
     let n_dense = spec.n_layers as u64 - n_moe;
     let ctx = prompt_len as u64 + gen_len as u64 / 2;
 
-    let planner = Planner::new(cost.clone(), Compression::none());
     let moe_layer = |new_tokens: u64, attn: SimDuration| -> SimDuration {
         let group_tokens = bs * nb * new_tokens;
         let selections = group_tokens * spec.top_k.max(1) as u64;
-        let e_act = planner
-            .expected_activated(group_tokens, None)
-            .ceil()
-            .max(1.0);
+        let e_act = spec.expected_activated(group_tokens, None).ceil().max(1.0);
         let per_expert = (selections as f64 / e_act).ceil() as u64;
         let compute = attn * nb
             + cost.gate_time(bs * new_tokens) * nb
