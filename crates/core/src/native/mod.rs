@@ -15,4 +15,4 @@ mod pipeline;
 mod store;
 
 pub use pipeline::{run_pipeline, NativePipelineConfig, NativeRunResult};
-pub use store::{ExpertStore, StoredExpert};
+pub use store::ExpertStore;

@@ -18,7 +18,7 @@ use klotski_tensor::quant::QuantConfig;
 
 /// One expert as stored in the DRAM tier.
 #[derive(Debug, Clone)]
-pub enum StoredExpert<'m> {
+enum StoredExpert<'m> {
     /// Full precision, borrowed from the model (fetch is a copy).
     Full(&'m ExpertWeights),
     /// Group-quantized (fetch dequantizes, or copies the packed bytes).
@@ -58,12 +58,14 @@ impl<'m> ExpertStore<'m> {
     }
 
     /// Number of layers.
-    pub fn n_layers(&self) -> usize {
+    #[cfg(test)]
+    fn n_layers(&self) -> usize {
         self.experts.len()
     }
 
     /// Experts per layer.
-    pub fn n_experts(&self) -> usize {
+    #[cfg(test)]
+    fn n_experts(&self) -> usize {
         self.experts.first().map_or(0, Vec::len)
     }
 
@@ -97,7 +99,8 @@ impl<'m> ExpertStore<'m> {
     }
 
     /// Whether the store holds experts in quantized form.
-    pub fn is_quantized(&self) -> bool {
+    #[cfg(test)]
+    fn is_quantized(&self) -> bool {
         matches!(
             self.experts.first().and_then(|l| l.first()),
             Some(StoredExpert::Quantized(_))

@@ -384,7 +384,8 @@ impl DeepCorrelationTable {
 
     /// Bytes of counter storage (the memory-occupation side of §8's
     /// trade-off; compare with `l = 1`'s `L·E²` table).
-    pub fn counter_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn counter_bytes(&self) -> usize {
         8 * self.counts.len()
     }
 

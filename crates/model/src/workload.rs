@@ -61,7 +61,8 @@ impl Workload {
     }
 
     /// Total prompt tokens across all sequences.
-    pub fn total_prompt_tokens(&self) -> u64 {
+    #[cfg(test)]
+    fn total_prompt_tokens(&self) -> u64 {
         self.total_seqs() * self.prompt_len as u64
     }
 
