@@ -222,8 +222,10 @@ impl QuantizedExpertWeights {
     /// Batched SwiGLU forward straight off the packed codes, into a reused
     /// output matrix and [`FfnScratch`] — allocation-free and single-threaded,
     /// like the dense form. Both GEMM pairs run through
-    /// [`QuantizedMatrix::matmul_nt_fused_into`], so dequantization happens
-    /// a 64-code panel at a time in registers. Output is **bit-identical**
+    /// [`QuantizedMatrix::matmul_nt_fused_into`], so the codes are decoded
+    /// inside the GEMM: on AVX2 straight into column vectors, 8 weight rows
+    /// at a time, and otherwise a 64-code panel at a time on the stack.
+    /// Output is **bit-identical**
     /// to dequantizing this expert and calling
     /// [`ExpertWeights::forward_batch_into`] (the fused GEMM preserves both
     /// the dequant expression and every accumulation chain).

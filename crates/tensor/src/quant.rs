@@ -17,20 +17,29 @@
 //! * [`QuantizedMatrix::dequantize_into`] reconstructs full precision a
 //!   scale group at a time (zero and scale hoisted, bytes decoded in bulk);
 //! * [`QuantizedMatrix::matmul_nt_fused_into`] fuses that dequantization
-//!   into the `A · selfᵀ` GEMM — a 64-code panel of each weight row is
-//!   unpacked into a stack buffer and fed straight to the register
-//!   micro-kernels, so expert compute runs off the packed bytes with no
-//!   full-precision staging matrix. Both are **bit-identical** to
-//!   dequantize-then-GEMM: the dequant expression and every per-element
-//!   accumulation chain are unchanged (`f32` accumulators spill/reload
-//!   exactly across panels).
+//!   into the `A · selfᵀ` GEMM, so expert compute runs off the packed bytes
+//!   with no full-precision staging matrix. It has two forms:
+//!   - the **column-vector** form, on the AVX2 backend when `cols` is a
+//!     multiple of 8: each of 8 lanes owns one weight row, loads that
+//!     row's packed 32-bit word (8 codes) once per 8 k-steps and shifts it
+//!     4 bits per k-step, and the decoded column vector feeds the
+//!     accumulators of up to 8 input rows;
+//!   - the **panel** form everywhere else (the scalar backend, other
+//!     column counts, and the last < 8 weight rows): a 64-code panel of
+//!     each weight row is unpacked into a stack buffer and fed to the
+//!     register micro-kernels.
 //!
-//! Both decode through one nibble kernel that [`KernelBackend`] dispatches
-//! like the GEMM micro-kernels: a scalar form a byte at a time, and an AVX2
-//! form that widens 16 codes at once to `f32` and applies the subtract and
-//! the multiply as separate instructions, never fused. The quantizer's
-//! min/max and code passes are dispatched the same way. Every backend is
-//! byte-identical to the retained per-element reference loops.
+//!   Both are **bit-identical** to dequantize-then-GEMM: the dequant
+//!   expression and every per-element accumulation chain are unchanged
+//!   (`f32` accumulators spill/reload exactly across panels).
+//!
+//! The panels and `dequantize_into` decode through one nibble kernel that
+//! [`KernelBackend`] dispatches like the GEMM micro-kernels: a scalar form
+//! a byte at a time, and an AVX2 form that widens 16 codes at once to
+//! `f32`. Every decode applies the subtract and the multiply as separate
+//! instructions, never fused. The quantizer's min/max and code passes are
+//! dispatched the same way. Every backend is byte-identical to the
+//! retained per-element reference loops.
 
 use crate::matrix::{Matrix, NT_COLS};
 use crate::simd::{active_backend, KernelBackend};
@@ -271,13 +280,17 @@ impl QuantizedMatrix {
         }
     }
 
-    /// `out = a · selfᵀ` with dequantization fused into the GEMM: 64-code
-    /// panels of each weight row are unpacked into a stack buffer and fed
-    /// straight to the register micro-kernels — no full-precision staging
-    /// matrix. **Bit-identical** to `a.matmul_nt(&self.dequantize())`:
-    /// the dequant expression is unchanged and each output element is the
-    /// same ascending-k chain (`f32` accumulators spill/reload exactly
-    /// across panels).
+    /// `out = a · selfᵀ` with dequantization fused into the GEMM — no
+    /// full-precision staging matrix. On the AVX2 backend, when `cols` is a
+    /// multiple of 8, each block of 8 weight rows is decoded straight into
+    /// column vectors (one lane per weight row, 8 codes per packed word)
+    /// that feed the accumulators of up to 8 input rows at a time. The
+    /// scalar backend, other column counts and the last < 8 weight rows
+    /// unpack 64-code panels into a stack buffer and feed them to the
+    /// register micro-kernels. **Bit-identical** to
+    /// `a.matmul_nt(&self.dequantize())` either way: the dequant expression
+    /// is unchanged and each output element is the same ascending-k chain
+    /// (`f32` accumulators spill/reload exactly across panels).
     ///
     /// # Panics
     ///
@@ -304,6 +317,85 @@ impl QuantizedMatrix {
         assert_eq!(a.cols(), self.cols, "inner dimension mismatch");
         assert_eq!(out.rows(), a.rows(), "output rows mismatch");
         assert_eq!(out.cols(), self.rows, "output cols mismatch");
+        let j0 = self.fused_cols(a, out, backend);
+        self.fused_panels(a, out, j0, backend);
+    }
+
+    /// The column-vector form of the fused GEMM over every whole block of
+    /// 8 weight rows, where it runs: the AVX2 backend, `cols % 8 == 0`
+    /// (every row then starts on a 4-byte word, and no 8-code word
+    /// straddles a scale or zero group) and a flat index that fits the
+    /// kernel's `i32` gather offsets. Input rows go in blocks of 8, the
+    /// last block holding the 1–7 left over. Returns the first weight row
+    /// left to [`QuantizedMatrix::fused_panels`]: the < 8-row tail, or 0
+    /// where the kernel does not run.
+    // analyze: no_alloc
+    fn fused_cols(&self, a: &Matrix, out: &mut Matrix, backend: KernelBackend) -> usize {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if backend == KernelBackend::Avx2
+            && self.cols.is_multiple_of(NT_COLS)
+            && self.rows * self.cols <= i32::MAX as usize
+        {
+            let mut i = 0usize;
+            while i < a.rows() {
+                let left = a.rows() - i;
+                match left {
+                    1 => self.cols_block::<1>(a, i, out),
+                    2 => self.cols_block::<2>(a, i, out),
+                    3 => self.cols_block::<3>(a, i, out),
+                    4 => self.cols_block::<4>(a, i, out),
+                    5 => self.cols_block::<5>(a, i, out),
+                    6 => self.cols_block::<6>(a, i, out),
+                    7 => self.cols_block::<7>(a, i, out),
+                    _ => self.cols_block::<8>(a, i, out),
+                }
+                i += left.min(8);
+            }
+            return self.rows - self.rows % NT_COLS;
+        }
+        let _ = (a, out, backend);
+        0
+    }
+
+    /// Rows `i .. i + R` of `out` over every whole block of 8 weight rows,
+    /// through the AVX2 column-vector kernel; [`QuantizedMatrix::fused_cols`]
+    /// checked its conditions.
+    // analyze: no_alloc
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    fn cols_block<const R: usize>(&self, a: &Matrix, i: usize, out: &mut Matrix) {
+        let rows: [&[f32]; R] = std::array::from_fn(|r| a.row(i + r));
+        let mut acc = [[0.0f32; NT_COLS]; R];
+        let mut j = 0usize;
+        while j + NT_COLS <= self.rows {
+            // SAFETY: the AVX2 backend is available (asserted by the entry
+            // point), every `a` row holds `cols` values, `cols % 8 == 0`,
+            // rows `j .. j + 8` are whole rows of `self`, whose packed
+            // bytes, scales and zeros cover all `rows × cols ≤ i32::MAX`
+            // codes (checked by `fused_cols`).
+            unsafe {
+                crate::simd::x86::q4_cols_avx2(
+                    &rows,
+                    &self.packed,
+                    &self.scales,
+                    &self.zeros,
+                    j * self.cols,
+                    self.cols,
+                    &mut acc,
+                );
+            }
+            for (r, block) in acc.iter().enumerate() {
+                out.row_mut(i + r)[j..j + NT_COLS].copy_from_slice(block);
+            }
+            j += NT_COLS;
+        }
+    }
+
+    /// The panel form of the fused GEMM over weight rows `j0..`: 64-code
+    /// panels of each weight row are unpacked into a stack buffer and fed
+    /// straight to the register micro-kernels, 8 weight rows at a time,
+    /// and the last < 8 rows one at a time.
+    // analyze: no_alloc
+    fn fused_panels(&self, a: &Matrix, out: &mut Matrix, j0: usize, backend: KernelBackend) {
         /// Panel width in codes: one scale group, and a multiple of every
         /// vector width — 2 KiB of stack per 8-row block.
         const FUSED_PANEL: usize = 64;
@@ -320,7 +412,7 @@ impl QuantizedMatrix {
         let mut i_base = 0usize;
         while i_base < a.rows() {
             let m = (a.rows() - i_base).min(FUSED_ROWS);
-            let mut j = 0usize;
+            let mut j = j0;
             while j + NT_COLS <= n {
                 for block in acc.iter_mut().take(m) {
                     *block = [0.0; NT_COLS];
@@ -947,26 +1039,37 @@ mod proptests {
         }
 
         /// The fused quantized GEMM is byte-identical to dequantize +
-        /// `matmul_nt` at the same backend, for ragged tail groups (cols
-        /// not a multiple of the group size), weight-row tails (< 8 rows
-        /// left), and every available kernel backend.
+        /// `matmul_nt` at the same backend, and to the naive GEMM of the
+        /// reference decode, at every available kernel backend: for ragged
+        /// tail groups (cols not a multiple of the group size), weight-row
+        /// tails (< 8 rows left), whole and partial blocks of 8 input rows,
+        /// and rows of whole 128- and 256-code zero groups. An odd column
+        /// count starts rows mid scale group and on a high nibble.
         #[test]
         fn fused_gemm_matches_staged_exactly(
-            m in 0usize..7,
-            k in 0usize..100,
-            n in 0usize..20,
+            m in 0usize..20,
+            k in 0usize..300,
+            n in 0usize..28,
             seed in 0u64..50,
         ) {
             let w = seeded_matrix(n, k, seed, 1.0);
             let q = QuantizedMatrix::quantize(&w);
             let a = seeded_matrix(m, k, seed.wrapping_add(17), 1.0);
             let deq = q.dequantize();
+            let mut reference = Matrix::zeros(0, 0);
+            q.dequantize_reference_into(&mut reference);
+            let naive = a.matmul_nt_naive(&reference);
             for backend in backends() {
                 let mut staged = Matrix::zeros(m, n);
                 a.matmul_nt_into_with_backend(&deq, &mut staged, backend);
                 let mut fused = Matrix::from_fn(m, n, |_, _| -7.0);
                 q.matmul_nt_fused_with_backend(&a, &mut fused, backend);
                 prop_assert_eq!(&fused, &staged, "backend {}", backend);
+                prop_assert_eq!(
+                    float_bits(fused.as_slice()),
+                    float_bits(naive.as_slice()),
+                    "naive reference, backend {}", backend
+                );
             }
         }
 

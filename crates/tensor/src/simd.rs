@@ -34,6 +34,9 @@
 //! The [`crate::quant`] kernels follow the same contract. The 4-bit decode
 //! splits 8 packed bytes into 16 nibbles, widens them to `f32` exactly and
 //! computes `(code − zero) · scale` as a separate subtract and multiply.
+//! The fused 4-bit GEMM's column-vector kernel needs no transpose: each
+//! lane gathers its own weight row's packed word and decodes one code per
+//! k-step with the same expression, straight into a column vector.
 //! The quantizer's code pass keeps the true division, and its min/max pass
 //! skips NaNs as `f32::min` does.
 //!
@@ -464,6 +467,83 @@ pub(crate) mod x86 {
             j += 16;
         }
         j
+    }
+
+    /// AVX2 column-vector kernel of the fused 4-bit GEMM: `acc[r][u] =
+    /// Σ_kk a[r][kk] · w[row0 / k + u][kk]` for 8 consecutive weight rows,
+    /// each decoded straight from the packed codes. Lane `u` owns weight
+    /// row `row0 / k + u`: once per 8 k-steps it gathers that row's 32-bit
+    /// word of 8 codes, then shifts it 4 bits per k-step. Each code is
+    /// converted to `f32` and dequantized as `(c − zero) · scale` by a
+    /// separate subtract and multiply, and the column vector is multiplied
+    /// into the accumulators of the `R` input rows, each advancing in
+    /// ascending-k order from zero: the scalar chain of
+    /// dequantize-then-`matmul_nt`, lane for lane, never fused. The lanes'
+    /// scale and zero vectors are gathered when they enter a new scale
+    /// group: every 64 k-steps when `k` is a multiple of 64 (every row then
+    /// starts a scale group), and every 8 k-steps otherwise.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2. Every `a[r]` holds at least `k` values, `k % 8 == 0`,
+    /// and the 8 rows from flat index `row0` are whole rows of a matrix
+    /// whose `packed`, `scales` and `zeros` hold all of its codes, one
+    /// scale per 64 and one zero per 128; that matrix has at most
+    /// `i32::MAX` codes.
+    // analyze: no_alloc
+    #[target_feature(enable = "avx,avx2")]
+    // SAFETY: the caller guarantees AVX2, `a[r].len() >= k`, `k % 8 == 0`
+    // and that the matrix's flat indices fit `i32`. Lane `u`'s flat index
+    // `row0 + u·k + kb` is a multiple of 8 below the matrix's code count
+    // `N`, so the word gather reads the 4 bytes from `flat / 2`, all below
+    // `N / 2 = packed.len()`, and the scale and zero gathers read
+    // `scales[flat / 64]` and `zeros[flat / 128]`, in bounds of the
+    // `⌈N / 64⌉` scales and `⌈N / 128⌉` zeros. `kb + t < k` bounds every
+    // `get_unchecked` read of `a[r]`, and each store writes one 8-float
+    // row of `acc`.
+    pub unsafe fn q4_cols_avx2<const R: usize>(
+        a: &[&[f32]; R],
+        packed: &[u8],
+        scales: &[f32],
+        zeros: &[f32],
+        row0: usize,
+        k: usize,
+        acc: &mut [[f32; 8]; R],
+    ) {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut flat = _mm256_add_epi32(
+            _mm256_set1_epi32(row0 as i32),
+            _mm256_mullo_epi32(lanes, _mm256_set1_epi32(k as i32)),
+        );
+        let (step, mask) = (_mm256_set1_epi32(8), _mm256_set1_epi32(0x0F));
+        // Reload when `kb` is a multiple of 64 (or of 8): a mask, not a
+        // division by a run-time divisor.
+        let reload = if k.is_multiple_of(64) { 63 } else { 7 };
+        let (mut vz, mut vs) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+        let mut va = [_mm256_setzero_ps(); R];
+        let mut kb = 0usize;
+        while kb < k {
+            if kb & reload == 0 {
+                vs = _mm256_i32gather_ps::<4>(scales.as_ptr(), _mm256_srli_epi32::<6>(flat));
+                vz = _mm256_i32gather_ps::<4>(zeros.as_ptr(), _mm256_srli_epi32::<7>(flat));
+            }
+            let mut word =
+                _mm256_i32gather_epi32::<1>(packed.as_ptr().cast(), _mm256_srli_epi32::<1>(flat));
+            for t in 0..8 {
+                let c = _mm256_cvtepi32_ps(_mm256_and_si256(word, mask));
+                let col = _mm256_mul_ps(_mm256_sub_ps(c, vz), vs);
+                for (v, row) in va.iter_mut().zip(a) {
+                    let av = _mm256_set1_ps(*row.get_unchecked(kb + t));
+                    *v = _mm256_add_ps(*v, _mm256_mul_ps(av, col));
+                }
+                word = _mm256_srli_epi32::<4>(word);
+            }
+            flat = _mm256_add_epi32(flat, step);
+            kb += 8;
+        }
+        for (out, v) in acc.iter_mut().zip(va) {
+            _mm256_storeu_ps(out.as_mut_ptr(), v);
+        }
     }
 
     /// AVX2 minimum and maximum over the whole 8-value blocks of `w`, NaNs
