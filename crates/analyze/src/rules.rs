@@ -31,7 +31,12 @@ const DETERMINISM_TOKENS: &[&str] = &["HashMap", "HashSet", "Instant::now", "Sys
 /// Fused multiply-add contracts away the intermediate rounding that the
 /// scalar reference performs, so any use breaks scalar==SIMD byte
 /// equality in the numeric crates.
-const BIT_EXACT_TOKENS: &[&str] = &["mul_add", "fmadd", "vfma"];
+const BIT_EXACT_TOKENS: &[&str] = &["mul_add", "vfma"];
+
+/// The fused-multiply names of the x86 intrinsics, matched as `_`-separated
+/// segments of an identifier: `_mm256_fmadd_ps` and `_mm_fnmsub_ss` carry
+/// them inside a longer identifier, where a whole-token match never looks.
+const FMA_SEGMENTS: &[&str] = &["fmadd", "fmsub", "fnmadd", "fnmsub", "fmaddsub", "fmsubadd"];
 
 /// Tokens that always allocate. `resize`/`reserve`/`extend` are *not*
 /// listed: against pre-reserved buffers they are amortized-free, which
@@ -152,8 +157,10 @@ pub fn analyze_source(rel_path: &str, src: &str) -> FileReport {
             }
         }
         if bit_exact_scope {
-            for tok in BIT_EXACT_TOKENS {
-                if has_token(&line.code, tok) && !suppress(&mut allows, l, RULE_BIT_EXACT) {
+            let tokens = BIT_EXACT_TOKENS.iter().filter(|t| has_token(&line.code, t));
+            let segments = FMA_SEGMENTS.iter().filter(|s| has_segment(&line.code, s));
+            for tok in tokens.chain(segments) {
+                if !suppress(&mut allows, l, RULE_BIT_EXACT) {
                     rep.findings.push(finding(
                         rel_path,
                         l + 1,
@@ -361,6 +368,14 @@ fn has_token(code: &str, tok: &str) -> bool {
     count_token(code, tok) > 0
 }
 
+/// Whether an identifier in `code` has `seg` as one of its `_`-separated
+/// segments (`_mm256_fmadd_ps` has `fmadd`; `fmaddsub` alone does not).
+fn has_segment(code: &str, seg: &str) -> bool {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .flat_map(|ident| ident.split('_'))
+        .any(|s| s == seg)
+}
+
 fn count_token(code: &str, tok: &str) -> usize {
     let first_ident = tok.bytes().next().is_some_and(is_ident_byte);
     let last_ident = tok.bytes().last().is_some_and(is_ident_byte);
@@ -451,15 +466,14 @@ mod tests {
 
     #[test]
     fn bit_exact_scoped_to_numeric_crates() {
-        let src = "fn f(a: f32) -> f32 { a.mul_add(2.0, 1.0) }\n";
-        assert_eq!(
-            rules_of("crates/tensor/src/x.rs", src),
-            vec![(1, RULE_BIT_EXACT)]
-        );
-        assert_eq!(
-            rules_of("crates/moe/src/x.rs", src),
-            vec![(1, RULE_BIT_EXACT)]
-        );
+        let src = "fn f(a: f32) -> f32 { a.mul_add(2.0, 1.0) }\n\
+                   let v = _mm256_fmadd_ps(a, b, c);\n\
+                   let v = _mm_fmadd_ps(a, b, c);\n\
+                   let v = _mm256_fnmadd_ps(a, b, c);\n\
+                   let v = _mm256_fmsub_ps(a, b, c);\n";
+        let every_line: Vec<_> = (1..=5).map(|l| (l, RULE_BIT_EXACT)).collect();
+        assert_eq!(rules_of("crates/tensor/src/x.rs", src), every_line);
+        assert_eq!(rules_of("crates/moe/src/x.rs", src), every_line);
         assert!(rules_of("crates/sim/src/x.rs", src).is_empty());
     }
 
