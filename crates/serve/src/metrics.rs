@@ -47,6 +47,10 @@ pub struct Percentiles {
 impl Percentiles {
     /// Nearest-rank percentiles of `values` (need not be sorted; empty
     /// populations report zero).
+    ///
+    /// A nearest-rank percentile is an order statistic, so the three are
+    /// found by selection, not a full sort: p50 over the whole copy, p95
+    /// among the values above it, p99 among those above p95.
     pub fn of(values: &[SimDuration]) -> Self {
         if values.is_empty() {
             return Percentiles {
@@ -55,18 +59,27 @@ impl Percentiles {
                 p99: SimDuration::ZERO,
             };
         }
-        let mut sorted = values.to_vec();
-        sorted.sort_unstable();
-        let rank = |p: f64| -> SimDuration {
-            let n = sorted.len() as f64;
-            let idx = (p / 100.0 * n).ceil() as usize;
-            sorted[idx.clamp(1, sorted.len()) - 1]
+        let mut v = values.to_vec();
+        let rank = |p: f64| -> usize {
+            let idx = (p / 100.0 * v.len() as f64).ceil() as usize;
+            idx.clamp(1, v.len()) - 1
         };
-        Percentiles {
-            p50: rank(50.0),
-            p95: rank(95.0),
-            p99: rank(99.0),
-        }
+        let (i50, i95, i99) = (rank(50.0), rank(95.0), rank(99.0));
+        let p50 = *v.select_nth_unstable(i50).1;
+        let p95 = select_above(&mut v, i50, i95);
+        let p99 = select_above(&mut v, i95, i99);
+        Percentiles { p50, p95, p99 }
+    }
+}
+
+/// The order statistic at index `k ≥ below` of `v`, where `v[below]` is
+/// already in its sorted place with every larger index holding values no
+/// smaller: only `v[below + 1..]` is searched.
+fn select_above(v: &mut [SimDuration], below: usize, k: usize) -> SimDuration {
+    if k == below {
+        v[k]
+    } else {
+        *v[below + 1..].select_nth_unstable(k - below - 1).1
     }
 }
 
@@ -208,9 +221,44 @@ mod tests {
     use super::*;
     use crate::server::RequestOutcome;
     use klotski_sim::time::SimTime;
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
+    }
+
+    /// The definition by full sort that [`Percentiles::of`] selects
+    /// instead, kept as its reference.
+    fn sorted_percentiles(values: &[SimDuration]) -> Percentiles {
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        let rank = |p: f64| -> SimDuration {
+            let n = sorted.len() as f64;
+            let idx = (p / 100.0 * n).ceil() as usize;
+            sorted[idx.clamp(1, sorted.len()) - 1]
+        };
+        Percentiles {
+            p50: rank(50.0),
+            p95: rank(95.0),
+            p99: rank(99.0),
+        }
+    }
+
+    proptest! {
+        /// Selection reads the same three order statistics as the sort:
+        /// with duplicates (values drawn from a few milliseconds), and at
+        /// one to three values, where p95 and p99 are the largest value
+        /// and, at one value, p50 is too.
+        #[test]
+        fn selected_percentiles_match_the_sorted_reference(
+            tiny in proptest::collection::vec(0u64..3, 1..=3),
+            many in proptest::collection::vec(0u64..40, 1..400),
+        ) {
+            for raw in [tiny, many] {
+                let vals: Vec<SimDuration> = raw.into_iter().map(ms).collect();
+                prop_assert_eq!(Percentiles::of(&vals), sorted_percentiles(&vals));
+            }
+        }
     }
 
     #[test]
