@@ -10,8 +10,9 @@
 //! 1. **determinism** — no `HashMap`/`HashSet`/`Instant::now`/
 //!    `SystemTime` in non-test library code (ordered collections and
 //!    simulated time only).
-//! 2. **bit_exact** — no fused multiply-add (`mul_add`, FMA intrinsics)
-//!    in `crates/tensor` or `crates/moe`.
+//! 2. **bit_exact** — no fused multiply-add (`mul_add`, the fusing
+//!    `core::intrinsics`, the x86 FMA intrinsics) in `crates/tensor` or
+//!    `crates/moe`.
 //! 3. **unsafe_hygiene** — every `unsafe` carries a nearby `// SAFETY:`
 //!    comment.
 //! 4. **no_alloc** — blocks marked `// analyze: no_alloc` contain no

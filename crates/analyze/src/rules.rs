@@ -30,8 +30,10 @@ const DETERMINISM_TOKENS: &[&str] = &["HashMap", "HashSet", "Instant::now", "Sys
 
 /// Fused multiply-add contracts away the intermediate rounding that the
 /// scalar reference performs, so any use breaks scalar==SIMD byte
-/// equality in the numeric crates.
-const BIT_EXACT_TOKENS: &[&str] = &["mul_add", "vfma"];
+/// equality in the numeric crates. Besides `mul_add`, these are the
+/// `core::intrinsics` that fuse (`fmaf32`, `fmaf64`) or may fuse
+/// (`fmuladdf32`, `fmuladdf64`).
+const BIT_EXACT_TOKENS: &[&str] = &["mul_add", "fmaf32", "fmaf64", "fmuladdf32", "fmuladdf64"];
 
 /// The fused-multiply names of the x86 intrinsics, matched as `_`-separated
 /// segments of an identifier: `_mm256_fmadd_ps` and `_mm_fnmsub_ss` carry
@@ -470,8 +472,12 @@ mod tests {
                    let v = _mm256_fmadd_ps(a, b, c);\n\
                    let v = _mm_fmadd_ps(a, b, c);\n\
                    let v = _mm256_fnmadd_ps(a, b, c);\n\
-                   let v = _mm256_fmsub_ps(a, b, c);\n";
-        let every_line: Vec<_> = (1..=5).map(|l| (l, RULE_BIT_EXACT)).collect();
+                   let v = _mm256_fmsub_ps(a, b, c);\n\
+                   let v = core::intrinsics::fmaf32(a, b, c);\n\
+                   let v = std::intrinsics::fmaf64(a, b, c);\n\
+                   let v = fmuladdf32(a, b, c);\n\
+                   let v = intrinsics::fmuladdf64(a, b, c);\n";
+        let every_line: Vec<_> = (1..=9).map(|l| (l, RULE_BIT_EXACT)).collect();
         assert_eq!(rules_of("crates/tensor/src/x.rs", src), every_line);
         assert_eq!(rules_of("crates/moe/src/x.rs", src), every_line);
         assert!(rules_of("crates/sim/src/x.rs", src).is_empty());
