@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the library's hot paths: the simulator
 //! core, the planner, the prefetcher, the quantizer, the native kernels,
-//! trace generation, and a small end-to-end engine run.
+//! trace generation, a small end-to-end engine run, and the serve layer's
+//! step pricing and continuous-batching loop.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -17,6 +18,10 @@ use klotski_model::trace::{GatingModel, TraceConfig};
 use klotski_model::workload::Workload;
 use klotski_moe::config::MoeConfig;
 use klotski_moe::model::MoeModel;
+use klotski_serve::admission::{estimate_step_service, AdmissionPolicy};
+use klotski_serve::continuous::{serve_continuous, ClassAssign, ContinuousConfig, CostEngine};
+use klotski_serve::server::{ServeConfig, Traffic};
+use klotski_serve::traffic::{generate, Arrivals, LengthDist, TrafficConfig};
 use klotski_sim::event::EventQueue;
 use klotski_sim::prelude::*;
 use klotski_tensor::init::xavier_matrix;
@@ -384,6 +389,61 @@ fn bench_native_pipeline(c: &mut Criterion) {
     });
 }
 
+fn bench_serve(c: &mut Criterion) {
+    let spec = ModelSpec::mixtral_8x7b();
+    let hw = HardwareSpec::env1_rtx3090();
+    let cost = CostModel::new(spec.clone(), hw.clone());
+    // A decode-step shape the continuous workload prices often: 9–16
+    // co-resident sequences of bs 8 are two batches.
+    c.bench_function("serve/estimate_step_service", |b| {
+        b.iter(|| black_box(estimate_step_service(&cost, black_box(8), 2, 128, 64)))
+    });
+    // The benchmark's `fleet_continuous` stream and slot machine, cut to
+    // 20k requests.
+    let traffic = Traffic::Open(generate(
+        Arrivals::Bursty {
+            rate: 0.1,
+            burst: 8,
+        },
+        &TrafficConfig {
+            num_requests: 20_000,
+            prompt: LengthDist::HeavyTail {
+                lo: 32,
+                hi: 128,
+                heavy: 1024,
+                heavy_pct: 15,
+            },
+            gen: LengthDist::HeavyTail {
+                lo: 2,
+                hi: 8,
+                heavy: 64,
+                heavy_pct: 25,
+            },
+            seed: 2025,
+        },
+    ));
+    let cfg = ContinuousConfig {
+        serve: ServeConfig {
+            batch_size: 8,
+            policy: AdmissionPolicy::Deadline {
+                n: 4,
+                deadline: SimDuration::from_secs(2),
+            },
+            seed: 2025,
+        },
+        refill: true,
+        prefill_chunk: 64,
+        classes: ClassAssign::ChatShare { chat_pct: 30 },
+    };
+    let engine = CostEngine::new(&spec, &hw);
+    c.bench_function("serve/continuous_refill_20k", |b| {
+        b.iter(|| {
+            let r = serve_continuous(&engine, &spec, &hw, &traffic, &cfg).unwrap();
+            black_box(r.refills)
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
@@ -398,5 +458,6 @@ criterion_group!(
     bench_trace_generation,
     bench_engine_end_to_end,
     bench_native_pipeline,
+    bench_serve,
 );
 criterion_main!(benches);
