@@ -284,6 +284,12 @@ fn parse_directive(comment: &str) -> Option<Result<Directive, String>> {
 
 /// Marks lines belonging to `#[cfg(test)]` items (and bare `#[test]`
 /// functions) by brace matching from the attribute.
+///
+/// Before its first `{` an item ends where a field or statement would:
+/// at a `;`, at a `,` outside parentheses, brackets and generics, or at
+/// the `}` that closes the enclosing block. So a `#[cfg(test)]` struct
+/// field or struct-literal field masks only itself, never the code after
+/// it.
 fn test_regions(lines: &[LexedLine]) -> Vec<bool> {
     let mut mask = vec![false; lines.len()];
     let mut i = 0;
@@ -298,10 +304,12 @@ fn test_regions(lines: &[LexedLine]) -> Vec<bool> {
             continue;
         }
         let mut depth: i32 = 0;
+        let mut nest: i32 = 0;
         let mut opened = false;
         let mut j = i;
         'scan: while j < lines.len() {
             mask[j] = true;
+            let mut prev = ' ';
             for ch in lines[j].code.chars() {
                 match ch {
                     '{' => {
@@ -310,15 +318,26 @@ fn test_regions(lines: &[LexedLine]) -> Vec<bool> {
                     }
                     '}' => {
                         depth -= 1;
-                        if opened && depth <= 0 {
+                        if depth < 0 {
+                            // The enclosing block's close is not the item's.
+                            mask[j] = j == i;
+                            break 'scan;
+                        }
+                        if opened && depth == 0 {
                             break 'scan;
                         }
                     }
+                    '(' | '[' | '<' if !opened => nest += 1,
+                    // `->` and `=>` are arrows, not closing generics.
+                    '>' if !opened && matches!(prev, '-' | '=') => {}
+                    ')' | ']' | '>' if !opened => nest -= 1,
                     // `#[cfg(test)] mod tests;` declares an out-of-line
                     // module: nothing more to mask in this file.
                     ';' if !opened => break 'scan,
+                    ',' if !opened && nest <= 0 => break 'scan,
                     _ => {}
                 }
+                prev = ch;
             }
             j += 1;
         }
@@ -547,6 +566,21 @@ mod tests {
         assert!(!has_token("struct MyHashMapLike;", "HashMap"));
         assert!(has_token("HashMap::new()", "HashMap"));
         assert_eq!(count_token("a.unwrap_or(b.unwrap())", ".unwrap()"), 1);
+    }
+
+    #[test]
+    fn test_only_field_masks_only_itself() {
+        let src = "struct S {\n    a: u32,\n    #[cfg(test)]\n    hits: BTreeMap<(u32, u32), u64>,\n}\n\
+                   impl S {\n    fn new() -> Self {\n        let m = HashMap::new();\n        S { a: 0 }\n    }\n}\n\
+                   struct T {\n    #[cfg(test)]\n    last: u32\n}\n\
+                   fn g() { let s = SystemTime::now(); }\n";
+        let rep = analyze_source("crates/serve/src/x.rs", src);
+        let got: Vec<_> = rep.findings.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(got, vec![(8, RULE_DETERMINISM), (16, RULE_DETERMINISM)]);
+        assert_eq!(
+            rep.code_lines, 12,
+            "all but the two test-only attributes and fields are non-test code"
+        );
     }
 
     #[test]
