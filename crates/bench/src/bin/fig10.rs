@@ -8,7 +8,7 @@ use klotski_core::scenario::EngineError;
 
 fn main() -> Result<(), EngineError> {
     let bs128 = std::env::args().any(|a| a == "--bs128");
-    let mut batch_sizes = klotski_bench::sweep_batch_sizes();
+    let mut batch_sizes = klotski_bench::SWEEP_BATCH_SIZES.to_vec();
     if bs128 {
         batch_sizes.push(128);
     }

@@ -11,7 +11,7 @@ fn main() -> Result<(), EngineError> {
             "\n== Fig. 11: {} — (latency s → throughput tok/s) per batch size ==",
             setting.title()
         );
-        let batch_sizes = klotski_bench::sweep_batch_sizes();
+        let batch_sizes = klotski_bench::SWEEP_BATCH_SIZES;
         let mut headers = vec!["Engine".to_owned()];
         for &bs in &batch_sizes {
             headers.push(format!("bs={bs}"));

@@ -5,6 +5,7 @@
 use klotski_bench::{Setting, TextTable};
 use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
 use klotski_core::scenario::{Engine, EngineError, Scenario};
+use klotski_model::workload::Workload;
 
 /// A run's prefill memory curve as (op, bytes in use), its peak VRAM
 /// and its throughput.
@@ -36,7 +37,7 @@ fn run_curve(sc: &Scenario, use_spare: bool) -> Result<Curve, EngineError> {
 
 fn main() -> Result<(), EngineError> {
     for (setting, bs) in [(Setting::Small8x7bEnv1, 16u32), (Setting::Big8x22bEnv2, 16)] {
-        let wl = klotski_bench::workload(bs, setting.n());
+        let wl = Workload::paper_default(bs).with_batches(setting.n());
         let sc = Scenario::generate(setting.model(), setting.hardware(), wl, klotski_bench::SEED);
         let original = sc.spec.total_bytes();
         let vram_limit = sc.hw.vram_bytes;

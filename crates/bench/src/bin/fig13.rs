@@ -14,13 +14,8 @@ fn main() {
     let cfg = TraceConfig::for_model(&spec, SEED);
     let base = GatingModel::new(&cfg);
     let task = base.drifted(cfg.drift, SEED + 1);
-    // The paper's Fig. 13 trace scale: a full batch group of sequences
-    // (a small slice of it under KLOTSKI_CHEAP).
-    let trace = if klotski_bench::cheap_mode() {
-        task.generate_trace(60, 128, 8, SEED + 2)
-    } else {
-        task.generate_trace(240, 512, 32, SEED + 2)
-    };
+    // The paper's Fig. 13 trace scale: a full batch group of sequences.
+    let trace = task.generate_trace(240, 512, 32, SEED + 2);
     let report = measure_accuracy(&base, &trace, spec.top_k, 4096);
 
     println!("== Fig. 13: prefetch accuracy per layer (Mixtral-8x7B) ==\n");

@@ -9,12 +9,8 @@ use klotski_model::workload::Workload;
 
 fn main() -> Result<(), EngineError> {
     let engine = KlotskiEngine::new(KlotskiConfig::full());
-    let batch_sizes = klotski_bench::sweep_batch_sizes();
-    let ns: Vec<u32> = if klotski_bench::cheap_mode() {
-        vec![3, 5]
-    } else {
-        (3..=15).step_by(2).collect()
-    };
+    let batch_sizes = klotski_bench::SWEEP_BATCH_SIZES;
+    let ns: Vec<u32> = (3..=15).step_by(2).collect();
     for setting in [Setting::Small8x7bEnv1, Setting::Big8x22bEnv2] {
         println!(
             "\n== Fig. 14: {} — throughput vs n and batch size ==",

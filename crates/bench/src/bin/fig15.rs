@@ -7,6 +7,7 @@ use klotski_bench::{Setting, SEED};
 use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
 use klotski_core::report::InferenceReport;
 use klotski_core::scenario::{Engine, EngineError, Scenario};
+use klotski_model::workload::Workload;
 use klotski_sim::time::SimTime;
 
 fn run(cfg: KlotskiConfig, sc: &Scenario) -> Result<InferenceReport, EngineError> {
@@ -46,8 +47,8 @@ fn show(label: &str, report: &InferenceReport, sc: &Scenario, per_block_batches:
 fn main() -> Result<(), EngineError> {
     // The paper's Fig. 15 workload: Mixtral-8×7B in Env 1, batch 64, n=10.
     let setting = Setting::Small8x7bEnv1;
-    let bs = if klotski_bench::cheap_mode() { 16 } else { 64 };
-    let wl = klotski_bench::workload(bs, 10);
+    let bs = 64;
+    let wl = Workload::paper_default(bs).with_batches(10);
     let sc = Scenario::generate(setting.model(), setting.hardware(), wl, SEED);
 
     println!(

@@ -54,7 +54,7 @@ fn heatmap(spec: &ModelSpec, seqs: u32, decoder_only_layers: Option<u32>) {
 
 fn main() {
     println!("== Fig. 5: expert popularity heatmaps (darker = more tokens) ==");
-    let seqs = if klotski_bench::cheap_mode() { 16 } else { 64 };
+    let seqs = 64;
     heatmap(&ModelSpec::mixtral_8x7b(), seqs, None);
     // The paper plots the decoder halves of the switch models (6 MoE layers).
     heatmap(&ModelSpec::switch_base(8), seqs, Some(6));

@@ -14,6 +14,7 @@ use klotski_core::engine::{KlotskiConfig, KlotskiEngine};
 use klotski_core::prefetcher::{measure_accuracy, measure_accuracy_l2};
 use klotski_core::scenario::{Engine, EngineError, Scenario};
 use klotski_model::trace::{GatingModel, TraceConfig};
+use klotski_model::workload::Workload;
 
 fn main() -> Result<(), EngineError> {
     let setting = Setting::Small8x7bEnv1;
@@ -39,11 +40,7 @@ fn main() -> Result<(), EngineError> {
     let tc = TraceConfig::for_model(&spec, SEED);
     let base = GatingModel::new(&tc);
     let task = base.drifted(tc.drift, SEED + 1);
-    let trace = if klotski_bench::cheap_mode() {
-        task.generate_trace(60, 128, 8, SEED + 2)
-    } else {
-        task.generate_trace(240, 256, 16, SEED + 2)
-    };
+    let trace = task.generate_trace(240, 256, 16, SEED + 2);
     let mut t = TextTable::new(["warm-up tokens", "participation", "really-hot"]);
     for warmup in [64u32, 512, 4096, 16384] {
         let acc = measure_accuracy(&base, &trace, 2, warmup);
@@ -80,7 +77,7 @@ fn main() -> Result<(), EngineError> {
     let sc = Scenario::generate(
         setting.model(),
         setting.hardware(),
-        klotski_bench::workload(32, 15),
+        Workload::paper_default(32).with_batches(15),
         SEED,
     );
     let mut t = TextTable::new(["KV kept", "throughput (tok/s)", "peak DRAM (GB)"]);
@@ -129,7 +126,7 @@ fn main() -> Result<(), EngineError> {
     for disk_gbps in [0.5f64, 1.0, 2.0, 4.0] {
         let mut hw = Setting::Big8x22bEnv1.hardware();
         hw.disk_bw = disk_gbps * 1e9;
-        let wl = klotski_bench::workload(16, 10);
+        let wl = Workload::paper_default(16).with_batches(10);
         let sc = Scenario::generate(Setting::Big8x22bEnv1.model(), hw, wl, SEED);
         let r = KlotskiEngine::new(KlotskiConfig::full()).run(&sc)?;
         t.row([

@@ -41,11 +41,7 @@ fn main() -> Result<(), EngineError> {
         ModelSpec::switch_base(16),
         ModelSpec::switch_base(128),
     ] {
-        let wl = if klotski_bench::cheap_mode() {
-            Workload::new(4, n, 128, 8)
-        } else {
-            Workload::new(4, n, 512, 32)
-        };
+        let wl = Workload::new(4, n, 512, 32);
         let sc = Scenario::generate(spec.clone(), HardwareSpec::env1_rtx3090(), wl, SEED);
         let base = original.run(&sc)?;
         let plus = strategy.run(&sc)?;

@@ -25,13 +25,9 @@ fn main() -> Result<(), EngineError> {
     let mut table = TextTable::new(["Configuration", "8x7B Env1", "8x22B Env1", "8x22B Env2"]);
     let mut columns: Vec<Vec<String>> = vec![Vec::new(); 3];
     for (i, setting) in Setting::ALL.iter().enumerate() {
-        let bs = if klotski_bench::cheap_mode() {
-            8
-        } else {
-            match setting {
-                Setting::Big8x22bEnv1 => 16,
-                _ => 64,
-            }
+        let bs = match setting {
+            Setting::Big8x22bEnv1 => 16,
+            _ => 64,
         };
         let sc = setting.scenario(bs);
         for (_, cfg) in &rows {

@@ -24,12 +24,14 @@
 //! Run e.g. `cargo run --release -p klotski-bench --bin fig10`.
 //! Criterion microbenchmarks live under `benches/`.
 //!
-//! Setting `KLOTSKI_CHEAP=1` shrinks every bin's sweep (smaller workloads,
-//! fewer cells) so CI can *execute* all of them — figure reproduction is
-//! smoke-run, not just compiled. Output stays deterministic either way.
-//! The four simulated `serve_*` bins with a committed JSON file are exact
-//! in full mode, so CI also compares their `{"bench"…` lines with those
-//! files byte for byte.
+//! Every simulated figure and table bin (`table1` … `fig15`, `sweep`,
+//! `serve_sweep`) is exact, so CI runs it in full and compares its stdout
+//! with `golden/<bin>.txt` byte for byte. The four simulated `serve_*` bins
+//! with a committed JSON file are exact too, and CI compares their
+//! `{"bench"…` lines with those files. Setting `KLOTSKI_CHEAP=1` shrinks
+//! the five `serve_*` bins and `native_throughput` to smoke scale, which
+//! is how CI and the example smoke tests execute them quickly; the other
+//! bins ignore it. Output stays deterministic either way.
 
 #![warn(missing_docs)]
 
@@ -44,8 +46,9 @@ use klotski_model::workload::Workload;
 /// The paper's evaluation seed (any fixed value; determinism is the point).
 pub const SEED: u64 = 2025;
 
-/// True when `KLOTSKI_CHEAP` is set (to anything but `0`): bins shrink
-/// their sweeps to CI-smoke scale. Same tables, fewer/smaller cells.
+/// True when `KLOTSKI_CHEAP` is set (to anything but `0`): the `serve_*`
+/// bins and `native_throughput` shrink their sweeps to smoke scale. Same
+/// tables, fewer/smaller cells.
 pub fn cheap_mode() -> bool {
     std::env::var("KLOTSKI_CHEAP")
         .map(|v| v != "0")
@@ -53,23 +56,7 @@ pub fn cheap_mode() -> bool {
 }
 
 /// The batch sizes end-to-end figures sweep (paper: 4–64).
-pub fn sweep_batch_sizes() -> Vec<u32> {
-    if cheap_mode() {
-        vec![4, 8]
-    } else {
-        vec![4, 8, 16, 32, 64]
-    }
-}
-
-/// The paper workload at `batch_size` × `n` batches (prompt 512, gen 32),
-/// shrunk to prompt 128 / gen 8 / `n ≤ 3` under [`cheap_mode`].
-pub fn workload(batch_size: u32, n: u32) -> Workload {
-    if cheap_mode() {
-        Workload::new(batch_size, n.min(3), 128, 8)
-    } else {
-        Workload::paper_default(batch_size).with_batches(n)
-    }
-}
+pub const SWEEP_BATCH_SIZES: [u32; 5] = [4, 8, 16, 32, 64];
 
 /// The three end-to-end evaluation scenarios of Fig. 10/11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,12 +111,12 @@ impl Setting {
     }
 
     /// Builds the scenario for one batch size (paper workload shape:
-    /// prompt 512, 32 generated tokens; shrunk under [`cheap_mode`]).
+    /// prompt 512, 32 generated tokens).
     pub fn scenario(self, batch_size: u32) -> Scenario {
         Scenario::generate(
             self.model(),
             self.hardware(),
-            workload(batch_size, self.n()),
+            Workload::paper_default(batch_size).with_batches(self.n()),
             SEED,
         )
     }
