@@ -177,6 +177,22 @@ impl StepPlan {
             self.prefill + self.decode_step * gen_len.saturating_sub(1) as u64
         }
     }
+
+    /// The span of the prefill chunk covering prompt tokens
+    /// `[done, done + take)` of a `prompt_len`-token prompt.
+    ///
+    /// Chunks are sliced by prefix difference —
+    /// `prefill × (done + take)/prompt − prefill × done/prompt` in integer
+    /// nanoseconds — so any chunking of the prompt sums to exactly
+    /// [`StepPlan::prefill`], preserving byte-level cost parity with the
+    /// unchunked prefill.
+    pub fn prefill_chunk(&self, done: u32, take: u32, prompt_len: u32) -> SimDuration {
+        let p = self.prefill.as_nanos();
+        let len = u64::from(prompt_len.max(1));
+        let lo = u64::from(done.min(prompt_len));
+        let hi = u64::from(done.saturating_add(take).min(prompt_len));
+        SimDuration::from_nanos(p * hi / len - p * lo / len)
+    }
 }
 
 /// Errors from engine runs.

@@ -16,6 +16,7 @@
 //!   largest `n` whose estimated completion still fits the end-to-end
 //!   latency budget.
 
+use klotski_core::scenario::StepPlan;
 use klotski_model::cost::CostModel;
 use klotski_sim::time::SimDuration;
 
@@ -156,56 +157,23 @@ impl AdmissionPolicy {
     }
 }
 
-/// The per-step decomposition of [`estimate_group_service`]: the group's
-/// prefill span and the cost of one decode step, from the same calibrated
-/// [`CostModel`]. The group estimate is exactly
-/// `prefill + decode_step × (gen_len − 1)` — the identity the continuous
-/// scheduler's cost accounting relies on (and the tests pin), so a group
-/// costs the same whether it is scheduled atomically or step by step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepEstimate {
-    /// Estimated prefill span for the whole group.
-    pub prefill: SimDuration,
-    /// Estimated cost of one decode step over the whole group.
-    pub decode_step: SimDuration,
-}
-
-impl StepEstimate {
-    /// The group service estimate this decomposes:
-    /// `prefill + decode_step × (gen_len − 1)`.
-    pub fn group(&self, gen_len: u32) -> SimDuration {
-        self.prefill + self.decode_step * gen_len.saturating_sub(1) as u64
-    }
-
-    /// The span of the prefill chunk covering prompt tokens
-    /// `[done, done + take)` of a `prompt_len`-token prompt.
-    ///
-    /// Chunks are sliced by prefix difference —
-    /// `prefill × (done + take)/prompt − prefill × done/prompt` in integer
-    /// nanoseconds — so any chunking of the prompt sums to exactly
-    /// [`StepEstimate::prefill`], preserving byte-level cost parity with
-    /// the unchunked prefill.
-    pub fn prefill_chunk(&self, done: u32, take: u32, prompt_len: u32) -> SimDuration {
-        let p = self.prefill.as_nanos();
-        let len = u64::from(prompt_len.max(1));
-        let lo = u64::from(done.min(prompt_len));
-        let hi = u64::from(done.saturating_add(take).min(prompt_len));
-        SimDuration::from_nanos(p * hi / len - p * lo / len)
-    }
-}
-
 /// Per-step analytic service estimate for one batch group — the cost-aware
 /// policy's stage-1 "measurement", built from the same [`CostModel`] the
 /// engines use. Per layer the pipeline runs compute and I/O concurrently,
 /// so a layer costs the longer of the two; prefill activates essentially
 /// every expert, decode the expected activated subset.
+///
+/// The plan has `gen_len − 1` uniform decode steps and no remainder, so
+/// its [`total`](StepPlan::total) is exactly
+/// `prefill + decode_step × (gen_len − 1)`: a group costs the same whether
+/// it is scheduled atomically or step by step.
 pub fn estimate_step_service(
     cost: &CostModel,
     batch_size: u32,
     n: u32,
     prompt_len: u32,
     gen_len: u32,
-) -> StepEstimate {
+) -> StepPlan {
     let spec = cost.spec();
     let bs = batch_size as u64;
     let nb = n as u64;
@@ -236,9 +204,12 @@ pub fn estimate_step_service(
     let prefill = moe_layer(prompt_len as u64, attn_prefill) * n_moe
         + dense_layer(prompt_len as u64, attn_prefill) * n_dense;
     let decode_step = moe_layer(1, attn_decode) * n_moe + dense_layer(1, attn_decode) * n_dense;
-    StepEstimate {
+    StepPlan {
         prefill,
         decode_step,
+        remainder: SimDuration::ZERO,
+        steps: gen_len.saturating_sub(1),
+        oom: false,
     }
 }
 
@@ -251,7 +222,7 @@ pub fn estimate_group_service(
     prompt_len: u32,
     gen_len: u32,
 ) -> SimDuration {
-    estimate_step_service(cost, batch_size, n, prompt_len, gen_len).group(gen_len)
+    estimate_step_service(cost, batch_size, n, prompt_len, gen_len).total()
 }
 
 #[cfg(test)]
@@ -343,7 +314,7 @@ mod tests {
                 estimate_group_service(&cm, bs, n, p, g),
                 "shape ({bs},{n},{p},{g})"
             );
-            assert_eq!(step.group(g), summed);
+            assert_eq!(step.total(), summed);
         }
     }
 

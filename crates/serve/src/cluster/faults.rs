@@ -274,8 +274,11 @@ pub enum DegradationPolicy {
 
 /// What the injected faults did to a run — the failure-side ledger of a
 /// [`ClusterReport`](super::ClusterReport). Lost work is never silent:
-/// every lost request shows up as a retry, a drop, or a shed, and every
-/// fault that found no victim is counted as fizzled.
+/// every lost request shows up as a retry here, or as a
+/// [`Dropped`](crate::server::RetryOutcome::Dropped) or
+/// [`Shed`](crate::server::RetryOutcome::Shed) outcome, which
+/// [`SloSummary`](crate::metrics::SloSummary) counts; every fault that
+/// found no victim is counted as fizzled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Replica crashes that found a victim.
@@ -292,10 +295,6 @@ pub struct FaultStats {
     pub lost_queued: u32,
     /// Re-dispatches scheduled for crash-lost requests.
     pub retries: u32,
-    /// Requests abandoned after exhausting their retry budget.
-    pub dropped: u32,
-    /// Requests rejected at admission by the degradation policy.
-    pub shed: u32,
     /// Queued requests moved off suspect replicas by hedged redispatch.
     pub hedges: u32,
     /// Arrivals that found no routable replica and had to wait for

@@ -1,4 +1,4 @@
-//! The serving event loop: every entry point in the crate runs it.
+//! The fleet event loop: every group-serving entry point runs it.
 //!
 //! A [`Fleet`] holds one run's whole state: the request stream, the fleet
 //! slots with their replicas, the autoscaler (if any), the fault injector,
@@ -160,8 +160,6 @@ struct Scaler<'a> {
     /// Requests shed since the previous tick.
     window_shed: u32,
     scale_events: Vec<ScaleEvent>,
-    /// Peak provisioned (warm + warming) count so far.
-    peak: u32,
 }
 
 impl Scaler<'_> {
@@ -319,7 +317,6 @@ impl<'a> Fleet<'a> {
             revoked: BTreeSet::new(),
             window_shed: 0,
             scale_events: Vec::new(),
-            peak: initial,
         });
         fleet
     }
@@ -518,7 +515,6 @@ impl<'a> Fleet<'a> {
                 self.retries.push(at, Request { arrival: at, ..r });
                 self.stats.retries += 1;
             } else {
-                self.stats.dropped += 1;
                 self.outcomes.push(RequestOutcome {
                     id: r.id,
                     arrival: orig,
@@ -598,7 +594,6 @@ impl<'a> Fleet<'a> {
                 warm: obs.warm,
                 backlog_tokens: obs.backlog_tokens,
             });
-            sc.peak = sc.peak.max(desired);
         }
         sc.window_shed = 0;
         sc.next_tick = now + sc.tick;
@@ -843,7 +838,6 @@ impl<'a> Fleet<'a> {
         if warm_n == 0 || backlog / warm_n <= backlog_per_replica {
             return false;
         }
-        self.stats.shed += 1;
         if let Some(sc) = self.scaler.as_mut() {
             sc.window_shed += 1;
         }
@@ -944,22 +938,24 @@ impl<'a> Fleet<'a> {
                 }
             }
         }
-        let (scale_events, peak) = match self.scaler {
-            Some(sc) => (sc.scale_events, sc.peak),
-            None => (Vec::new(), self.initial),
-        };
-        let slots = &self.slots;
+        let scale_events = self.scaler.map_or_else(Vec::new, |sc| sc.scale_events);
+        let peak_provisioned = scale_events
+            .iter()
+            .map(|e| e.to)
+            .fold(self.initial, u32::max);
         let serve = ServeReport::assemble(
             self.ctx.engine_name(),
             self.outcomes,
             self.groups,
-            |first, last| slots.iter().map(|s| s.rep.stats(first, last)).collect(),
+            self.slots
+                .iter()
+                .map(|s| (s.rep.spawned, s.rep.retired, s.rep.busy)),
         );
         ClusterReport {
             serve,
             scale_events,
             initial_replicas: self.initial,
-            peak_provisioned: peak,
+            peak_provisioned,
             spawned_total: self.slots.len() as u32,
             warmup: self.warmup,
             faults: self.stats,

@@ -53,18 +53,18 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use klotski_core::report::InferenceReport;
-use klotski_core::scenario::{Engine, EngineError, Scenario};
+use klotski_core::scenario::{Engine, EngineError, Scenario, StepPlan};
 use klotski_model::cost::CostModel;
 use klotski_model::hardware::HardwareSpec;
 use klotski_model::spec::ModelSpec;
 use klotski_model::workload::Workload;
 use klotski_sim::time::{SimDuration, SimTime};
 
-use crate::admission::{estimate_step_service, GroupTrigger, StepEstimate};
+use crate::admission::{estimate_step_service, GroupTrigger};
 use crate::cluster::fleet::Event;
 use crate::server::{
-    busy_share, serve, validate, ArrivalSource, Completion, GroupRecord, ReplicaUtilization,
-    RequestOutcome, RetryOutcome, ServeConfig, ServeReport, Traffic,
+    serve, validate, ArrivalSource, Completion, GroupRecord, RequestOutcome, RetryOutcome,
+    ServeConfig, ServeReport, Traffic,
 };
 use crate::traffic::Request;
 
@@ -199,7 +199,7 @@ impl Engine for CostEngine {
             wl.prompt_len,
             wl.gen_len,
         );
-        let total = est.group(wl.gen_len);
+        let total = est.total();
         Ok(InferenceReport {
             engine: self.name(),
             model: scenario.spec.name.clone(),
@@ -250,7 +250,12 @@ pub fn serve_continuous(
     }
     if !cfg.refill {
         let serve = serve(engine, spec, hw, traffic, &cfg.serve)?;
-        let occupancy = padded_occupancy(&serve, &cfg.serve);
+        let padded_steps = serve
+            .groups
+            .iter()
+            .map(|g| u64::from(g.workload.gen_len.saturating_sub(1)))
+            .sum();
+        let occupancy = occupancy(&serve, &cfg.serve, padded_steps);
         return Ok(ContinuousReport {
             serve,
             preemptions: 0,
@@ -270,16 +275,14 @@ pub fn serve_continuous(
     Ok(run_slot_machine(spec, hw, traffic, cfg))
 }
 
-/// Padded-group occupancy of a run-to-completion report: useful
-/// decode-step slots over the slot capacity across every group's decode
-/// steps — the number slot refill exists to raise.
-fn padded_occupancy(report: &ServeReport, cfg: &ServeConfig) -> f64 {
+/// Decode-step occupancy: the slots that produced a token over the slot
+/// capacity across `steps` decode steps — the number slot refill exists
+/// to raise. A completed request fills one slot in each of its
+/// `gen_len − 1` decode steps, whichever mode scheduled it; `steps` is
+/// the padded groups' decode steps in run-to-completion mode and the
+/// machine's decode steps with refill.
+fn occupancy(report: &ServeReport, cfg: &ServeConfig, steps: u64) -> f64 {
     let capacity = u64::from(cfg.batch_size) * u64::from(cfg.policy.max_batches());
-    let steps: u64 = report
-        .groups
-        .iter()
-        .map(|g| u64::from(g.workload.gen_len.saturating_sub(1)))
-        .sum();
     let occupied: u64 = report
         .outcomes
         .iter()
@@ -293,17 +296,6 @@ fn padded_occupancy(report: &ServeReport, cfg: &ServeConfig) -> f64 {
     }
 }
 
-/// One admission wave under construction (becomes a [`GroupRecord`] with
-/// [`GroupTrigger::Refill`] once its last member finishes).
-struct Wave {
-    dispatched: SimTime,
-    n: u32,
-    prompt: u32,
-    gen: u32,
-    prefill: SimDuration,
-    last_finish: SimTime,
-}
-
 /// A wave's prefill in progress; jobs form a stack, and a chat admission
 /// parks a batch-class job by pushing on top of it.
 struct PrefillJob {
@@ -311,7 +303,7 @@ struct PrefillJob {
     members: Vec<Request>,
     prompt: u32,
     done: u32,
-    est: StepEstimate,
+    est: StepPlan,
     chat: bool,
 }
 
@@ -334,19 +326,18 @@ struct SlotMachine<'a> {
     jobs: Vec<PrefillJob>,
     active: Vec<ActiveSeq>,
     t_free: SimTime,
-    waves: Vec<Wave>,
+    /// One [`GroupTrigger::Refill`] record per admission wave; its service
+    /// time grows as members finish.
+    groups: Vec<GroupRecord>,
     outcomes: Vec<RequestOutcome>,
     busy: SimDuration,
-    served: u32,
-    tokens: u64,
     preemptions: u32,
     refills: u32,
     chunks: u32,
-    occupied_steps: u64,
     decode_steps: u64,
     /// Step prices by pricing shape `(batch_size, n, prompt, gen)`, each
     /// filled by its first lookup (see [`SlotMachine::price`]).
-    prices: BTreeMap<(u32, u32, u32, u32), StepEstimate>,
+    prices: BTreeMap<(u32, u32, u32, u32), StepPlan>,
 }
 
 #[cfg(test)]
@@ -369,15 +360,12 @@ impl<'a> SlotMachine<'a> {
             jobs: Vec::new(),
             active: Vec::new(),
             t_free: SimTime::ZERO,
-            waves: Vec::new(),
+            groups: Vec::new(),
             outcomes: Vec::new(),
             busy: SimDuration::ZERO,
-            served: 0,
-            tokens: 0,
             preemptions: 0,
             refills: 0,
             chunks: 0,
-            occupied_steps: 0,
             decode_steps: 0,
             prices: BTreeMap::new(),
         }
@@ -426,7 +414,7 @@ impl<'a> SlotMachine<'a> {
     /// and `gen`, priced once per shape: [`estimate_step_service`] is a
     /// pure function of the machine's fixed cost model and the shape, so
     /// a stored price is the one a fresh call would return.
-    fn price(&mut self, m: usize, prompt: u32, gen: u32) -> StepEstimate {
+    fn price(&mut self, m: usize, prompt: u32, gen: u32) -> StepPlan {
         #[cfg(test)]
         LOOKUPS.with(|n| n.set(n.get() + 1));
         let (bs, n) = self.shape(m);
@@ -478,14 +466,27 @@ impl<'a> SlotMachine<'a> {
         if !self.active.is_empty() || !self.jobs.is_empty() {
             self.refills += m as u32;
         }
-        let wave = self.waves.len();
-        self.waves.push(Wave {
+        // The recorded workload is the wave's padded admission shape
+        // (waves may overlap on the engine, unlike run-to-completion
+        // groups): whole batches when the wave divides into them,
+        // otherwise one ragged batch.
+        let (n, bs) = (m as u32, self.batch_size);
+        let workload = if n <= bs || n % bs != 0 {
+            Workload::new(n, 1, prompt, gen)
+        } else {
+            Workload::new(bs, n / bs, prompt, gen)
+        };
+        let wave = self.groups.len();
+        self.groups.push(GroupRecord {
+            index: wave as u32,
+            replica: 0,
             dispatched: t,
-            n: m as u32,
-            prompt,
-            gen,
-            prefill: est.prefill,
-            last_finish: t,
+            workload,
+            n_requests: n,
+            trigger: GroupTrigger::Refill,
+            service_time: SimDuration::ZERO,
+            prefill_time: est.prefill,
+            oom: false,
         });
         self.jobs.push(PrefillJob {
             wave,
@@ -538,7 +539,6 @@ impl<'a> SlotMachine<'a> {
             (p.max(s.req.prompt_len), g.max(s.req.gen_len))
         });
         let d = self.price(m, prompt, gen).decode_step;
-        self.occupied_steps += m as u64;
         self.decode_steps += 1;
         self.busy += d;
         self.t_free = t + d;
@@ -561,6 +561,13 @@ impl<'a> SlotMachine<'a> {
     /// it, taking arrivals and actions in the fleet loop's [`Event`] order.
     fn drive(&mut self, traffic: &Traffic) {
         let mut source = ArrivalSource::new(traffic);
+        // Every request resolves exactly once, so the outcome list is
+        // sized once: grown by doubling, its abandoned blocks fragment
+        // the heap and raise the peak resident set of repeated runs.
+        self.outcomes.reserve(match traffic {
+            Traffic::Open(requests) => requests.len(),
+            Traffic::Closed { cfg, .. } => cfg.num_requests as usize,
+        });
         while let Some((t, event)) = Event::first([
             source.peek().map(|t| (t, Event::Arrival)),
             self.next_action_time().map(|t| (t, Event::Form(0))),
@@ -585,12 +592,12 @@ impl<'a> SlotMachine<'a> {
         finished: SimTime,
         done: &mut Vec<Completion>,
     ) {
-        let w = &mut self.waves[wave];
-        w.last_finish = w.last_finish.max(finished);
+        let g = &mut self.groups[wave];
+        g.service_time = g.service_time.max(finished.saturating_since(g.dispatched));
         self.outcomes.push(RequestOutcome {
             id: r.id,
             arrival: r.arrival,
-            dispatched: w.dispatched,
+            dispatched: g.dispatched,
             first_token,
             finished,
             prompt_len: r.prompt_len,
@@ -600,8 +607,6 @@ impl<'a> SlotMachine<'a> {
             failed: false,
             retry: RetryOutcome::FirstTry,
         });
-        self.served += 1;
-        self.tokens += u64::from(r.gen_len);
         done.push(Completion {
             finished,
             failed: false,
@@ -623,72 +628,18 @@ fn run_slot_machine(
     let cost = CostModel::new(spec.clone(), hw.clone());
     let mut machine = SlotMachine::new(&cost, cfg);
     machine.drive(traffic);
-
-    let SlotMachine {
-        outcomes,
-        waves,
-        busy,
-        served,
-        tokens,
-        preemptions,
-        refills,
-        chunks,
-        occupied_steps,
-        decode_steps,
-        capacity,
-        batch_size,
-        ..
-    } = machine;
-    let groups: Vec<GroupRecord> = waves
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            // The recorded workload is the wave's padded admission shape
-            // (waves may overlap on the engine, unlike RTC groups).
-            let wl = if w.n <= batch_size || w.n % batch_size != 0 {
-                Workload::new(w.n.max(1), 1, w.prompt, w.gen)
-            } else {
-                Workload::new(batch_size, w.n / batch_size, w.prompt, w.gen)
-            };
-            GroupRecord {
-                index: i as u32,
-                replica: 0,
-                dispatched: w.dispatched,
-                workload: wl,
-                n_requests: w.n,
-                trigger: GroupTrigger::Refill,
-                service_time: w.last_finish.saturating_since(w.dispatched),
-                prefill_time: w.prefill,
-                oom: false,
-            }
-        })
-        .collect();
-    let n_groups = groups.len() as u32;
-    let serve = ServeReport::assemble(COST_ENGINE_NAME.into(), outcomes, groups, |first, last| {
-        let lifetime = last.saturating_since(first);
-        vec![ReplicaUtilization {
-            replica: 0,
-            groups: n_groups,
-            requests: served,
-            busy,
-            tokens,
-            spawned: SimTime::ZERO,
-            retired: None,
-            lifetime,
-            utilization: busy_share(busy, lifetime),
-        }]
-    });
-    let occupancy = if decode_steps == 0 {
-        0.0
-    } else {
-        occupied_steps as f64 / (decode_steps * capacity as u64) as f64
-    };
+    let serve = ServeReport::assemble(
+        COST_ENGINE_NAME.into(),
+        machine.outcomes,
+        machine.groups,
+        [(SimTime::ZERO, None, machine.busy)],
+    );
     ContinuousReport {
+        occupancy: occupancy(&serve, &cfg.serve, machine.decode_steps),
         serve,
-        preemptions,
-        refills,
-        prefill_chunks: chunks,
-        occupancy,
+        preemptions: machine.preemptions,
+        refills: machine.refills,
+        prefill_chunks: machine.chunks,
     }
 }
 
@@ -697,6 +648,7 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionPolicy;
     use crate::traffic::{generate, Arrivals, LengthDist, TrafficConfig};
+    use proptest::prelude::*;
 
     fn spec() -> ModelSpec {
         ModelSpec::mixtral_8x7b()
@@ -799,7 +751,7 @@ mod tests {
             assert_eq!(machine.outcomes.len(), 200);
             assert!(machine.refills > 0, "slots are refilled");
             assert!(
-                machine.chunks as usize > machine.waves.len(),
+                machine.chunks as usize > machine.groups.len(),
                 "prefill is chunked"
             );
             for class in [RequestClass::Chat, RequestClass::Batch] {
@@ -808,7 +760,7 @@ mod tests {
             }
             assert_eq!(
                 lookups,
-                machine.waves.len() as u64 + machine.decode_steps,
+                machine.groups.len() as u64 + machine.decode_steps,
                 "every wave and decode step is priced through the table"
             );
             assert!(
@@ -968,6 +920,73 @@ mod tests {
         assert_eq!(o.first_token, o.finished);
         assert!(o.finished > o.dispatched);
         assert_eq!(r.serve.groups.len(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Refill runs keep the serving ledger's invariants for any slot
+        /// pool, chunk size (0 = atomic prefill), chat share and stream,
+        /// open or closed: every id resolves once with causal timings,
+        /// every wave is a `Refill` record whose members sum to the
+        /// stream, busy time fits the replica's lifetime, occupancy is a
+        /// share, and a rerun is byte-identical.
+        #[test]
+        fn refill_runs_keep_the_ledger(
+            bs in 1u32..6,
+            cap in 1u32..4,
+            chunk_idx in 0usize..4,
+            chat_pct in 0u32..101,
+            seed in 0u64..500,
+            num in 1u32..40,
+            closed_bit in 0u32..2,
+        ) {
+            let chunk = [0, 7, 32, 128][chunk_idx];
+            let c = cfg(bs, cap, true, chunk, ClassAssign::ChatShare { chat_pct });
+            let tc = TrafficConfig {
+                num_requests: num,
+                prompt: LengthDist::Uniform { lo: 8, hi: 160 },
+                gen: LengthDist::HeavyTail { lo: 1, hi: 4, heavy: 24, heavy_pct: 25 },
+                seed,
+            };
+            let traffic = if closed_bit == 1 {
+                Traffic::Closed { clients: bs + 1, think: SimDuration::from_millis(500), cfg: tc }
+            } else {
+                Traffic::Open(generate(Arrivals::Poisson { rate: 3.0 }, &tc))
+            };
+            let run = || {
+                serve_continuous(&CostEngine::new(&spec(), &hw()), &spec(), &hw(), &traffic, &c)
+                    .expect("serve_continuous")
+            };
+            let r = run();
+            let ids: Vec<u64> = r.serve.outcomes.iter().map(|o| o.id).collect();
+            prop_assert_eq!(ids, (0..u64::from(num)).collect::<Vec<_>>());
+            for o in &r.serve.outcomes {
+                prop_assert!(!o.failed);
+                prop_assert!(o.arrival <= o.dispatched && o.dispatched <= o.first_token);
+                prop_assert!(o.first_token <= o.finished, "{o:?}");
+            }
+            for g in &r.serve.groups {
+                prop_assert_eq!(g.trigger, GroupTrigger::Refill);
+                prop_assert!(g.prefill_time <= g.service_time, "{g:?}");
+            }
+            let waved: u32 = r.serve.groups.iter().map(|g| g.n_requests).sum();
+            prop_assert_eq!(waved, num);
+            let [rep] = r.serve.replicas[..] else {
+                panic!("one slot machine, one replica");
+            };
+            prop_assert!(rep.busy <= rep.lifetime, "{rep:?}");
+            prop_assert!((0.0..=1.0).contains(&r.occupancy), "{}", r.occupancy);
+            let again = run();
+            prop_assert_eq!(&r.serve.outcomes, &again.serve.outcomes);
+            prop_assert_eq!(&r.serve.groups, &again.serve.groups);
+            prop_assert_eq!(&r.serve.replicas, &again.serve.replicas);
+            prop_assert_eq!(r.serve.makespan, again.serve.makespan);
+            prop_assert_eq!(
+                (r.preemptions, r.refills, r.prefill_chunks, r.occupancy.to_bits()),
+                (again.preemptions, again.refills, again.prefill_chunks, again.occupancy.to_bits())
+            );
+        }
     }
 
     #[test]

@@ -27,20 +27,27 @@
 //!   pluggable autoscaling policy, with cold starts derived from the
 //!   cost model's weight-transfer times, drain-then-retire scale-down,
 //!   replica-hour accounting, and deterministic fault injection — and
-//!   the crate's one serving event loop;
+//!   the fleet event loop;
 //! * [`continuous`] — continuous batching: step-level slot refill,
 //!   chunked preemptible prefill, and chat/batch priority classes; with
 //!   refill disabled it is [`serve`](server::serve), byte for byte.
 //!
-//! There is one serving event loop. [`serve`](server::serve) and
-//! [`serve_scaled`](dispatcher::serve_scaled) run it as a fixed fleet
-//! with no autoscaler (so it never ticks) and no faults; the
-//! [`cluster`] entry points add an autoscaler and a fault plan. The loop
-//! holds one state struct whose next event is the earliest pending
-//! `(time, event)`; the declaration order of the event kinds — warm-up,
-//! fault, tick, arrival, retry, formation — breaks ties at one instant,
-//! and the continuous slot machine picks its next event under the same
+//! Two event loops share one tie rule. Every group-serving entry point
+//! runs the fleet loop: [`serve`](server::serve) and
+//! [`serve_scaled`](dispatcher::serve_scaled) as a fixed fleet with no
+//! autoscaler (so it never ticks) and no faults; the [`cluster`] entry
+//! points add an autoscaler and a fault plan. The loop holds one state
+//! struct whose next event is the earliest pending `(time, event)`; the
+//! declaration order of the event kinds — warm-up, fault, tick, arrival,
+//! retry, formation — breaks ties at one instant. Refill mode runs the
+//! slot machine's own loop, which picks its next event under the same
 //! order.
+//!
+//! Both loops cut their report in one place,
+//! [`ServeReport`](server::ServeReport)'s assembly: each replica's
+//! groups, requests and tokens are folds over the report's outcomes and
+//! group records, and the replica supplies only its birth, retirement and
+//! busy time. The [`metrics`] summaries fold the same outcomes.
 //!
 //! Everything is deterministic under a seed: the same traffic, policy, and
 //! engine produce byte-identical reports (the `serve_sweep` and

@@ -4,13 +4,14 @@
 //! A `Replica` owns one engine's admission queue and clock, forms batch
 //! groups with the [`AdmissionPolicy`], and runs them over simulated time;
 //! an `ArrivalSource` replays the open- or closed-loop request stream.
-//! The crate has exactly one event loop that drives them, the fleet loop
-//! in [`cluster`](crate::cluster): the single-engine [`serve`] entry point
-//! is that loop over a fixed fleet of one replica, the multi-replica
-//! [`dispatcher`](crate::dispatcher) is the same fixed fleet with `R`
-//! replicas, and the cluster entry points add an autoscaler and faults.
-//! Every path executes the identical per-replica code, so their results
-//! are directly comparable.
+//! The fleet loop in [`cluster`](crate::cluster) drives them: the
+//! single-engine [`serve`] entry point is that loop over a fixed fleet of
+//! one replica, the multi-replica [`dispatcher`](crate::dispatcher) is the
+//! same fixed fleet with `R` replicas, and the cluster entry points add an
+//! autoscaler and faults. Every path executes the identical per-replica
+//! code, so their results are directly comparable, and every report is
+//! cut by [`ServeReport`]'s one assembly, which folds the per-replica
+//! counts from the outcomes and group records.
 //!
 //! While a group runs, new requests queue; when the engine frees, the
 //! admission policy decides when to cut the next group and how large. Each
@@ -224,14 +225,20 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// Cuts the report at the end of a run: outcomes in id order, the
-    /// makespan from the first arrival to the last finish, and the
-    /// per-replica utilization that `replicas` folds over that same
-    /// `(first arrival, last finish)` window.
+    /// makespan from the first arrival to the last finish, and one
+    /// [`ReplicaUtilization`] per entry of `replicas`, in replica-id order.
+    ///
+    /// Each entry gives what the records cannot show: the replica's birth,
+    /// its retirement (`None` if it outlived the run) and its engine-busy
+    /// time. Its groups, requests and tokens are folds over `groups` and
+    /// `outcomes`, and its lifetime spans birth (or the first arrival,
+    /// whichever is later) to retirement (or the last finish), so a
+    /// never-retired replica born at `ZERO` reports exactly the makespan.
     pub(crate) fn assemble(
         engine: String,
         mut outcomes: Vec<RequestOutcome>,
         groups: Vec<GroupRecord>,
-        replicas: impl FnOnce(SimTime, SimTime) -> Vec<ReplicaUtilization>,
+        replicas: impl IntoIterator<Item = (SimTime, Option<SimTime>, SimDuration)>,
     ) -> ServeReport {
         outcomes.sort_by_key(|o| o.id);
         let first_arrival = outcomes
@@ -244,11 +251,45 @@ impl ServeReport {
             .map(|o| o.finished)
             .max()
             .unwrap_or(SimTime::ZERO);
+        let mut replicas: Vec<ReplicaUtilization> = replicas
+            .into_iter()
+            .enumerate()
+            .map(|(id, (spawned, retired, busy))| {
+                let lifetime = retired
+                    .unwrap_or(last_finish)
+                    .saturating_since(spawned.max(first_arrival));
+                ReplicaUtilization {
+                    replica: id as u32,
+                    groups: 0,
+                    requests: 0,
+                    busy,
+                    tokens: 0,
+                    spawned,
+                    retired,
+                    lifetime,
+                    utilization: if lifetime.is_zero() {
+                        0.0
+                    } else {
+                        busy.as_secs_f64() / lifetime.as_secs_f64()
+                    },
+                }
+            })
+            .collect();
+        for g in &groups {
+            replicas[g.replica as usize].groups += 1;
+        }
+        for o in outcomes.iter().filter(|o| o.retry.served()) {
+            let r = &mut replicas[o.replica as usize];
+            r.requests += 1;
+            if !o.failed {
+                r.tokens += u64::from(o.gen_len);
+            }
+        }
         ServeReport {
             engine,
             outcomes,
             groups,
-            replicas: replicas(first_arrival, last_finish),
+            replicas,
             makespan: last_finish.saturating_since(first_arrival),
         }
     }
@@ -262,28 +303,12 @@ impl ServeReport {
             .map(|r| r.lifetime.as_secs_f64() / 3600.0)
             .sum()
     }
-
-    /// Sustained throughput: generated tokens of completed requests over
-    /// the makespan.
-    pub fn throughput_tps(&self) -> f64 {
-        if self.makespan.is_zero() {
-            return 0.0;
-        }
-        let tokens: u64 = self
-            .outcomes
-            .iter()
-            .filter(|o| !o.failed)
-            .map(|o| o.gen_len as u64)
-            .sum();
-        tokens as f64 / self.makespan.as_secs_f64()
-    }
 }
 
 /// Drives `engine` over `traffic` and returns per-request outcomes.
 ///
-/// One replica on the crate's one serving event loop (see
-/// [`cluster`](crate::cluster)): a fixed fleet of size one, with no
-/// autoscaler and no faults.
+/// One replica on the fleet event loop (see [`cluster`](crate::cluster)):
+/// a fixed fleet of size one, with no autoscaler and no faults.
 ///
 /// # Errors
 ///
@@ -377,8 +402,9 @@ pub(crate) struct Completion {
 }
 
 /// One engine replica's serving state: its admission queue, its clock, and
-/// its running utilization totals. Every fleet slot holds one, whatever
-/// entry point configured the fleet.
+/// what the report cannot fold from its records (birth, retirement and
+/// engine-busy time). Every fleet slot holds one, whatever entry point
+/// configured the fleet.
 pub(crate) struct Replica {
     id: u32,
     /// Per-replica scenario-seed base (replica 0 preserves the
@@ -401,13 +427,13 @@ pub(crate) struct Replica {
     /// the exact pre-fault arithmetic path.
     slowdown_pct: u32,
     local_groups: u64,
-    busy: SimDuration,
-    served: u32,
-    tokens: u64,
+    /// Engine-busy time: the sum of this replica's group service times,
+    /// cut at a crash.
+    pub(crate) busy: SimDuration,
     /// Birth instant (`ZERO` for static fleets).
-    spawned: SimTime,
+    pub(crate) spawned: SimTime,
     /// Retirement instant, once the cluster loop drains and retires it.
-    retired: Option<SimTime>,
+    pub(crate) retired: Option<SimTime>,
 }
 
 impl Replica {
@@ -433,8 +459,6 @@ impl Replica {
             slowdown_pct: 100,
             local_groups: 0,
             busy: SimDuration::ZERO,
-            served: 0,
-            tokens: 0,
             spawned,
             retired: None,
         }
@@ -633,10 +657,6 @@ impl Replica {
         self.inflight_at = t_form;
         self.local_groups += 1;
         self.busy += service;
-        self.served += batch.len() as u32;
-        if !oom {
-            self.tokens += batch.iter().map(|r| u64::from(r.gen_len)).sum::<u64>();
-        }
         Ok(done)
     }
 
@@ -651,27 +671,21 @@ impl Replica {
     /// request whose own last token had not landed by `at` is lost — the
     /// group's KV state and any partially generated tokens are gone, so
     /// lost requests must be re-served from scratch. Requests whose last
-    /// token landed at or before `at` stay served. The replica's counters
-    /// are rolled back to what it really delivered: busy time is cut at
-    /// the crash instant, and lost in-flight requests no longer count as
-    /// served. The replica retires at `at` and must not be routed to
-    /// again.
+    /// token landed at or before `at` stay served. Busy time is cut at the
+    /// crash instant. The replica retires at `at` and must not be routed
+    /// to again.
     pub(crate) fn crash(&mut self, at: SimTime) -> CrashLoss {
         let mut inflight = Vec::new();
         let mut wasted = SimDuration::ZERO;
         if self.t_free > at {
             wasted = at.saturating_since(self.inflight_at);
             self.busy = self.busy.saturating_sub(self.t_free.saturating_since(at));
-            let oom = self.inflight_service.is_zero();
-            for &(r, finished) in &self.inflight {
-                if finished > at {
-                    inflight.push(r);
-                    self.served -= 1;
-                    if !oom {
-                        self.tokens -= u64::from(r.gen_len);
-                    }
-                }
-            }
+            inflight = self
+                .inflight
+                .iter()
+                .filter(|&&(_, finished)| finished > at)
+                .map(|&(r, _)| r)
+                .collect();
         }
         let queued: Vec<Request> = self.queue.drain(..).collect();
         self.queued_tokens = 0;
@@ -705,38 +719,6 @@ impl Replica {
         }
         self.queue = kept;
         taken
-    }
-
-    /// Folds the replica's counters into a [`ReplicaUtilization`].
-    ///
-    /// `origin` is the run's first arrival and `run_end` its last finish:
-    /// the lifetime spans birth (or `origin`, whichever is later) to
-    /// retirement (or `run_end`), so a never-retired replica born at
-    /// `ZERO` reports exactly the run makespan — static fleets are
-    /// unchanged byte for byte.
-    pub(crate) fn stats(&self, origin: SimTime, run_end: SimTime) -> ReplicaUtilization {
-        let born = self.spawned.max(origin);
-        let lifetime = self.retired.unwrap_or(run_end).saturating_since(born);
-        ReplicaUtilization {
-            replica: self.id,
-            groups: self.local_groups as u32,
-            requests: self.served,
-            busy: self.busy,
-            tokens: self.tokens,
-            spawned: self.spawned,
-            retired: self.retired,
-            lifetime,
-            utilization: busy_share(self.busy, lifetime),
-        }
-    }
-}
-
-/// `busy` over `lifetime`, or 0 when the lifetime is zero.
-pub(crate) fn busy_share(busy: SimDuration, lifetime: SimDuration) -> f64 {
-    if lifetime.is_zero() {
-        0.0
-    } else {
-        busy.as_secs_f64() / lifetime.as_secs_f64()
     }
 }
 
@@ -1342,7 +1324,8 @@ mod tests {
         .expect("serve");
         assert_eq!(report.outcomes.len(), 8);
         assert!(report.outcomes.iter().all(|o| !o.failed));
-        assert!(report.throughput_tps() > 0.0);
+        let slo = crate::metrics::SloSpec::relaxed();
+        assert!(crate::metrics::summarize(&report, &slo).throughput_tps > 0.0);
         assert!(report
             .groups
             .iter()

@@ -18,7 +18,7 @@ use klotski_serve::cluster::{
 };
 use klotski_serve::continuous::{serve_continuous, ClassAssign, ContinuousConfig, CostEngine};
 use klotski_serve::dispatcher::{serve_scaled, DispatchPolicy, ScaleConfig};
-use klotski_serve::metrics::SloSpec;
+use klotski_serve::metrics::{summarize, SloSpec};
 use klotski_serve::server::{serve, ServeConfig, ServeReport, Traffic};
 use klotski_serve::traffic::{generate, Arrivals, LengthDist, TrafficConfig};
 use klotski_sim::time::SimDuration;
@@ -378,7 +378,11 @@ fn fault_run_output_is_pinned() {
         GOLDEN_FAULTY,
         "fault-run timings drifted"
     );
+    // The fault ledger, with the drop and shed counts `SloSummary` folds
+    // from the outcomes between the retries and the hedges: the order the
+    // constant was captured in.
     let f = a.faults;
+    let s = summarize(&a.serve, &SloSpec::relaxed());
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in [
         f.crashes,
@@ -388,8 +392,8 @@ fn fault_run_output_is_pinned() {
         f.lost_inflight,
         f.lost_queued,
         f.retries,
-        f.dropped,
-        f.shed,
+        s.dropped as u32,
+        s.shed as u32,
         f.hedges,
         f.stalled,
         f.coldstart_stalls,
