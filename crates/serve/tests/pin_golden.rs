@@ -412,3 +412,76 @@ fn fault_run_output_is_pinned() {
 // restart spawns) and the fault ledger byte for byte.
 const GOLDEN_FAULTY: u64 = 17147578113817329578;
 const GOLDEN_FAULTY_STATS: u64 = 2014719808468303536;
+
+#[test]
+fn continuous_refill_grid_is_pinned() {
+    // Refill mode across its configuration space, one FNV over the lot:
+    // open and closed traffic × prefill chunk × class split × batch size ×
+    // admission policy (which sets the slot capacity). Each run folds its
+    // timing checksum, its three counters and its occupancy bits.
+    let spec = ModelSpec::mixtral_8x7b();
+    let hw = HardwareSpec::env1_rtx3090();
+    let engine = CostEngine::new(&spec, &hw);
+    let closed = Traffic::Closed {
+        clients: 4,
+        think: SimDuration::from_millis(1500),
+        cfg: TrafficConfig {
+            num_requests: 18,
+            prompt: LengthDist::Uniform { lo: 16, hi: 96 },
+            gen: LengthDist::Uniform { lo: 2, hi: 9 },
+            seed: 23,
+        },
+    };
+    let policies = [
+        cfg().policy,
+        AdmissionPolicy::CostAware {
+            max_n: 2,
+            slo_e2e: SimDuration::from_secs(600),
+        },
+    ];
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    };
+    for traffic in [Traffic::Open(open_stream()), closed] {
+        for prefill_chunk in [0, 7, 128] {
+            for classes in [
+                ClassAssign::Uniform,
+                ClassAssign::ChatShare { chat_pct: 30 },
+            ] {
+                for batch_size in [1, 4] {
+                    for policy in policies {
+                        let r = serve_continuous(
+                            &engine,
+                            &spec,
+                            &hw,
+                            &traffic,
+                            &ContinuousConfig {
+                                serve: ServeConfig {
+                                    batch_size,
+                                    policy,
+                                    seed: 11,
+                                },
+                                refill: true,
+                                prefill_chunk,
+                                classes,
+                            },
+                        )
+                        .expect("serve_continuous");
+                        mix(checksum(&r.serve));
+                        mix(u64::from(r.preemptions));
+                        mix(u64::from(r.refills));
+                        mix(u64::from(r.prefill_chunks));
+                        mix(r.occupancy.to_bits());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(h, GOLDEN_CONTINUOUS_GRID, "refill grid drifted");
+}
+
+// Captured before the slot machine became a fleet replica kind: pins
+// refill mode across the grid above byte for byte.
+const GOLDEN_CONTINUOUS_GRID: u64 = 10924734872660308789;
