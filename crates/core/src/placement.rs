@@ -77,12 +77,7 @@ impl Error for PlacementError {}
 /// Bytes of VRAM the transient working set needs at group size `n`:
 /// double-buffered attention weights, the gate, up to all experts of one
 /// layer in flight, two KV chunks, activations, embeddings.
-pub fn vram_workspace_bytes(
-    spec: &ModelSpec,
-    wl: &Workload,
-    n: u32,
-    compression: &Compression,
-) -> u64 {
+fn vram_workspace_bytes(spec: &ModelSpec, wl: &Workload, n: u32, compression: &Compression) -> u64 {
     let ctx = wl.max_context();
     let kv_chunk = (wl.batch_size as u64 * ctx * spec.kv_bytes_per_token_layer()) as f64
         * compression.kv_factor(ctx);
@@ -97,7 +92,7 @@ pub fn vram_workspace_bytes(
 }
 
 /// Total KV bytes of the whole workload at its maximum context.
-pub fn kv_total_bytes(spec: &ModelSpec, wl: &Workload, compression: &Compression) -> u64 {
+fn kv_total_bytes(spec: &ModelSpec, wl: &Workload, compression: &Compression) -> u64 {
     let ctx = wl.max_context();
     (spec.kv_bytes_total(wl.total_seqs(), ctx) as f64 * compression.kv_factor(ctx)) as u64
 }

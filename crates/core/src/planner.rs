@@ -103,7 +103,7 @@ impl Planner {
     /// Evaluates inequalities (4)–(7) at group size `n`.
     ///
     /// Returns the most-violated slack (negative ⇒ violated) in seconds.
-    pub fn worst_slack(&self, n: u32, batch_size: u32, gating: Option<&GatingModel>) -> f64 {
+    fn worst_slack(&self, n: u32, batch_size: u32, gating: Option<&GatingModel>) -> f64 {
         self.slacks_impl(n, batch_size, gating)
             .into_iter()
             .fold(f64::INFINITY, f64::min)

@@ -189,7 +189,7 @@ impl CorrelationTable {
 
     /// [`tendencies`](CorrelationTable::tendencies) into a reused buffer.
     // analyze: no_alloc
-    pub fn tendencies_into(&self, layer: u32, prev_choices: &[u16], scores: &mut Vec<f64>) {
+    fn tendencies_into(&self, layer: u32, prev_choices: &[u16], scores: &mut Vec<f64>) {
         let e = self.n_experts as usize;
         scores.clear();
         scores.resize(e, 0.0);
@@ -460,7 +460,8 @@ impl DeepCorrelationTable {
     }
 
     /// The embedded path-length-1 table (for shallow layers / comparison).
-    pub fn shallow(&self) -> &CorrelationTable {
+    #[cfg(test)]
+    fn shallow(&self) -> &CorrelationTable {
         &self.shallow
     }
 }

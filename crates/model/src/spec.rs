@@ -82,7 +82,7 @@ impl QuantScheme {
 
     /// Bytes per parameter including per-group scale/zero overhead
     /// (scales and zeros stored as 16-bit).
-    pub fn bytes_per_param(&self) -> f64 {
+    fn bytes_per_param(&self) -> f64 {
         QUANT_BITS as f64 / 8.0 + 2.0 / QUANT_GROUP_SIZE as f64 + 2.0 / QUANT_ZERO_GROUP_SIZE as f64
     }
 
@@ -104,8 +104,8 @@ impl QuantScheme {
 /// use klotski_model::spec::ModelSpec;
 ///
 /// let m = ModelSpec::mixtral_8x7b();
-/// // 46.7B parameters, within 2%.
-/// let b = m.total_params() as f64;
+/// // 46.7B parameters of 2-byte bf16 weights, within 2%.
+/// let b = m.total_bytes() as f64 / 2.0;
 /// assert!((b - 46.7e9).abs() / 46.7e9 < 0.02, "{b}");
 /// // One expert is ~352 MB in bf16 — the 21ms PCIe 4.0 transfer anchor.
 /// assert!((m.expert_bytes() as f64 - 352.3e6).abs() < 2e6);
@@ -289,7 +289,7 @@ impl ModelSpec {
     // ---- Sizes (bytes) --------------------------------------------------
 
     /// Attention projection parameters (Q, K, V, O) per layer.
-    pub fn attn_params(&self) -> u64 {
+    fn attn_params(&self) -> u64 {
         let q = self.d_model * self.n_heads * self.head_dim;
         let o = self.n_heads * self.head_dim * self.d_model;
         let kv = 2 * self.d_model * self.n_kv_heads * self.head_dim;
@@ -303,7 +303,7 @@ impl ModelSpec {
     }
 
     /// Parameters of one expert (or of the dense FFN when `n_experts == 0`).
-    pub fn expert_params(&self) -> u64 {
+    fn expert_params(&self) -> u64 {
         self.ffn.matrices() * self.d_model * self.d_ff
     }
 
@@ -363,7 +363,7 @@ impl ModelSpec {
     }
 
     /// Total parameter count.
-    pub fn total_params(&self) -> u64 {
+    fn total_params(&self) -> u64 {
         let mut p = 2 * self.vocab * self.d_model;
         for l in 0..self.n_layers {
             p += self.attn_params() + 2 * self.d_model;

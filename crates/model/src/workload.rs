@@ -73,7 +73,8 @@ impl Workload {
 
     /// Context length at decode step `step` (0-based): prompt plus the
     /// tokens generated so far plus the one being attended.
-    pub fn context_at_step(&self, step: u32) -> u64 {
+    #[cfg(test)]
+    fn context_at_step(&self, step: u32) -> u64 {
         self.prompt_len as u64 + step as u64 + 1
     }
 

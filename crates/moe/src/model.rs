@@ -2,7 +2,7 @@
 //!
 //! Both the reference runner (here) and Klotski's native pipelined executor
 //! (`klotski-core`) are built from the *same* primitives — `attn_block`,
-//! `moe_norm`, `route_token`, `expert_out`, `combine` — and `combine` sums
+//! `moe_norm`, the gate's routing, `expert_out`, `combine` — and `combine` sums
 //! expert contributions in fixed expert-index order. Any execution order of
 //! the expert computations therefore produces **bit-identical** hidden
 //! states, which is exactly the property that lets the expert-aware
@@ -39,8 +39,9 @@ pub enum Phase {
 /// token and its position, the attention mask in force, and where the trip
 /// is recorded in the routing trace (phase/step/sequence).
 ///
-/// Bundled as a params struct so [`MoeModel::forward_token`] and the MoE
-/// block stay within clippy's argument budget without an `#[allow]`.
+/// Bundled as a params struct so the reference runner's per-token forward
+/// pass and the MoE block stay within clippy's argument budget without an
+/// `#[allow]`.
 #[derive(Debug, Clone, Copy)]
 pub struct TokenCtx {
     /// The input token id.
@@ -222,12 +223,13 @@ impl MoeModel {
     }
 
     /// Routes one normalized token through `layer`'s gate.
-    pub fn route_token(&self, layer: usize, normed: &[f32]) -> Routing {
+    fn route_token(&self, layer: usize, normed: &[f32]) -> Routing {
         route(&self.weights.layers[layer].gate, normed, self.cfg.top_k)
     }
 
-    /// [`MoeModel::route_token`] into reused buffers — the
-    /// allocation-free form the native pipeline's gate step uses.
+    /// Routes one normalized token through `layer`'s gate into reused
+    /// buffers — the allocation-free form the native pipeline's gate step
+    /// uses.
     // analyze: no_alloc
     pub fn route_token_into(
         &self,
@@ -291,7 +293,7 @@ impl MoeModel {
 
     /// One token through every layer (the canonical forward pass). The
     /// per-token state travels in a [`TokenCtx`].
-    pub fn forward_token(
+    fn forward_token(
         &self,
         ctx: TokenCtx,
         cache: &mut KvCache,

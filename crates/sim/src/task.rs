@@ -76,7 +76,8 @@ impl OpClass {
     }
 
     /// Whether this class moves bytes over a link.
-    pub fn is_transfer(self) -> bool {
+    #[cfg(test)]
+    fn is_transfer(self) -> bool {
         matches!(
             self,
             OpClass::WeightTransfer
