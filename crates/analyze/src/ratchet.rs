@@ -22,7 +22,7 @@ pub const PANIC_CEILINGS: &[(&str, usize)] = &[
     // Two `expect`s with documented invariants (h2o eviction, argmax on
     // a non-empty vocabulary).
     ("moe", 2),
-    ("serve", 8),
+    ("serve", 3),
     ("sim", 4),
     ("tensor", 0),
 ];

@@ -1,10 +1,12 @@
-//! The fleet event loop: every group-serving entry point runs it.
+//! The fleet event loop: the one loop every serving entry point runs.
 //!
 //! A [`Fleet`] holds one run's whole state: the request stream, the fleet
 //! slots with their replicas, the autoscaler (if any), the fault injector,
 //! and the recovery ledger. [`Fleet::next_event`] returns the earliest
 //! pending `(time, Event)`, and each [`Event`] kind has one handler
-//! method. The entry points differ only in how they configure the fleet:
+//! method. A slot's replica is a group replica or a step replica (see
+//! [`Replica`]); the loop applies the same operations to either. The entry
+//! points differ only in how they configure the fleet:
 //!
 //! * [`serve`](crate::server::serve) and
 //!   [`serve_scaled`](crate::dispatcher::serve_scaled) run a fixed fleet
@@ -13,9 +15,9 @@
 //! * [`serve_cluster`](super::serve_cluster) and
 //!   [`serve_cluster_faulty`](super::serve_cluster_faulty) run an
 //!   autoscaled fleet ([`Fleet::autoscaled`]) under a fault plan;
-//! * [`serve_continuous`](crate::continuous::serve_continuous) without
-//!   refill is `serve`; with refill, its slot machine picks its next
-//!   event under the same [`Event`] order.
+//! * [`serve_continuous`](crate::continuous::serve_continuous) runs a
+//!   fixed fleet of one replica: a group replica without refill, so the
+//!   run is `serve`'s, and a step replica with it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -30,7 +32,7 @@ use super::{
 };
 use crate::admission::estimate_group_service;
 use crate::continuous::RequestClass;
-use crate::dispatcher::{route_pick, DispatchPolicy, RouterState};
+use crate::dispatcher::{route_pick, DispatchPolicy};
 use crate::metrics::SloSpec;
 use crate::server::{
     validate, ArrivalSource, EngineCtx, GroupRecord, Replica, RequestOutcome, RetryOutcome,
@@ -41,9 +43,9 @@ use crate::traffic::Request;
 /// What happens next in a serving run.
 ///
 /// The declaration order is the whole tie rule: events at one simulated
-/// instant run in this order, and formations on several slots run in slot
+/// instant run in this order, and actions on several slots run in slot
 /// order. `(SimTime, Event)` tuples therefore sort into execution order,
-/// and both loops pick their next event with [`Event::first`].
+/// and the loop picks its next event with [`Event::first`].
 ///
 /// * Warm-up completions come first, so a fault or tick at the same
 ///   instant sees the replica warm.
@@ -52,10 +54,10 @@ use crate::traffic::Request;
 ///   and formations land.
 /// * Fresh arrivals precede crash-driven retries, so faults leave the
 ///   fault-free arrival interleave untouched.
-/// * Arrivals and retries precede formations, so a request arriving
-///   exactly when an engine frees still joins that group.
+/// * Arrivals and retries precede replica actions, so a request arriving
+///   exactly when an engine frees still joins that group or wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Event {
+enum Event {
     /// A warming slot finishes its cold start.
     Warm,
     /// The fault injector's next event fires.
@@ -66,13 +68,14 @@ pub(crate) enum Event {
     Arrival,
     /// A crash-lost or stalled request re-enters dispatch.
     Retry,
-    /// The slot at this index cuts a batch group.
+    /// The slot at this index acts: a group replica cuts a batch group, a
+    /// step replica takes one scheduling step.
     Form(usize),
 }
 
 impl Event {
     /// The earliest of the pending `candidates` under the tie rule.
-    pub(crate) fn first(
+    fn first(
         candidates: impl IntoIterator<Item = Option<(SimTime, Event)>>,
     ) -> Option<(SimTime, Event)> {
         candidates.into_iter().flatten().min()
@@ -121,13 +124,20 @@ impl Slot {
         matches!(self.state, SlotState::Warm)
     }
 
-    /// Retires a draining slot once its queue is flushed; the retirement
+    /// Whether the slot is a warm one the straggler detector suspects:
+    /// qualified by `min_groups` samples, with its EWMA at or above `bar`
+    /// (see [`Fleet::suspect_bar`]).
+    fn suspect(&self, bar: u128, min_groups: u32) -> bool {
+        self.is_warm() && self.h_groups >= min_groups && u128::from(self.ewma_pm) * 100 >= bar
+    }
+
+    /// Retires a draining slot once its replica is drained; the retirement
     /// instant is drain-mark or engine-free, whichever is later,
     /// independent of when the sweep runs.
     fn sweep(&mut self) {
         if let SlotState::Draining { since } = self.state {
-            if self.rep.queue_len() == 0 {
-                self.rep.retire(since.max(self.rep.t_free()));
+            if self.rep.drained() {
+                self.rep.retire(since.max(self.rep.t_free));
                 self.state = SlotState::Retired;
             }
         }
@@ -194,7 +204,8 @@ pub(crate) struct Fleet<'a> {
     injector: FaultInjector,
     stats: FaultStats,
     slots: Vec<Slot>,
-    rr: RouterState,
+    /// The round-robin cursor.
+    rr: usize,
     /// Pending warm-up completions, keyed by ready instant.
     warmups: EventQueue<usize>,
     /// Crash-lost requests waiting out their backoff (and stalled
@@ -222,9 +233,18 @@ impl<'a> Fleet<'a> {
         faults: &FaultPlan,
         tol: ToleranceConfig,
     ) -> Self {
-        validate(ctx.cfg(), traffic);
-        let seed = ctx.cfg().seed;
+        validate(ctx.cfg, traffic);
+        // Every request resolves exactly once, so the outcome list is
+        // sized once: grown by doubling, its abandoned blocks fragment the
+        // heap and raise the peak resident set of repeated runs.
+        let requests = match traffic {
+            Traffic::Open(requests) => requests.len(),
+            Traffic::Closed { cfg, .. } => cfg.num_requests as usize,
+        };
         Fleet {
+            slots: (0..initial)
+                .map(|id| Slot::new(Replica::new(id, SimTime::ZERO, &ctx), SlotState::Warm))
+                .collect(),
             ctx,
             dispatch,
             tol,
@@ -234,14 +254,11 @@ impl<'a> Fleet<'a> {
             source: ArrivalSource::new(traffic),
             injector: FaultInjector::new(faults),
             stats: FaultStats::default(),
-            slots: (0..initial)
-                .map(|id| Slot::new(Replica::new(id, seed), SlotState::Warm))
-                .collect(),
-            rr: RouterState::new(),
+            rr: 0,
             warmups: EventQueue::new(),
             retries: EventQueue::new(),
             meta: BTreeMap::new(),
-            outcomes: Vec::new(),
+            outcomes: Vec::with_capacity(requests),
             groups: Vec::new(),
             last_arrival: SimTime::ZERO,
         }
@@ -303,7 +320,7 @@ impl<'a> Fleet<'a> {
             );
         }
         let initial = policy.initial().clamp(floor, cap);
-        let warmup = cfg.coldstart.warmup(ctx.cost(), ctx.spec());
+        let warmup = cfg.coldstart.warmup(&ctx.cost, ctx.spec);
         let mut fleet = Fleet::new(ctx, traffic, initial, cfg.dispatch, faults, *tol);
         fleet.warmup = warmup;
         fleet.scaler = Some(Scaler {
@@ -328,6 +345,17 @@ impl<'a> Fleet<'a> {
     /// Returns [`EngineError`] if the engine rejects a group's scenario as
     /// invalid.
     pub(crate) fn run(mut self) -> Result<ClusterReport, EngineError> {
+        self.drive()?;
+        Ok(self.finish())
+    }
+
+    /// Runs the loop until the run is over, leaving the report uncut.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError`] if the engine rejects a group's scenario as
+    /// invalid.
+    pub(crate) fn drive(&mut self) -> Result<(), EngineError> {
         while let Some((t, event)) = self.next_event() {
             match event {
                 Event::Warm => self.on_warm(),
@@ -346,7 +374,12 @@ impl<'a> Fleet<'a> {
                 Event::Form(i) => self.on_form(t, i)?,
             }
         }
-        Ok(self.finish())
+        Ok(())
+    }
+
+    /// Every replica that ever existed, in id order.
+    pub(crate) fn replicas(&self) -> impl Iterator<Item = &Replica> {
+        self.slots.iter().map(|s| &s.rep)
     }
 
     /// No arrival or retry is pending: queues flush as at end-of-stream.
@@ -357,17 +390,17 @@ impl<'a> Fleet<'a> {
         self.source.peek().is_none() && self.retries.peek_time().is_none()
     }
 
-    /// When slot `s` would cut its next group. Warm replicas form groups
-    /// under the admission policy; draining replicas flush as if at
-    /// end-of-stream (no more work is coming *to them*), never backdated
-    /// before the drain mark.
+    /// When slot `s` would act next. Warm group replicas form groups under
+    /// the admission policy; draining ones flush as if at end-of-stream
+    /// (no more work is coming *to them*), never backdated before the
+    /// drain mark. Step replicas are work-conserving either way.
     fn form_time(&self, s: &Slot, eos: bool) -> Option<SimTime> {
-        let cfg = self.ctx.cfg();
+        let cfg = self.ctx.cfg;
         match s.state {
-            SlotState::Warm => s.rep.next_form_time(cfg, eos, self.last_arrival),
+            SlotState::Warm => s.rep.next_action_time(cfg, eos, self.last_arrival),
             SlotState::Draining { since } => {
                 s.rep
-                    .next_form_time(cfg, true, self.last_arrival.max(since))
+                    .next_action_time(cfg, true, self.last_arrival.max(since))
             }
             SlotState::Warming { .. } | SlotState::Retired => None,
         }
@@ -469,9 +502,9 @@ impl<'a> Fleet<'a> {
     }
 
     /// The `victim % crashable`-th warm or draining replica dies at `t`:
-    /// its queue and the unfinished part of its in-flight group are lost,
-    /// and each lost request is retried after its backoff or dropped once
-    /// its budget runs out.
+    /// its queued and unfinished in-flight requests are lost (see
+    /// [`Replica::crash`]), and each lost request is retried after its
+    /// backoff or dropped once its budget runs out.
     fn crash(&mut self, t: SimTime, victim: u32, restart_after: Option<SimDuration>) {
         let crashable = |s: &Slot| matches!(s.state, SlotState::Warm | SlotState::Draining { .. });
         let Some(i) = self.victim(victim, crashable) else {
@@ -541,7 +574,7 @@ impl<'a> Fleet<'a> {
     /// its intended ready instant without ever serving.
     fn spawn(&mut self, now: SimTime) {
         let i = self.slots.len();
-        let mut rep = Replica::new_at(i as u32, self.ctx.cfg().seed, now);
+        let mut rep = Replica::new(i as u32, now, &self.ctx);
         let (extra, doomed) = match self.injector.on_spawn(now) {
             None => (SimDuration::ZERO, false),
             Some(ColdFault::Stall(extra)) => {
@@ -607,23 +640,23 @@ impl<'a> Fleet<'a> {
     /// restarts at the tick (never backdated), while its latency clock
     /// keeps running from the original arrival via `meta`.
     fn hedge(&mut self, now: SimTime) {
-        let Some(hedge_after) = self.tol.hedge_after.filter(|_| self.tol.health_aware) else {
+        let (Some(hedge_after), Some(bar)) = (self.tol.hedge_after, self.suspect_bar()) else {
             return;
         };
-        let sus = self.suspect_warm();
-        if sus.is_empty() {
+        let min_groups = self.tol.min_groups;
+        if !self.slots.iter().any(|s| s.suspect(bar, min_groups)) {
             return;
         }
         let target = (0..self.slots.len())
-            .filter(|i| self.slots[*i].is_warm() && !sus.contains(i))
+            .filter(|&i| self.slots[i].is_warm() && !self.slots[i].suspect(bar, min_groups))
             .min_by_key(|&i| (self.slots[i].rep.backlog_tokens(now), i));
         let Some(ti) = target else {
             return;
         };
         let classes = self.tol.classes;
         let mut moved = Vec::new();
-        for &si in &sus {
-            moved.extend(self.slots[si].rep.take_queued_where(&mut |r| {
+        for s in self.slots.iter_mut().filter(|s| s.suspect(bar, min_groups)) {
+            moved.extend(s.rep.take_queued_where(&mut |r| {
                 classes.class_of(r.id) == RequestClass::Chat
                     && now.saturating_since(r.arrival) >= hedge_after
             }));
@@ -721,33 +754,28 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Warm slots currently suspected of straggling: their observed-vs-
-    /// estimated service-time EWMA is at least `suspect_pct`% of the
-    /// healthiest *qualified* warm replica's (one with enough completed
-    /// groups). Comparing against the fleet minimum rather than an
+    /// The straggler bar under health-aware tolerance: a warm slot is
+    /// suspect when its observed-vs-estimated service-time EWMA is at
+    /// least `suspect_pct`% of the healthiest *qualified* warm replica's
+    /// (one with enough completed groups); `None` when nothing can be
+    /// suspect. Comparing against the fleet minimum rather than an
     /// absolute threshold cancels any systematic engine-vs-cost-model bias
     /// — only *relative* slowness marks a straggler. The healthiest
     /// qualified slot is never suspect (the threshold is strictly above
     /// 100%), so filtering suspects always leaves a routable candidate.
-    fn suspect_warm(&self) -> Vec<usize> {
-        let qualified = |s: &Slot| s.is_warm() && s.h_groups >= self.tol.min_groups;
+    fn suspect_bar(&self) -> Option<u128> {
+        if !self.tol.health_aware {
+            return None;
+        }
+        let min_groups = self.tol.min_groups;
         let best = self
             .slots
             .iter()
-            .filter(|s| qualified(s))
+            .filter(|s| s.is_warm() && s.h_groups >= min_groups)
             .map(|s| s.ewma_pm)
-            .min();
-        let Some(best) = best.filter(|&b| b > 0) else {
-            return Vec::new();
-        };
-        (0..self.slots.len())
-            .filter(|&i| {
-                let s = &self.slots[i];
-                qualified(s)
-                    && u128::from(s.ewma_pm) * 100
-                        >= u128::from(best) * u128::from(self.tol.suspect_pct)
-            })
-            .collect()
+            .min()
+            .filter(|&b| b > 0)?;
+        Some(u128::from(best) * u128::from(self.tol.suspect_pct))
     }
 
     /// Routes one arrival (`retry`: a crash-driven redispatch or a
@@ -760,14 +788,7 @@ impl<'a> Fleet<'a> {
         if !retry && self.shed(&r) {
             return;
         }
-        let mut candidates: Vec<(usize, &Replica)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_warm())
-            .map(|(i, s)| (i, &s.rep))
-            .collect();
-        if candidates.is_empty() {
+        if !self.slots.iter().any(Slot::is_warm) {
             // Crashes outran the autoscaler: no routable replica exists
             // right now. Defer the arrival to the next instant capacity
             // can appear (a pending warm-up or the next autoscaler tick) —
@@ -790,28 +811,22 @@ impl<'a> Fleet<'a> {
                 return;
             }
         }
-        // Health-aware dispatch: exclude suspected stragglers while a
-        // healthy candidate exists.
-        if self.tol.health_aware && candidates.len() > 1 {
-            let sus = self.suspect_warm();
-            if !sus.is_empty() {
-                let healthy: Vec<(usize, &Replica)> = candidates
-                    .iter()
-                    .copied()
-                    .filter(|(i, _)| !sus.contains(i))
-                    .collect();
-                if !healthy.is_empty() {
-                    candidates = healthy;
-                }
-            }
-        }
+        // Health-aware dispatch excludes suspected stragglers; a healthy
+        // warm replica always remains (see `suspect_bar`).
+        let (bar, min_groups) = (self.suspect_bar(), self.tol.min_groups);
+        let candidates = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is_warm() && !bar.is_some_and(|b| s.suspect(b, min_groups)))
+            .map(|(i, s)| (i, &s.rep));
         let idx = route_pick(
             self.dispatch,
             &mut self.rr,
             &r,
-            &candidates,
-            self.ctx.cost(),
-            self.ctx.cfg(),
+            candidates,
+            &self.ctx.cost,
+            self.ctx.cfg,
         );
         debug_assert!(self.slots[idx].is_warm(), "routed to a non-warm replica");
         self.slots[idx].rep.enqueue(r);
@@ -858,22 +873,18 @@ impl<'a> Fleet<'a> {
         true
     }
 
-    /// Slot `i` cuts a group at `t_form` and runs it.
+    /// Slot `i` acts at `t_form`: its replica cuts and runs a group, or
+    /// takes one scheduling step. Every outcome the action records is a
+    /// completion the closed-loop clients and the autoscaler see.
     fn on_form(&mut self, t_form: SimTime, i: usize) -> Result<(), EngineError> {
         let eos = matches!(self.slots[i].state, SlotState::Draining { .. }) || self.eos();
         let n_before = self.outcomes.len();
-        let done = self.slots[i].rep.run_group(
-            t_form,
-            eos,
-            &self.ctx,
-            &mut self.outcomes,
-            &mut self.groups,
-        )?;
-        for c in &done {
-            self.source.on_complete(c.finished, c.failed);
-        }
-        if let Some(sc) = self.scaler.as_mut() {
-            for o in &self.outcomes[n_before..] {
+        self.slots[i]
+            .rep
+            .act(t_form, eos, &self.ctx, &mut self.outcomes, &mut self.groups)?;
+        for o in &self.outcomes[n_before..] {
+            self.source.on_complete(o.finished, o.failed);
+            if let Some(sc) = self.scaler.as_mut() {
                 // A retried request's latency clock runs from its original
                 // arrival, not the redispatch instant.
                 let (arr, attempt) = self
@@ -888,12 +899,13 @@ impl<'a> Fleet<'a> {
         // Straggler detection: fold the group's observed/estimated service
         // ratio into the slot's health EWMA. The ratio is shape-normalized
         // by the cost model, so a straggler stands out however uneven the
-        // dispatch mix is.
-        if self.tol.health_aware {
+        // dispatch mix is. Only group replicas are sampled: a step
+        // replica's waves overlap, so no record times one of its actions.
+        if self.tol.health_aware && self.slots[i].rep.steps().is_none() {
             if let Some(g) = self.groups.last().filter(|g| !g.oom) {
                 let est = estimate_group_service(
-                    self.ctx.cost(),
-                    self.ctx.cfg().batch_size,
+                    &self.ctx.cost,
+                    self.ctx.cfg.batch_size,
                     g.workload.num_batches,
                     g.workload.prompt_len,
                     g.workload.gen_len,
@@ -913,7 +925,13 @@ impl<'a> Fleet<'a> {
         Ok(())
     }
 
-    fn finish(mut self) -> ClusterReport {
+    /// Cuts the report of a driven run.
+    pub(crate) fn finish(mut self) -> ClusterReport {
+        // The drained arrival queue keeps a buffer of one entry per
+        // request. Free it before the report's id sort allocates scratch
+        // of the same order, so the two never meet at the run's peak
+        // resident set.
+        drop(self.source);
         // Replicas still draining at end-of-stream retire now (their
         // queues are flushed — the loop cannot end with queued work).
         // Replicas still *warming* at end-of-stream never served; they
@@ -944,7 +962,7 @@ impl<'a> Fleet<'a> {
             .map(|e| e.to)
             .fold(self.initial, u32::max);
         let serve = ServeReport::assemble(
-            self.ctx.engine_name(),
+            self.ctx.engine.name(),
             self.outcomes,
             self.groups,
             self.slots

@@ -27,20 +27,21 @@
 //! # The fleet event loop
 //!
 //! This module hosts the fleet event loop (the private `fleet` module),
-//! and every group-serving entry point runs it:
+//! the one loop every serving entry point runs:
 //! [`serve`](crate::server::serve) and
 //! [`serve_scaled`](crate::dispatcher::serve_scaled) as a fixed fleet with
 //! no autoscaler (so it never ticks) and no faults, the cluster entry
 //! points as an autoscaled fleet under a fault plan, and
-//! [`serve_continuous`](crate::continuous::serve_continuous) without
-//! refill as `serve`. One state struct returns the earliest pending
-//! `(time, event)`, and each event kind has one handler. Events at one
-//! simulated instant run in the declaration order of the event kinds —
-//! warm-up completion, injected fault, autoscaler tick, fresh arrival,
-//! crash-driven retry, group formation (in slot order) — which is the
-//! whole tie rule, so runs are byte-deterministic. With refill,
-//! `serve_continuous` runs the slot machine's own loop instead, which
-//! picks its next event under the same order.
+//! [`serve_continuous`](crate::continuous::serve_continuous) as a fixed
+//! fleet of one replica. A fleet slot holds a group replica, which runs
+//! batch groups to completion, or a step replica, the continuous-batching
+//! slot machine; the loop applies the same operations to either. One
+//! state struct returns the earliest pending `(time, event)`, and each
+//! event kind has one handler. Events at one simulated instant run in the
+//! declaration order of the event kinds — warm-up completion, injected
+//! fault, autoscaler tick, fresh arrival, crash-driven retry, replica
+//! action (in slot order) — which is the whole tie rule, so runs are
+//! byte-deterministic.
 //!
 //! The cost of elasticity shows up in
 //! [`ServeReport::replica_hours`](crate::server::ServeReport::replica_hours):
@@ -229,7 +230,7 @@ pub fn serve_cluster_faulty(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::AdmissionPolicy;
+    use crate::admission::{AdmissionPolicy, GroupTrigger};
     use crate::continuous::RequestClass;
     use crate::dispatcher::{serve_scaled, ScaleConfig};
     use crate::metrics::summarize;
@@ -1324,6 +1325,107 @@ mod tests {
             prop_assert_eq!(report.serve.outcomes, again.serve.outcomes);
             prop_assert_eq!(report.serve.groups, again.serve.groups);
             prop_assert_eq!(report.scale_events, again.scale_events);
+            prop_assert_eq!(report.faults, again.faults);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Step replicas under the whole fleet: refill-mode slot machines
+        /// priced by the cost model, autoscaled on queue depth, through
+        /// the mid fault tier (two crashes with restart, a 300% straggler
+        /// window and a stalled cold start) with the default tolerance.
+        /// Every id resolves exactly once, every served request's timings
+        /// are causal, every replica's busy time fits its lifetime, and a
+        /// rerun is byte-identical.
+        #[test]
+        fn step_replicas_keep_the_ledger_under_scaling_and_faults(
+            seed in 0u64..200,
+            fseed in 0u64..200,
+            chunk_idx in 0usize..4,
+            chat_pct in 0u32..101,
+        ) {
+            use crate::continuous::{ContinuousConfig, CostEngine};
+            let stream = generate(
+                Arrivals::Poisson { rate: 2.0 },
+                &TrafficConfig {
+                    num_requests: 40,
+                    prompt: LengthDist::Uniform { lo: 8, hi: 160 },
+                    gen: LengthDist::HeavyTail { lo: 1, hi: 4, heavy: 24, heavy_pct: 25 },
+                    seed,
+                },
+            );
+            let horizon = stream.last().map_or(SimDuration::from_secs(1), |r| {
+                r.arrival.saturating_since(SimTime::ZERO)
+            });
+            let plan = FaultPlan::generate(&FaultScenario {
+                seed: fseed,
+                horizon,
+                crashes: 2,
+                restart_after: Some(SimDuration::from_secs(2)),
+                degraded: 1,
+                slowdown_pct: 300,
+                degrade_width: horizon / 4,
+                coldstart_stalls: 1,
+                coldstart_stall: SimDuration::from_secs(10),
+                coldstart_fails: 0,
+            });
+            let steps = ContinuousConfig {
+                serve: ServeConfig {
+                    batch_size: 4,
+                    policy: AdmissionPolicy::CostAware {
+                        max_n: 2,
+                        slo_e2e: SimDuration::from_secs(600),
+                    },
+                    seed: 7,
+                },
+                refill: true,
+                prefill_chunk: [0, 7, 32, 128][chunk_idx],
+                classes: ClassAssign::ChatShare { chat_pct },
+            };
+            let cfg = ClusterConfig {
+                serve: steps.serve,
+                ..base_cfg(
+                    DispatchPolicy::JoinShortestQueue,
+                    ColdStartModel::Fixed(SimDuration::from_secs(1)),
+                )
+            };
+            let (spec, hw) = mixtral();
+            let engine = CostEngine::new(&spec, &hw);
+            let traffic = Traffic::Open(stream);
+            let run = || {
+                let ctx = EngineCtx {
+                    steps: Some(&steps),
+                    ..EngineCtx::new(&engine, &spec, &hw, &steps.serve)
+                };
+                Fleet::autoscaled(
+                    ctx,
+                    &traffic,
+                    &cfg,
+                    &mut QueueDepthReactive::new(1, 4, 300, 50, 2),
+                    &plan,
+                    &ToleranceConfig::default(),
+                )
+                .run()
+                .expect("cost-model pricing cannot fail")
+            };
+            let report = run();
+            let ids: Vec<u64> = report.serve.outcomes.iter().map(|o| o.id).collect();
+            prop_assert_eq!(ids, (0..40).collect::<Vec<_>>());
+            for o in report.serve.outcomes.iter().filter(|o| o.retry.served()) {
+                prop_assert!(o.arrival <= o.dispatched && o.dispatched <= o.first_token);
+                prop_assert!(o.first_token <= o.finished, "{o:?}");
+            }
+            prop_assert!(report.serve.groups.iter().all(|g| g.trigger == GroupTrigger::Refill));
+            for rep in &report.serve.replicas {
+                prop_assert!(rep.busy <= rep.lifetime, "{rep:?}");
+            }
+            let again = run();
+            prop_assert_eq!(&report.serve.outcomes, &again.serve.outcomes);
+            prop_assert_eq!(&report.serve.groups, &again.serve.groups);
+            prop_assert_eq!(&report.serve.replicas, &again.serve.replicas);
+            prop_assert_eq!(&report.scale_events, &again.scale_events);
             prop_assert_eq!(report.faults, again.faults);
         }
     }

@@ -38,19 +38,21 @@
 //! heavy-tailed requests a run asks for ~270k step prices but meets only
 //! ~2.8k distinct shapes.
 //!
-//! With [`ContinuousConfig::refill`] disabled the entry point *is*
-//! [`serve`] plus an occupancy fold (a proptest pins the byte identity),
-//! so the continuous scheduler is a strict extension, never a fork. With
-//! refill enabled the slot machine keeps its own step logic but picks its
-//! next event under the fleet loop's tie rule (see
-//! [`cluster`](crate::cluster)): an arrival at the machine's action
-//! instant is ingested first.
+//! Both modes run one loop: [`serve_continuous`] is a fixed fleet of one
+//! replica on the fleet event loop (see [`cluster`](crate::cluster)), and
+//! [`ContinuousConfig::refill`] picks the replica's kind. Without refill
+//! it is a group replica, so the run *is*
+//! [`serve`](crate::server::serve) plus an occupancy fold (a proptest pins
+//! the byte identity). With refill it is a step replica, the slot
+//! machine, which the loop drives through the same operations as a group
+//! replica: so the step kind can also sit in an autoscaled fleet under
+//! faults.
 //!
 //! The slot machine prices every step with the cost model, never with the
 //! engine, so refill mode accepts only [`CostEngine`]: any other engine
 //! would label cost-model numbers with its own name.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use klotski_core::report::InferenceReport;
 use klotski_core::scenario::{Engine, EngineError, Scenario, StepPlan};
@@ -61,10 +63,11 @@ use klotski_model::workload::Workload;
 use klotski_sim::time::{SimDuration, SimTime};
 
 use crate::admission::{estimate_step_service, GroupTrigger};
-use crate::cluster::fleet::Event;
+use crate::cluster::fleet::Fleet;
+use crate::dispatcher::DispatchPolicy;
 use crate::server::{
-    serve, validate, ArrivalSource, Completion, GroupRecord, RequestOutcome, RetryOutcome,
-    ServeConfig, ServeReport, Traffic,
+    batch_shape, padded_shape, scale_pct, EngineCtx, GroupRecord, Queues, Replica, RequestOutcome,
+    RetryOutcome, ServeConfig, ServeReport, Traffic,
 };
 use crate::traffic::Request;
 
@@ -127,9 +130,11 @@ pub struct ContinuousConfig {
     /// policy.max_batches()` is the slot capacity of the continuous
     /// scheduler.
     pub serve: ServeConfig,
-    /// Enable step-level slot refill (the engine must then be
-    /// [`CostEngine`]). When `false` the run is [`serve`]'s, byte for
-    /// byte; `prefill_chunk` and `classes` are then inert.
+    /// Enable step-level slot refill: the one replica is then a step
+    /// replica rather than a group replica, and the engine must be
+    /// [`CostEngine`]. When `false` the run is
+    /// [`serve`](crate::server::serve)'s, byte for byte; `prefill_chunk`
+    /// and `classes` are then inert.
     pub refill: bool,
     /// Prefill chunk size in prompt tokens (`0` = atomic prefill, never
     /// preempted mid-wave).
@@ -219,11 +224,13 @@ impl Engine for CostEngine {
 
 /// Serves `traffic` with the continuous-batching scheduler.
 ///
-/// With `cfg.refill` enabled the engine is modeled as a pool of
-/// `batch_size × max_batches` sequence slots advanced step by step (see
-/// the module docs for the scheduling rules); step and prefill-chunk costs
-/// come from the calibrated cost model, so `engine` must be a
-/// [`CostEngine`]. With `cfg.refill` disabled this is [`serve`] on the
+/// Either way the run is a fixed fleet of one replica on the fleet event
+/// loop (see [`cluster`](crate::cluster)), and `cfg.refill` picks its
+/// kind. With refill enabled the replica is a pool of `batch_size ×
+/// max_batches` sequence slots advanced step by step (see the module docs
+/// for the scheduling rules); step and prefill-chunk costs come from the
+/// calibrated cost model, so `engine` must be a [`CostEngine`]. With
+/// `cfg.refill` disabled this is [`serve`](crate::server::serve) on the
 /// same engine — byte-identical — plus the padded-group occupancy.
 ///
 /// # Errors
@@ -248,58 +255,61 @@ pub fn serve_continuous(
     if let ClassAssign::ChatShare { chat_pct } = cfg.classes {
         assert!(chat_pct <= 100, "chat_pct must be a percentage");
     }
-    if !cfg.refill {
-        let serve = serve(engine, spec, hw, traffic, &cfg.serve)?;
-        let padded_steps = serve
-            .groups
-            .iter()
-            .map(|g| u64::from(g.workload.gen_len.saturating_sub(1)))
-            .sum();
-        let occupancy = occupancy(&serve, &cfg.serve, padded_steps);
-        return Ok(ContinuousReport {
-            serve,
-            preemptions: 0,
-            refills: 0,
-            prefill_chunks: 0,
-            occupancy,
-        });
-    }
-    validate(&cfg.serve, traffic);
+    let ctx = EngineCtx {
+        steps: cfg.refill.then_some(cfg),
+        ..EngineCtx::new(engine, spec, hw, &cfg.serve)
+    };
+    let mut fleet = Fleet::fixed(ctx, traffic, 1, DispatchPolicy::RoundRobin);
     let name = engine.name();
-    if name != COST_ENGINE_NAME {
+    if cfg.refill && name != COST_ENGINE_NAME {
         return Err(EngineError::InvalidConfig(format!(
             "continuous refill prices steps with the cost model, so it needs \
              the {COST_ENGINE_NAME} engine, not {name}"
         )));
     }
-    Ok(run_slot_machine(spec, hw, traffic, cfg))
-}
-
-/// Decode-step occupancy: the slots that produced a token over the slot
-/// capacity across `steps` decode steps — the number slot refill exists
-/// to raise. A completed request fills one slot in each of its
-/// `gen_len − 1` decode steps, whichever mode scheduled it; `steps` is
-/// the padded groups' decode steps in run-to-completion mode and the
-/// machine's decode steps with refill.
-fn occupancy(report: &ServeReport, cfg: &ServeConfig, steps: u64) -> f64 {
-    let capacity = u64::from(cfg.batch_size) * u64::from(cfg.policy.max_batches());
-    let occupied: u64 = report
+    fleet.drive()?;
+    let tally = fleet
+        .replicas()
+        .find_map(Replica::steps)
+        .map_or(StepTally::default(), |m| m.tally);
+    let serve = fleet.finish().serve;
+    // A completed request fills one slot in each of its `gen_len − 1`
+    // decode steps, whichever kind scheduled it: the padded groups' decode
+    // steps run to completion, the slot machine's are counted.
+    let steps = if cfg.refill {
+        tally.decode_steps
+    } else {
+        serve
+            .groups
+            .iter()
+            .map(|g| u64::from(g.workload.gen_len.saturating_sub(1)))
+            .sum()
+    };
+    let capacity = u64::from(cfg.serve.batch_size) * u64::from(cfg.serve.policy.max_batches());
+    let occupied: u64 = serve
         .outcomes
         .iter()
         .filter(|o| !o.failed)
         .map(|o| u64::from(o.gen_len.saturating_sub(1)))
         .sum();
-    if steps == 0 {
-        0.0
-    } else {
-        occupied as f64 / (steps * capacity) as f64
-    }
+    Ok(ContinuousReport {
+        occupancy: if steps == 0 {
+            0.0
+        } else {
+            occupied as f64 / (steps * capacity) as f64
+        },
+        serve,
+        preemptions: tally.preemptions,
+        refills: tally.refills,
+        prefill_chunks: tally.chunks,
+    })
 }
 
 /// A wave's prefill in progress; jobs form a stack, and a chat admission
 /// parks a batch-class job by pushing on top of it.
 struct PrefillJob {
     wave: usize,
+    dispatched: SimTime,
     members: Vec<Request>,
     prompt: u32,
     done: u32,
@@ -311,30 +321,52 @@ struct PrefillJob {
 struct ActiveSeq {
     req: Request,
     wave: usize,
+    dispatched: SimTime,
     first_token: SimTime,
     remaining: u32,
 }
 
-struct SlotMachine<'a> {
-    cost: &'a CostModel,
+/// The slot machine's hand-kept counters (see [`ContinuousReport`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StepTally {
+    pub(crate) preemptions: u32,
+    pub(crate) refills: u32,
+    pub(crate) chunks: u32,
+    /// Decode steps taken: the occupancy denominator.
+    pub(crate) decode_steps: u64,
+}
+
+/// The step kind of [`Replica`]: the engine as a pool of `batch_size ×
+/// max_batches` sequence slots, advanced one scheduling action at a time
+/// (see [`SlotMachine::act`]) and priced by the calibrated cost model.
+/// Every wave of admissions is one [`GroupTrigger::Refill`] record whose
+/// service time grows as its members finish.
+///
+/// The fleet loop's operations on a step replica:
+///
+/// * **Crash.** It loses its queued requests and every prefilling or
+///   decoding sequence, none of which has an outcome yet. Busy time is cut
+///   at the crash, and the wasted time runs from the oldest lost wave's
+///   admission.
+/// * **Degrade window.** Each step's duration is scaled by the slowdown
+///   after the price-table lookup, so the per-shape table stays exact.
+/// * **Backlog.** Queued tokens plus the active sequences' remaining
+///   tokens: a prefilling sequence's unprefilled prompt and its output, a
+///   decoding one's remaining output.
+/// * **Drain.** A draining step replica retires only once its queues,
+///   prefill jobs and slots are all empty.
+/// * **Queues.** The replica's [`Queues`] hold one FIFO per class, and
+///   queue length, queue shape and hedging's extraction cover both.
+/// * **Straggler detector.** It samples group replicas only, so a step
+///   replica is never suspected.
+pub(crate) struct SlotMachine {
+    id: u32,
     batch_size: u32,
     capacity: usize,
     chunk: u32,
-    classes: ClassAssign,
-    chat_q: VecDeque<Request>,
-    batch_q: VecDeque<Request>,
     jobs: Vec<PrefillJob>,
     active: Vec<ActiveSeq>,
-    t_free: SimTime,
-    /// One [`GroupTrigger::Refill`] record per admission wave; its service
-    /// time grows as members finish.
-    groups: Vec<GroupRecord>,
-    outcomes: Vec<RequestOutcome>,
-    busy: SimDuration,
-    preemptions: u32,
-    refills: u32,
-    chunks: u32,
-    decode_steps: u64,
+    pub(crate) tally: StepTally,
     /// Step prices by pricing shape `(batch_size, n, prompt, gen)`, each
     /// filled by its first lookup (see [`SlotMachine::price`]).
     prices: BTreeMap<(u32, u32, u32, u32), StepPlan>,
@@ -346,27 +378,17 @@ thread_local! {
     static LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-impl<'a> SlotMachine<'a> {
-    fn new(cost: &'a CostModel, cfg: &ContinuousConfig) -> Self {
+impl SlotMachine {
+    pub(crate) fn new(id: u32, cfg: &ContinuousConfig) -> Self {
         let capacity = cfg.serve.batch_size as usize * cfg.serve.policy.max_batches() as usize;
         SlotMachine {
-            cost,
+            id,
             batch_size: cfg.serve.batch_size,
             capacity,
             chunk: cfg.prefill_chunk,
-            classes: cfg.classes,
-            chat_q: VecDeque::new(),
-            batch_q: VecDeque::new(),
             jobs: Vec::new(),
             active: Vec::new(),
-            t_free: SimTime::ZERO,
-            groups: Vec::new(),
-            outcomes: Vec::new(),
-            busy: SimDuration::ZERO,
-            preemptions: 0,
-            refills: 0,
-            chunks: 0,
-            decode_steps: 0,
+            tally: StepTally::default(),
             prices: BTreeMap::new(),
         }
     }
@@ -375,121 +397,132 @@ impl<'a> SlotMachine<'a> {
         self.active.len() + self.jobs.iter().map(|j| j.members.len()).sum::<usize>()
     }
 
-    fn enqueue(&mut self, r: Request) {
-        match self.classes.class_of(r.id) {
-            RequestClass::Chat => self.chat_q.push_back(r),
-            RequestClass::Batch => self.batch_q.push_back(r),
-        }
+    /// Whether no sequence is prefilling or decoding.
+    pub(crate) fn idle(&self) -> bool {
+        self.jobs.is_empty() && self.active.is_empty()
     }
 
-    /// The next instant the machine acts: the engine-free boundary while
-    /// any work is in flight, otherwise the earliest queued arrival (the
-    /// machine is work-conserving — an idle engine admits immediately).
-    fn next_action_time(&self) -> Option<SimTime> {
-        if !self.jobs.is_empty() || !self.active.is_empty() {
-            return Some(self.t_free);
-        }
-        let front = match (self.chat_q.front(), self.batch_q.front()) {
-            (Some(a), Some(b)) => Some(a.arrival.min(b.arrival)),
-            (Some(a), None) => Some(a.arrival),
-            (None, Some(b)) => Some(b.arrival),
-            (None, None) => None,
-        };
-        front.map(|a| a.max(self.t_free))
+    /// The active sequences' remaining tokens (see the type docs).
+    pub(crate) fn inflight_tokens(&self) -> u64 {
+        let prefilling = self.jobs.iter().flat_map(|j| {
+            j.members
+                .iter()
+                .map(|r| r.prompt_len.saturating_sub(j.done) + r.gen_len)
+        });
+        let decoding = self.active.iter().map(|s| s.remaining);
+        prefilling.chain(decoding).map(u64::from).sum()
     }
 
-    /// Pricing shape for `m` co-resident sequences: one ragged batch below
-    /// `batch_size`, whole batches (rounded up) beyond it — the same
-    /// convention the run-to-completion groups use.
-    fn shape(&self, m: usize) -> (u32, u32) {
-        let m = m as u32;
-        if m <= self.batch_size {
-            (m.max(1), 1)
-        } else {
-            (self.batch_size, m.div_ceil(self.batch_size))
+    /// The next instant the machine acts on an engine freeing at `t_free`:
+    /// that boundary while any work is in flight, otherwise the earliest
+    /// arrival in `queues` (the machine is work-conserving — an idle engine
+    /// admits immediately).
+    pub(crate) fn next_action_time(&self, t_free: SimTime, queues: &Queues) -> Option<SimTime> {
+        if !self.idle() {
+            return Some(t_free);
         }
+        let fronts = queues.chat.front().into_iter().chain(queues.batch.front());
+        fronts.map(|r| r.arrival.max(t_free)).min()
     }
 
     /// The step estimate for `m` co-resident sequences padded to `prompt`
-    /// and `gen`, priced once per shape: [`estimate_step_service`] is a
-    /// pure function of the machine's fixed cost model and the shape, so
-    /// a stored price is the one a fresh call would return.
-    fn price(&mut self, m: usize, prompt: u32, gen: u32) -> StepPlan {
+    /// and `gen`, priced at their [`batch_shape`] once per shape:
+    /// [`estimate_step_service`] is a pure function of the run's fixed cost
+    /// model and the shape, so a stored price is the one a fresh call would
+    /// return.
+    fn price(&mut self, cost: &CostModel, m: usize, prompt: u32, gen: u32) -> StepPlan {
         #[cfg(test)]
         LOOKUPS.with(|n| n.set(n.get() + 1));
-        let (bs, n) = self.shape(m);
-        let cost = self.cost;
+        let (bs, n) = batch_shape(m, self.batch_size);
         *self
             .prices
             .entry((bs, n, prompt, gen))
             .or_insert_with(|| estimate_step_service(cost, bs, n, prompt, gen))
     }
 
-    /// Executes one scheduling action at `t` and returns the completions.
+    /// Executes one scheduling action at `t` on an engine running at
+    /// `pct`% of nominal speed, admitting from `queues`; records the
+    /// sequences it finishes and returns the engine time it takes.
     ///
     /// Priority order: admit chat (parking a batch-class prefill between
     /// chunks), continue the current prefill, admit batch, decode one step.
-    fn act(&mut self, t: SimTime) -> Vec<Completion> {
+    pub(crate) fn act(
+        &mut self,
+        t: SimTime,
+        pct: u32,
+        queues: &mut Queues,
+        cost: &CostModel,
+        outcomes: &mut Vec<RequestOutcome>,
+        groups: &mut Vec<GroupRecord>,
+    ) -> SimDuration {
         let free = self.capacity - self.used_slots();
         let current_chat = self.jobs.last().map(|j| j.chat);
-        if free > 0 && !self.chat_q.is_empty() && current_chat != Some(true) {
+        if free > 0 && !queues.chat.is_empty() && current_chat != Some(true) {
             if current_chat == Some(false) {
                 // A batch-class prefill is mid-flight: park it between
                 // chunks; the chat wave's job runs first.
-                self.preemptions += 1;
+                self.tally.preemptions += 1;
             }
-            self.admit_wave(t, RequestClass::Chat, free);
-        } else if self.jobs.is_empty() && free > 0 && !self.batch_q.is_empty() {
-            self.admit_wave(t, RequestClass::Batch, free);
+            let members = queues.admit(RequestClass::Chat, free);
+            self.admit_wave(t, RequestClass::Chat, members, pct, cost, groups);
+        } else if self.jobs.is_empty() && free > 0 && !queues.batch.is_empty() {
+            let members = queues.admit(RequestClass::Batch, free);
+            self.admit_wave(t, RequestClass::Batch, members, pct, cost, groups);
         }
-        if !self.jobs.is_empty() {
-            self.run_chunk(t)
+        if let Some(job) = self.jobs.last_mut() {
+            let take = match self.chunk {
+                0 => job.prompt - job.done,
+                chunk => chunk.min(job.prompt - job.done),
+            };
+            let d = scale_pct(job.est.prefill_chunk(job.done, take, job.prompt), pct);
+            job.done += take;
+            self.tally.chunks += 1;
+            if job.done >= job.prompt {
+                self.end_prefill(t + d, outcomes, groups);
+            }
+            d
         } else if !self.active.is_empty() {
-            self.decode_step(t)
+            self.decode_step(t, pct, cost, outcomes, groups)
         } else {
-            Vec::new()
+            SimDuration::ZERO
         }
     }
 
-    fn admit_wave(&mut self, t: SimTime, class: RequestClass, free: usize) {
-        let q = match class {
-            RequestClass::Chat => &mut self.chat_q,
-            RequestClass::Batch => &mut self.batch_q,
-        };
-        let m = free.min(q.len());
+    /// Admits `members` of `class` as one wave at `t`. Its record is the
+    /// wave's pricing shape, so a ragged wave beyond one batch pads its
+    /// last batch.
+    fn admit_wave(
+        &mut self,
+        t: SimTime,
+        class: RequestClass,
+        members: Vec<Request>,
+        pct: u32,
+        cost: &CostModel,
+        groups: &mut Vec<GroupRecord>,
+    ) {
+        let m = members.len();
         debug_assert!(m > 0);
-        let members: Vec<Request> = q.drain(..m).collect();
-        let (prompt, gen) = members
-            .iter()
-            .fold((1, 1), |(p, g), r| (p.max(r.prompt_len), g.max(r.gen_len)));
-        let est = self.price(m, prompt, gen);
+        let (prompt, gen) = padded_shape(members.iter());
+        let est = self.price(cost, m, prompt, gen);
         if !self.active.is_empty() || !self.jobs.is_empty() {
-            self.refills += m as u32;
+            self.tally.refills += m as u32;
         }
-        // The recorded workload is the wave's padded admission shape
-        // (waves may overlap on the engine, unlike run-to-completion
-        // groups): whole batches when the wave divides into them,
-        // otherwise one ragged batch.
-        let (n, bs) = (m as u32, self.batch_size);
-        let workload = if n <= bs || n % bs != 0 {
-            Workload::new(n, 1, prompt, gen)
-        } else {
-            Workload::new(bs, n / bs, prompt, gen)
-        };
-        let wave = self.groups.len();
-        self.groups.push(GroupRecord {
+        let (bs, n) = batch_shape(m, self.batch_size);
+        let wave = groups.len();
+        groups.push(GroupRecord {
             index: wave as u32,
-            replica: 0,
+            replica: self.id,
             dispatched: t,
-            workload,
-            n_requests: n,
+            workload: Workload::new(bs, n, prompt, gen),
+            n_requests: m as u32,
             trigger: GroupTrigger::Refill,
             service_time: SimDuration::ZERO,
-            prefill_time: est.prefill,
+            prefill_time: scale_pct(est.prefill, pct),
             oom: false,
         });
         self.jobs.push(PrefillJob {
             wave,
+            dispatched: t,
             members,
             prompt,
             done: 0,
@@ -498,149 +531,96 @@ impl<'a> SlotMachine<'a> {
         });
     }
 
-    fn run_chunk(&mut self, t: SimTime) -> Vec<Completion> {
-        let job = self.jobs.last_mut().expect("chunk needs a job");
-        let remaining = job.prompt - job.done;
-        let take = if self.chunk == 0 {
-            remaining
-        } else {
-            self.chunk.min(remaining)
+    /// The top job's prefill ended at `first_token`: its members take
+    /// their slots, and single-token requests finish on the spot.
+    fn end_prefill(
+        &mut self,
+        first_token: SimTime,
+        outcomes: &mut Vec<RequestOutcome>,
+        groups: &mut [GroupRecord],
+    ) {
+        let Some(job) = self.jobs.pop() else {
+            return;
         };
-        let d = job.est.prefill_chunk(job.done, take, job.prompt);
-        job.done += take;
-        self.chunks += 1;
-        self.busy += d;
-        self.t_free = t + d;
-        let mut done = Vec::new();
-        if job.done >= job.prompt {
-            let job = self.jobs.pop().expect("job just ran");
-            let first_token = self.t_free;
-            for r in job.members {
-                if r.gen_len <= 1 {
-                    // First token is the last: the sequence leaves its slot
-                    // at the end of its wave's prefill.
-                    self.finish(r, job.wave, first_token, first_token, &mut done);
-                } else {
-                    self.active.push(ActiveSeq {
-                        req: r,
-                        wave: job.wave,
-                        first_token,
-                        remaining: r.gen_len - 1,
-                    });
-                }
+        for req in job.members {
+            let s = ActiveSeq {
+                req,
+                wave: job.wave,
+                dispatched: job.dispatched,
+                first_token,
+                remaining: req.gen_len.saturating_sub(1),
+            };
+            if s.remaining == 0 {
+                finish(self.id, &s, first_token, outcomes, groups);
+            } else {
+                self.active.push(s);
             }
         }
-        done
     }
 
-    fn decode_step(&mut self, t: SimTime) -> Vec<Completion> {
-        let m = self.active.len();
-        let (prompt, gen) = self.active.iter().fold((1, 1), |(p, g), s| {
-            (p.max(s.req.prompt_len), g.max(s.req.gen_len))
-        });
-        let d = self.price(m, prompt, gen).decode_step;
-        self.decode_steps += 1;
-        self.busy += d;
-        self.t_free = t + d;
-        let finish_at = self.t_free;
-        let mut done = Vec::new();
-        let mut still = Vec::with_capacity(m);
-        for mut s in std::mem::take(&mut self.active) {
+    fn decode_step(
+        &mut self,
+        t: SimTime,
+        pct: u32,
+        cost: &CostModel,
+        outcomes: &mut Vec<RequestOutcome>,
+        groups: &mut [GroupRecord],
+    ) -> SimDuration {
+        let (prompt, gen) = padded_shape(self.active.iter().map(|s| &s.req));
+        let d = scale_pct(
+            self.price(cost, self.active.len(), prompt, gen).decode_step,
+            pct,
+        );
+        self.tally.decode_steps += 1;
+        let finish_at = t + d;
+        let id = self.id;
+        self.active.retain_mut(|s| {
             s.remaining -= 1;
             if s.remaining == 0 {
-                self.finish(s.req, s.wave, s.first_token, finish_at, &mut done);
-            } else {
-                still.push(s);
+                finish(id, s, finish_at, outcomes, groups);
             }
-        }
-        self.active = still;
-        done
+            s.remaining > 0
+        });
+        d
     }
 
-    /// Runs `traffic` through the machine until every request has left
-    /// it, taking arrivals and actions in the fleet loop's [`Event`] order.
-    fn drive(&mut self, traffic: &Traffic) {
-        let mut source = ArrivalSource::new(traffic);
-        // Every request resolves exactly once, so the outcome list is
-        // sized once: grown by doubling, its abandoned blocks fragment
-        // the heap and raise the peak resident set of repeated runs.
-        self.outcomes.reserve(match traffic {
-            Traffic::Open(requests) => requests.len(),
-            Traffic::Closed { cfg, .. } => cfg.num_requests as usize,
-        });
-        while let Some((t, event)) = Event::first([
-            source.peek().map(|t| (t, Event::Arrival)),
-            self.next_action_time().map(|t| (t, Event::Form(0))),
-        ]) {
-            if event == Event::Arrival {
-                if let Some(r) = source.pop() {
-                    self.enqueue(r);
-                }
-            } else {
-                for c in self.act(t) {
-                    source.on_complete(c.finished, c.failed);
-                }
-            }
-        }
-    }
-
-    fn finish(
-        &mut self,
-        r: Request,
-        wave: usize,
-        first_token: SimTime,
-        finished: SimTime,
-        done: &mut Vec<Completion>,
-    ) {
-        let g = &mut self.groups[wave];
-        g.service_time = g.service_time.max(finished.saturating_since(g.dispatched));
-        self.outcomes.push(RequestOutcome {
-            id: r.id,
-            arrival: r.arrival,
-            dispatched: g.dispatched,
-            first_token,
-            finished,
-            prompt_len: r.prompt_len,
-            gen_len: r.gen_len,
-            group: wave as u32,
-            replica: 0,
-            failed: false,
-            retry: RetryOutcome::FirstTry,
-        });
-        done.push(Completion {
-            finished,
-            failed: false,
-        });
+    /// The engine dies at `at`: returns every prefilling and decoding
+    /// sequence it loses, and the engine time wasted on them (see the type
+    /// docs).
+    pub(crate) fn crash(&mut self, at: SimTime) -> (Vec<Request>, SimDuration) {
+        let oldest = self.jobs.iter().map(|j| j.dispatched);
+        let oldest = oldest.chain(self.active.iter().map(|s| s.dispatched)).min();
+        let prefilling = self.jobs.drain(..).flat_map(|j| j.members);
+        let lost = prefilling.chain(self.active.drain(..).map(|s| s.req));
+        let wasted = oldest.map_or(SimDuration::ZERO, |t| at.saturating_since(t));
+        (lost.collect(), wasted)
     }
 }
 
-/// The refill-enabled scheduler: the engine as a slot pool advanced at
-/// step granularity, priced by the calibrated cost model (the analytic
-/// pricing cannot OOM, so this path is infallible). The machine is one
-/// replica, so its actions are formations on slot 0 under the fleet
-/// loop's [`Event`] order.
-fn run_slot_machine(
-    spec: &ModelSpec,
-    hw: &HardwareSpec,
-    traffic: &Traffic,
-    cfg: &ContinuousConfig,
-) -> ContinuousReport {
-    let cost = CostModel::new(spec.clone(), hw.clone());
-    let mut machine = SlotMachine::new(&cost, cfg);
-    machine.drive(traffic);
-    let serve = ServeReport::assemble(
-        COST_ENGINE_NAME.into(),
-        machine.outcomes,
-        machine.groups,
-        [(SimTime::ZERO, None, machine.busy)],
-    );
-    ContinuousReport {
-        occupancy: occupancy(&serve, &cfg.serve, machine.decode_steps),
-        serve,
-        preemptions: machine.preemptions,
-        refills: machine.refills,
-        prefill_chunks: machine.chunks,
-    }
+/// Records `s`'s outcome at `finished` on replica `id` and stretches its
+/// wave's service time to cover it.
+fn finish(
+    id: u32,
+    s: &ActiveSeq,
+    finished: SimTime,
+    outcomes: &mut Vec<RequestOutcome>,
+    groups: &mut [GroupRecord],
+) {
+    let g = &mut groups[s.wave];
+    g.service_time = g.service_time.max(finished.saturating_since(g.dispatched));
+    outcomes.push(RequestOutcome {
+        id: s.req.id,
+        arrival: s.req.arrival,
+        dispatched: s.dispatched,
+        first_token: s.first_token,
+        finished,
+        prompt_len: s.req.prompt_len,
+        gen_len: s.req.gen_len,
+        group: s.wave as u32,
+        replica: id,
+        failed: false,
+        retry: RetryOutcome::FirstTry,
+    });
 }
 
 #[cfg(test)]
@@ -743,33 +723,45 @@ mod tests {
     fn price_table_stores_fresh_estimates_once_per_shape() {
         let c = cfg(4, 2, true, 32, ClassAssign::ChatShare { chat_pct: 40 });
         for spec in [spec(), ModelSpec::opt_1_3b()] {
-            let cost = CostModel::new(spec, hw());
-            let mut machine = SlotMachine::new(&cost, &c);
+            let (cost, hw) = (CostModel::new(spec.clone(), hw()), hw());
+            let engine = CostEngine::new(&spec, &hw);
+            let traffic = Traffic::Open(heavy_stream(200, 3));
+            let ctx = EngineCtx {
+                steps: Some(&c),
+                ..EngineCtx::new(&engine, &spec, &hw, &c.serve)
+            };
+            let mut fleet = Fleet::fixed(ctx, &traffic, 1, DispatchPolicy::RoundRobin);
             let before = LOOKUPS.with(|n| n.get());
-            machine.drive(&Traffic::Open(heavy_stream(200, 3)));
+            fleet.drive().expect("cost-model pricing cannot fail");
             let lookups = LOOKUPS.with(|n| n.get()) - before;
-            assert_eq!(machine.outcomes.len(), 200);
-            assert!(machine.refills > 0, "slots are refilled");
+            let (tally, prices) = fleet
+                .replicas()
+                .find_map(Replica::steps)
+                .map(|m| (m.tally, m.prices.clone()))
+                .expect("one step replica");
+            let report = fleet.finish().serve;
+            assert_eq!(report.outcomes.len(), 200);
+            assert!(tally.refills > 0, "slots are refilled");
             assert!(
-                machine.chunks as usize > machine.groups.len(),
+                tally.chunks as usize > report.groups.len(),
                 "prefill is chunked"
             );
             for class in [RequestClass::Chat, RequestClass::Batch] {
-                let mut served = machine.outcomes.iter().map(|o| c.classes.class_of(o.id));
+                let mut served = report.outcomes.iter().map(|o| c.classes.class_of(o.id));
                 assert!(served.any(|k| k == class), "{class:?} requests are served");
             }
             assert_eq!(
                 lookups,
-                machine.groups.len() as u64 + machine.decode_steps,
+                report.groups.len() as u64 + tally.decode_steps,
                 "every wave and decode step is priced through the table"
             );
             assert!(
-                (1..lookups).contains(&(machine.prices.len() as u64)),
+                (1..lookups).contains(&(prices.len() as u64)),
                 "{} shapes for {} prices",
-                machine.prices.len(),
+                prices.len(),
                 lookups
             );
-            for (&(bs, n, prompt, gen), &est) in &machine.prices {
+            for (&(bs, n, prompt, gen), &est) in &prices {
                 assert_eq!(est, estimate_step_service(&cost, bs, n, prompt, gen));
             }
         }
@@ -969,6 +961,10 @@ mod tests {
             for g in &r.serve.groups {
                 prop_assert_eq!(g.trigger, GroupTrigger::Refill);
                 prop_assert!(g.prefill_time <= g.service_time, "{g:?}");
+                // A wave records the shape it is priced at: whole batches,
+                // the last one padded when the wave is ragged.
+                prop_assert!(g.workload.batch_size <= bs, "{g:?}");
+                prop_assert!(u64::from(g.n_requests) <= g.workload.total_seqs(), "{g:?}");
             }
             let waved: u32 = r.serve.groups.iter().map(|g| g.n_requests).sum();
             prop_assert_eq!(waved, num);

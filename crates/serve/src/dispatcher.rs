@@ -111,52 +111,37 @@ pub fn serve_scaled(
     Ok(fleet.run()?.serve)
 }
 
-/// Mutable routing state that outlives individual decisions (the
-/// round-robin cursor).
-pub(crate) struct RouterState {
-    next_rr: usize,
-}
-
-impl RouterState {
-    pub(crate) fn new() -> Self {
-        RouterState { next_rr: 0 }
-    }
-}
-
 /// Picks a replica for `r` among `candidates` — `(fleet-slot index,
-/// replica)` pairs of the warm replicas. Over a full static fleet every
-/// slot is a candidate, which is [`serve_scaled`].
+/// replica)` pairs of the routable replicas — advancing the round-robin
+/// cursor `next_rr` when it is used. Over a full static fleet every slot
+/// is a candidate, which is [`serve_scaled`].
 ///
 /// # Panics
 ///
 /// Panics if `candidates` is empty — the caller must guarantee at least
 /// one routable replica.
-pub(crate) fn route_pick(
+pub(crate) fn route_pick<'r>(
     dispatch: DispatchPolicy,
-    state: &mut RouterState,
+    next_rr: &mut usize,
     r: &Request,
-    candidates: &[(usize, &Replica)],
+    mut candidates: impl Iterator<Item = (usize, &'r Replica)> + Clone,
     cost: &CostModel,
     cfg: &ServeConfig,
 ) -> usize {
-    assert!(!candidates.is_empty(), "routing needs a candidate replica");
-    match dispatch {
+    let pick = match dispatch {
         DispatchPolicy::RoundRobin => {
-            let i = candidates[state.next_rr % candidates.len()].0;
-            state.next_rr += 1;
-            i
+            let k = *next_rr % candidates.clone().count().max(1);
+            *next_rr += 1;
+            candidates.nth(k)
         }
-        DispatchPolicy::JoinShortestQueue => candidates
-            .iter()
-            .min_by_key(|(i, rep)| (rep.backlog_tokens(r.arrival), rep.t_free(), *i))
-            .map(|(i, _)| *i)
-            .expect("at least one candidate"),
+        DispatchPolicy::JoinShortestQueue => {
+            candidates.min_by_key(|(i, rep)| (rep.backlog_tokens(r.arrival), rep.t_free, *i))
+        }
         DispatchPolicy::CostAware => candidates
-            .iter()
-            .min_by_key(|(i, rep)| (estimated_completion(rep, r, cost, cfg), rep.t_free(), *i))
-            .map(|(i, _)| *i)
-            .expect("at least one candidate"),
-    }
+            .min_by_key(|(i, rep)| (estimated_completion(rep, r, cost, cfg), rep.t_free, *i)),
+    };
+    pick.map(|(i, _)| i)
+        .expect("routing needs a candidate replica")
 }
 
 /// When `rep` would plausibly finish `r` if it joined `rep`'s queue now:
@@ -173,7 +158,7 @@ fn estimated_completion(
     let count = rep.queue_len() as u32 + 1;
     let n = count.div_ceil(bs).min(cfg.policy.max_batches()).max(1);
     let (p, g) = rep.queue_shape();
-    let start = rep.t_free().max(r.arrival);
+    let start = rep.t_free.max(r.arrival);
     start + estimate_group_service(cost, bs, n, p.max(r.prompt_len), g.max(r.gen_len))
 }
 

@@ -32,18 +32,18 @@
 //!   chunked preemptible prefill, and chat/batch priority classes; with
 //!   refill disabled it is [`serve`](server::serve), byte for byte.
 //!
-//! Two event loops share one tie rule. Every group-serving entry point
-//! runs the fleet loop: [`serve`](server::serve) and
-//! [`serve_scaled`](dispatcher::serve_scaled) as a fixed fleet with no
-//! autoscaler (so it never ticks) and no faults; the [`cluster`] entry
-//! points add an autoscaler and a fault plan. The loop holds one state
-//! struct whose next event is the earliest pending `(time, event)`; the
-//! declaration order of the event kinds — warm-up, fault, tick, arrival,
-//! retry, formation — breaks ties at one instant. Refill mode runs the
-//! slot machine's own loop, which picks its next event under the same
-//! order.
+//! One event loop, with one tie rule, serves every entry point:
+//! [`serve`](server::serve) and [`serve_scaled`](dispatcher::serve_scaled)
+//! run it as a fixed fleet with no autoscaler (so it never ticks) and no
+//! faults; the [`cluster`] entry points add an autoscaler and a fault
+//! plan; [`serve_continuous`](continuous::serve_continuous) runs a fixed
+//! fleet of one replica, a run-to-completion group replica or, with
+//! refill, a step replica. The loop holds one state struct whose next
+//! event is the earliest pending `(time, event)`; the declaration order of
+//! the event kinds — warm-up, fault, tick, arrival, retry, replica action
+//! — breaks ties at one instant.
 //!
-//! Both loops cut their report in one place,
+//! The loop cuts every report in one place,
 //! [`ServeReport`](server::ServeReport)'s assembly: each replica's
 //! groups, requests and tokens are folds over the report's outcomes and
 //! group records, and the replica supplies only its birth, retirement and

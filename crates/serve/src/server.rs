@@ -1,13 +1,15 @@
 //! The serving loop's vocabulary: requests in, batch groups through an
 //! engine, timed outcomes out.
 //!
-//! A `Replica` owns one engine's admission queue and clock, forms batch
-//! groups with the [`AdmissionPolicy`], and runs them over simulated time;
-//! an `ArrivalSource` replays the open- or closed-loop request stream.
-//! The fleet loop in [`cluster`](crate::cluster) drives them: the
-//! single-engine [`serve`] entry point is that loop over a fixed fleet of
-//! one replica, the multi-replica [`dispatcher`](crate::dispatcher) is the
-//! same fixed fleet with `R` replicas, and the cluster entry points add an
+//! A `Replica` owns one engine's queued work and clock. A group replica
+//! forms batch groups with the [`AdmissionPolicy`] and runs them over
+//! simulated time; a step replica is the continuous-batching slot machine
+//! of [`continuous`](crate::continuous). An `ArrivalSource` replays the
+//! open- or closed-loop request stream. The fleet loop in
+//! [`cluster`](crate::cluster) drives them all: the single-engine
+//! [`serve`] entry point is that loop over a fixed fleet of one replica,
+//! the multi-replica [`dispatcher`](crate::dispatcher) is the same fixed
+//! fleet with `R` replicas, and the cluster entry points add an
 //! autoscaler and faults. Every path executes the identical per-replica
 //! code, so their results are directly comparable, and every report is
 //! cut by [`ServeReport`]'s one assembly, which folds the per-replica
@@ -38,6 +40,7 @@ use rand::SeedableRng;
 
 use crate::admission::{estimate_group_service, AdmissionPolicy, GroupTrigger};
 use crate::cluster::fleet::Fleet;
+use crate::continuous::{ClassAssign, ContinuousConfig, RequestClass, SlotMachine};
 use crate::dispatcher::DispatchPolicy;
 use crate::traffic::{Request, TrafficConfig};
 
@@ -163,7 +166,9 @@ pub struct GroupRecord {
     pub dispatched: SimTime,
     /// The padded workload handed to the engine.
     pub workload: Workload,
-    /// Requests in the group (`= workload.total_seqs()`).
+    /// Requests in the group: `workload.total_seqs()` for a
+    /// run-to-completion group. A refill wave records the shape it is
+    /// priced at, which may pad its last batch, so it can hold fewer.
     pub n_requests: u32,
     /// What cut the group.
     pub trigger: GroupTrigger,
@@ -353,16 +358,21 @@ pub(crate) fn validate(cfg: &ServeConfig, traffic: &Traffic) {
     }
 }
 
-/// Everything [`Replica::run_group`] needs beyond replica-local state.
+/// Everything a replica needs beyond its own state.
 pub(crate) struct EngineCtx<'a> {
-    engine: &'a dyn Engine,
-    spec: &'a ModelSpec,
-    hw: &'a HardwareSpec,
-    cost: CostModel,
-    cfg: &'a ServeConfig,
+    pub(crate) engine: &'a dyn Engine,
+    pub(crate) spec: &'a ModelSpec,
+    pub(crate) hw: &'a HardwareSpec,
+    pub(crate) cost: CostModel,
+    pub(crate) cfg: &'a ServeConfig,
+    /// The step kind's rules; `None` makes every replica a group replica,
+    /// `Some` a step replica (a [`SlotMachine`]) under this slot pool,
+    /// prefill chunk and class split.
+    pub(crate) steps: Option<&'a ContinuousConfig>,
 }
 
 impl<'a> EngineCtx<'a> {
+    /// The context of a fleet of group replicas.
     pub(crate) fn new(
         engine: &'a dyn Engine,
         spec: &'a ModelSpec,
@@ -375,157 +385,160 @@ impl<'a> EngineCtx<'a> {
             hw,
             cost: CostModel::new(spec.clone(), hw.clone()),
             cfg,
+            steps: None,
         }
     }
-
-    pub(crate) fn engine_name(&self) -> String {
-        self.engine.name()
-    }
-
-    pub(crate) fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    pub(crate) fn spec(&self) -> &ModelSpec {
-        self.spec
-    }
-
-    pub(crate) fn cfg(&self) -> &ServeConfig {
-        self.cfg
-    }
 }
 
-/// A completed request, reported back so closed-loop clients can react.
-pub(crate) struct Completion {
-    pub(crate) finished: SimTime,
-    pub(crate) failed: bool,
-}
-
-/// One engine replica's serving state: its admission queue, its clock, and
-/// what the report cannot fold from its records (birth, retirement and
-/// engine-busy time). Every fleet slot holds one, whatever entry point
-/// configured the fleet.
+/// One engine replica: its queued work, its clock, and what the report
+/// cannot fold from its records (birth, retirement and engine-busy time).
+/// Every fleet slot holds one, whatever entry point configured the fleet.
+/// Its kind decides how queued requests become engine work; every
+/// operation the fleet loop applies is defined for both kinds.
 pub(crate) struct Replica {
-    id: u32,
-    /// Per-replica scenario-seed base (replica 0 preserves the
-    /// single-engine seed stream exactly).
-    seed: u64,
-    queue: VecDeque<Request>,
-    t_free: SimTime,
-    queued_tokens: u64,
-    /// Tokens of the group currently on the engine (count toward the
-    /// backlog until `t_free`, prorated by remaining service time).
-    inflight_tokens: u64,
-    /// Service time of the group currently on the engine.
-    inflight_service: SimDuration,
-    /// Dispatch instant of the group currently on the engine.
-    inflight_at: SimTime,
-    /// Requests of the group currently on the engine with their own
-    /// finish instants — what a crash loses (see [`Replica::crash`]).
-    inflight: Vec<(Request, SimTime)>,
+    /// When this replica's engine frees (or freed).
+    pub(crate) t_free: SimTime,
     /// Injected straggler multiplier in percent; 100 is healthy and takes
     /// the exact pre-fault arithmetic path.
     slowdown_pct: u32,
-    local_groups: u64,
-    /// Engine-busy time: the sum of this replica's group service times,
-    /// cut at a crash.
+    /// Engine-busy time: the sum of this replica's action durations, cut
+    /// at a crash.
     pub(crate) busy: SimDuration,
     /// Birth instant (`ZERO` for static fleets).
     pub(crate) spawned: SimTime,
-    /// Retirement instant, once the cluster loop drains and retires it.
+    /// Retirement instant, once the fleet loop drains and retires it.
     pub(crate) retired: Option<SimTime>,
+    queues: Queues,
+    kind: Kind,
+}
+
+/// How a replica schedules its work.
+enum Kind {
+    /// Run-to-completion batch groups.
+    Group(GroupRunner),
+    /// Continuous batching at step granularity.
+    Step(SlotMachine),
 }
 
 impl Replica {
-    pub(crate) fn new(id: u32, seed: u64) -> Self {
-        Replica::new_at(id, seed, SimTime::ZERO)
-    }
-
-    /// A replica born mid-run (cluster scale-up); its scenario seed stream
-    /// depends only on `(id, seed)`, never on the birth time, so a static
-    /// cluster reproduces `serve_scaled` exactly.
-    pub(crate) fn new_at(id: u32, seed: u64, spawned: SimTime) -> Self {
+    /// Replica `id`, born at `spawned`, of the kind `ctx` asks for. Its
+    /// scenario seed stream depends only on `(id, seed)`, never on the
+    /// birth time, so a static cluster reproduces `serve_scaled` exactly.
+    pub(crate) fn new(id: u32, spawned: SimTime, ctx: &EngineCtx<'_>) -> Self {
         let salt = u64::from(id).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let (classes, kind) = match ctx.steps {
+            Some(c) => (c.classes, Kind::Step(SlotMachine::new(id, c))),
+            None => (
+                ClassAssign::Uniform,
+                Kind::Group(GroupRunner {
+                    id,
+                    seed: ctx.cfg.seed.wrapping_add(salt),
+                    inflight_at: spawned,
+                    inflight: Vec::new(),
+                    local_groups: 0,
+                }),
+            ),
+        };
         Replica {
-            id,
-            seed: seed.wrapping_add(salt),
-            queue: VecDeque::new(),
             t_free: spawned,
-            queued_tokens: 0,
-            inflight_tokens: 0,
-            inflight_service: SimDuration::ZERO,
-            inflight_at: spawned,
-            inflight: Vec::new(),
             slowdown_pct: 100,
-            local_groups: 0,
             busy: SimDuration::ZERO,
             spawned,
             retired: None,
+            queues: Queues {
+                classes,
+                chat: VecDeque::new(),
+                batch: VecDeque::new(),
+                tokens: 0,
+            },
+            kind,
         }
     }
 
     /// Marks the replica retired at `at` (drained, engine free).
     pub(crate) fn retire(&mut self, at: SimTime) {
-        debug_assert!(self.queue.is_empty(), "retiring with queued work");
+        debug_assert!(self.drained(), "retiring with work left");
         self.retired = Some(at);
     }
 
-    /// When this replica's engine frees (or freed).
-    pub(crate) fn t_free(&self) -> SimTime {
-        self.t_free
+    /// A step replica's slot machine; `None` for a group replica.
+    pub(crate) fn steps(&self) -> Option<&SlotMachine> {
+        match &self.kind {
+            Kind::Group(_) => None,
+            Kind::Step(m) => Some(m),
+        }
     }
 
-    /// Requests waiting in the admission queue.
+    /// Requests waiting for admission, in every class queue.
     pub(crate) fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queues.len()
     }
 
-    /// Tokens (prompt + requested output) in the system as of `at`: the
-    /// admission queue plus the *unserved remainder* of the group still on
-    /// the engine — the join-shortest-queue dispatch metric. Counting
-    /// in-flight work keeps a busy engine with a freshly drained queue
-    /// from dogpiling; prorating it by remaining service time keeps a
-    /// nearly finished group from repelling work it no longer represents.
+    /// Whether the replica holds no unfinished request: nothing queued,
+    /// and on a step replica no sequence prefilling or decoding (a group
+    /// replica's running group ends by `t_free`).
+    pub(crate) fn drained(&self) -> bool {
+        self.queues.len() == 0 && self.steps().is_none_or(SlotMachine::idle)
+    }
+
+    /// Tokens (prompt + requested output) in the system as of `at` — the
+    /// join-shortest-queue dispatch metric: the queued tokens plus the
+    /// engine's unserved work. A group replica counts the *unserved
+    /// remainder* of the group on its engine: counting in-flight work keeps
+    /// a busy engine with a freshly drained queue from dogpiling, and
+    /// prorating it by remaining service time keeps a nearly finished group
+    /// from repelling work it no longer represents. A step replica counts
+    /// as [`SlotMachine::inflight_tokens`] says.
     pub(crate) fn backlog_tokens(&self, at: SimTime) -> u64 {
-        let inflight = if self.t_free > at && !self.inflight_service.is_zero() {
-            let remaining = self.t_free.saturating_since(at).as_nanos() as u128;
-            let service = self.inflight_service.as_nanos() as u128;
-            (self.inflight_tokens as u128 * remaining.min(service) / service) as u64
-        } else {
-            0
+        let inflight = match &self.kind {
+            Kind::Group(g) if self.t_free > at => {
+                let remaining = self.t_free.saturating_since(at).as_nanos() as u128;
+                let service = self
+                    .t_free
+                    .saturating_since(g.inflight_at)
+                    .as_nanos()
+                    .max(1) as u128;
+                let inflight: u64 = g.inflight.iter().map(|(r, _)| tokens(r)).sum();
+                (inflight as u128 * remaining.min(service) / service) as u64
+            }
+            Kind::Group(_) => 0,
+            Kind::Step(m) => m.inflight_tokens(),
         };
-        self.queued_tokens + inflight
+        self.queues.tokens + inflight
     }
 
-    /// Padded shape (max prompt, max gen) of the current queue; `(1, 1)`
-    /// when empty.
+    /// Padded shape (max prompt, max gen) of every queued request; `(1, 1)`
+    /// when none is queued.
     pub(crate) fn queue_shape(&self) -> (u32, u32) {
-        self.queue
-            .iter()
-            .fold((1, 1), |(p, g), r| (p.max(r.prompt_len), g.max(r.gen_len)))
+        padded_shape(self.queues.chat.iter().chain(&self.queues.batch))
     }
 
     pub(crate) fn enqueue(&mut self, r: Request) {
-        self.queued_tokens += u64::from(r.prompt_len) + u64::from(r.gen_len);
-        self.queue.push_back(r);
+        self.queues.push(r);
     }
 
-    /// The earliest instant at which this replica would cut a group, given
-    /// the requests routed to it so far — `None` while the policy is
-    /// waiting on arrivals that have not happened yet. An end-of-stream
-    /// flush is never backdated before `last_arrival`, the instant the
-    /// stream was known to be drained.
-    pub(crate) fn next_form_time(
+    /// The earliest instant at which this replica acts, given the requests
+    /// routed to it so far — `None` while it waits on arrivals that have
+    /// not happened yet. A group replica cuts its next group under the
+    /// admission policy, and an end-of-stream flush is never backdated
+    /// before `last_arrival`, the instant the stream was known to be
+    /// drained. A step replica acts as [`SlotMachine::next_action_time`]
+    /// says.
+    pub(crate) fn next_action_time(
         &self,
         cfg: &ServeConfig,
         eos: bool,
         last_arrival: SimTime,
     ) -> Option<SimTime> {
-        let front = self.queue.front()?;
+        if let Kind::Step(m) = &self.kind {
+            return m.next_action_time(self.t_free, &self.queues);
+        }
+        let queue = &self.queues.chat;
+        let front = queue.front()?;
         let bs = cfg.batch_size as usize;
         // The instant the queue first held `n` full batches (the requests
         // only leave at formation, so it is the n·bs-th arrival).
-        let full_at = |n: u32| self.queue.get(n as usize * bs - 1).map(|r| r.arrival);
+        let full_at = |n: u32| queue.get(n as usize * bs - 1).map(|r| r.arrival);
         let ready_at = if eos {
             Some(front.arrival.max(last_arrival))
         } else {
@@ -541,44 +554,179 @@ impl Replica {
         ready_at.map(|t| t.max(self.t_free))
     }
 
-    /// Cuts a group at `t_form`, runs it through the engine, and records
-    /// outcomes; returns the completions so closed-loop clients can issue
-    /// their next requests.
-    pub(crate) fn run_group(
+    /// Takes the action due at `t` — a batch group or one scheduling step
+    /// — and records its outcomes and groups; the engine is busy for the
+    /// action's duration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError`] if the engine rejects a group's scenario.
+    pub(crate) fn act(
         &mut self,
-        t_form: SimTime,
+        t: SimTime,
         eos: bool,
         ctx: &EngineCtx<'_>,
         outcomes: &mut Vec<RequestOutcome>,
         groups: &mut Vec<GroupRecord>,
-    ) -> Result<Vec<Completion>, EngineError> {
+    ) -> Result<(), EngineError> {
+        let (pct, queues) = (self.slowdown_pct, &mut self.queues);
+        let d = match &mut self.kind {
+            Kind::Group(g) => g.run_group(t, eos, pct, queues, ctx, outcomes, groups)?,
+            Kind::Step(m) => m.act(t, pct, queues, &ctx.cost, outcomes, groups),
+        };
+        self.t_free = t + d;
+        self.busy += d;
+        Ok(())
+    }
+
+    /// Sets the injected straggler multiplier (percent; 100 = healthy).
+    /// Applies to work *started* while the multiplier is in force.
+    pub(crate) fn set_slowdown(&mut self, pct: u32) {
+        assert!(pct >= 100, "slowdown below 100% would speed the engine up");
+        self.slowdown_pct = pct;
+    }
+
+    /// The engine dies at `at`, losing every queued request and every
+    /// unfinished in-flight one, which must be re-served from scratch.
+    /// On a group replica, the in-flight requests whose own last token had
+    /// not landed by `at` are lost with the group's KV state; those whose
+    /// token landed stay served. A step replica loses as
+    /// [`SlotMachine::crash`] says. Busy time is cut at the crash instant.
+    /// The replica retires at `at` and must not be routed to again.
+    pub(crate) fn crash(&mut self, at: SimTime) -> CrashLoss {
+        let (inflight, wasted) = match &mut self.kind {
+            Kind::Group(g) => (
+                g.inflight
+                    .iter()
+                    .filter(|&&(_, finished)| finished > at)
+                    .map(|&(r, _)| r)
+                    .collect(),
+                if self.t_free > at {
+                    at.saturating_since(g.inflight_at)
+                } else {
+                    SimDuration::ZERO
+                },
+            ),
+            Kind::Step(m) => m.crash(at),
+        };
+        self.busy = self.busy.saturating_sub(self.t_free.saturating_since(at));
+        self.t_free = at;
+        self.retired = Some(at);
+        CrashLoss {
+            inflight,
+            queued: self.take_queued_where(&mut |_| true),
+            wasted,
+        }
+    }
+
+    /// Removes every queued request matching `pred`, chat class first
+    /// (queue order kept for the rest) — the hedged-redispatch extraction
+    /// path.
+    pub(crate) fn take_queued_where(
+        &mut self,
+        pred: &mut dyn FnMut(&Request) -> bool,
+    ) -> Vec<Request> {
+        let mut taken = Vec::new();
+        for queue in [&mut self.queues.chat, &mut self.queues.batch] {
+            queue.retain(|r| {
+                let take = pred(r);
+                if take {
+                    taken.push(*r);
+                }
+                !take
+            });
+        }
+        self.queues.tokens -= taken.iter().map(tokens).sum::<u64>();
+        taken
+    }
+}
+
+/// The requests routed to a replica and not yet admitted: one FIFO per
+/// priority class, and their tokens, the queued part of the backlog. A
+/// group replica's classes are uniform, so `chat` is its one admission
+/// queue.
+pub(crate) struct Queues {
+    classes: ClassAssign,
+    pub(crate) chat: VecDeque<Request>,
+    pub(crate) batch: VecDeque<Request>,
+    tokens: u64,
+}
+
+impl Queues {
+    fn push(&mut self, r: Request) {
+        self.tokens += tokens(&r);
+        match self.classes.class_of(r.id) {
+            RequestClass::Chat => self.chat.push_back(r),
+            RequestClass::Batch => self.batch.push_back(r),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.chat.len() + self.batch.len()
+    }
+
+    /// Takes up to `max` requests off the front of `class`'s queue for
+    /// admission.
+    pub(crate) fn admit(&mut self, class: RequestClass, max: usize) -> Vec<Request> {
+        let queue = match class {
+            RequestClass::Chat => &mut self.chat,
+            RequestClass::Batch => &mut self.batch,
+        };
+        let taken: Vec<Request> = queue.drain(..max.min(queue.len())).collect();
+        self.tokens -= taken.iter().map(tokens).sum::<u64>();
+        taken
+    }
+}
+
+/// The group kind of [`Replica`]: its scenario seeds and the group on its
+/// engine.
+struct GroupRunner {
+    id: u32,
+    /// Per-replica scenario-seed base (replica 0 preserves the
+    /// single-engine seed stream exactly).
+    seed: u64,
+    /// Dispatch instant of the group on the engine, which runs until the
+    /// replica's `t_free`.
+    inflight_at: SimTime,
+    /// Requests of the group on the engine with their own finish instants
+    /// — what a crash loses.
+    inflight: Vec<(Request, SimTime)>,
+    local_groups: u64,
+}
+
+impl GroupRunner {
+    /// Cuts a group off `queues.chat` at `t_form`, runs it through the
+    /// engine at `pct`% of nominal speed, and records its outcomes; returns
+    /// its service time.
+    #[allow(clippy::too_many_arguments)] // an action's inputs, the replica's queues and slowdown
+    fn run_group(
+        &mut self,
+        t_form: SimTime,
+        eos: bool,
+        pct: u32,
+        queues: &mut Queues,
+        ctx: &EngineCtx<'_>,
+        outcomes: &mut Vec<RequestOutcome>,
+        groups: &mut Vec<GroupRecord>,
+    ) -> Result<SimDuration, EngineError> {
         let cfg = ctx.cfg;
-        let front = self.queue.front().expect("formation needs a queue");
+        let queue = &queues.chat;
+        let front = queue.front().expect("formation needs a queue");
         let wait = t_form.saturating_since(front.arrival);
         // Padded shape of the group actually being cut: only the front of
         // the queue (up to the policy's cap) is dispatchable, so requests
         // beyond it must not inflate the estimate.
         let horizon = (cfg.policy.max_batches() as usize) * cfg.batch_size as usize;
-        let (prompt, gen) = self
-            .queue
-            .iter()
-            .take(horizon)
-            .fold((1, 1), |(p, g), r| (p.max(r.prompt_len), g.max(r.gen_len)));
+        let (prompt, gen) = padded_shape(queue.iter().take(horizon));
         let estimate = |n: u32| estimate_group_service(&ctx.cost, cfg.batch_size, n, prompt, gen);
-        let (count, trigger) =
-            cfg.policy
-                .take(self.queue.len(), wait, eos, cfg.batch_size, &estimate);
+        let (count, trigger) = cfg
+            .policy
+            .take(queue.len(), wait, eos, cfg.batch_size, &estimate);
         // A ragged drain beyond one batch cannot be represented by the
         // padded workload shape; defer the tail to a trailing partial
         // group instead of silently dropping it from the engine's work.
         let count = clamp_drain(count, cfg.batch_size as usize);
-        let batch: Vec<Request> = self.queue.drain(..count).collect();
-        let batch_tokens: u64 = batch
-            .iter()
-            .map(|r| u64::from(r.prompt_len) + u64::from(r.gen_len))
-            .sum();
-        self.queued_tokens -= batch_tokens;
-        self.inflight_tokens = batch_tokens;
+        let batch = queues.admit(RequestClass::Chat, count);
         let wl = group_workload(&batch, cfg.batch_size);
         let seed = self.seed.wrapping_add(3 * self.local_groups);
         let scenario = Scenario::generate(ctx.spec.clone(), ctx.hw.clone(), wl, seed);
@@ -598,7 +746,6 @@ impl Replica {
         // An injected straggler runs every span of the group at the
         // multiplier; 100% bypasses the scaling entirely so healthy
         // replicas keep the exact pre-fault arithmetic (golden-pinned).
-        let pct = self.slowdown_pct;
         let (service, prefill) = (scale_pct(service, pct), scale_pct(prefill, pct));
         let first_token = t_form + prefill;
         let group_end = t_form + service;
@@ -607,7 +754,6 @@ impl Replica {
         // (gen_len == padded) are pinned to the exact engine-free instant
         // rather than drifting early by the accumulated remainder.
         let padded_gen = wl.gen_len;
-        let mut done = Vec::with_capacity(batch.len());
         let mut latest = SimTime::ZERO;
         self.inflight.clear();
         for r in &batch {
@@ -630,10 +776,6 @@ impl Replica {
                 failed: oom,
                 retry: RetryOutcome::FirstTry,
             });
-            done.push(Completion {
-                finished,
-                failed: oom,
-            });
             self.inflight.push((*r, finished));
         }
         assert!(
@@ -652,73 +794,9 @@ impl Replica {
             prefill_time: prefill,
             oom,
         });
-        self.t_free = group_end;
-        self.inflight_service = service;
         self.inflight_at = t_form;
         self.local_groups += 1;
-        self.busy += service;
-        Ok(done)
-    }
-
-    /// Sets the injected straggler multiplier (percent; 100 = healthy).
-    /// Applies to groups *dispatched* while the multiplier is in force.
-    pub(crate) fn set_slowdown(&mut self, pct: u32) {
-        assert!(pct >= 100, "slowdown below 100% would speed the engine up");
-        self.slowdown_pct = pct;
-    }
-
-    /// The engine dies at `at`. Every queued request and every in-flight
-    /// request whose own last token had not landed by `at` is lost — the
-    /// group's KV state and any partially generated tokens are gone, so
-    /// lost requests must be re-served from scratch. Requests whose last
-    /// token landed at or before `at` stay served. Busy time is cut at the
-    /// crash instant. The replica retires at `at` and must not be routed
-    /// to again.
-    pub(crate) fn crash(&mut self, at: SimTime) -> CrashLoss {
-        let mut inflight = Vec::new();
-        let mut wasted = SimDuration::ZERO;
-        if self.t_free > at {
-            wasted = at.saturating_since(self.inflight_at);
-            self.busy = self.busy.saturating_sub(self.t_free.saturating_since(at));
-            inflight = self
-                .inflight
-                .iter()
-                .filter(|&&(_, finished)| finished > at)
-                .map(|&(r, _)| r)
-                .collect();
-        }
-        let queued: Vec<Request> = self.queue.drain(..).collect();
-        self.queued_tokens = 0;
-        self.inflight.clear();
-        self.inflight_tokens = 0;
-        self.inflight_service = SimDuration::ZERO;
-        self.t_free = at;
-        self.retired = Some(at);
-        CrashLoss {
-            inflight,
-            queued,
-            wasted,
-        }
-    }
-
-    /// Removes every queued request matching `pred` (queue order kept for
-    /// the rest) — the hedged-redispatch extraction path.
-    pub(crate) fn take_queued_where(
-        &mut self,
-        pred: &mut dyn FnMut(&Request) -> bool,
-    ) -> Vec<Request> {
-        let mut taken = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.queue.len());
-        for r in self.queue.drain(..) {
-            if pred(&r) {
-                self.queued_tokens -= u64::from(r.prompt_len) + u64::from(r.gen_len);
-                taken.push(r);
-            } else {
-                kept.push_back(r);
-            }
-        }
-        self.queue = kept;
-        taken
+        Ok(service)
     }
 }
 
@@ -726,18 +804,28 @@ impl Replica {
 pub(crate) struct CrashLoss {
     /// In-flight requests whose last token had not landed at the crash.
     pub(crate) inflight: Vec<Request>,
-    /// Requests still waiting in the admission queue.
+    /// Requests still waiting in the admission queues.
     pub(crate) queued: Vec<Request>,
-    /// Engine-busy time the killed group burned before the crash — work
+    /// Engine-busy time the killed work burned before the crash — work
     /// that produced nothing deliverable.
     pub(crate) wasted: SimDuration,
+}
+
+/// Prompt plus requested output tokens of `r`: what it adds to a backlog.
+fn tokens(r: &Request) -> u64 {
+    u64::from(r.prompt_len) + u64::from(r.gen_len)
+}
+
+/// Padded shape (max prompt, max gen) of `requests`; `(1, 1)` when empty.
+pub(crate) fn padded_shape<'r>(requests: impl Iterator<Item = &'r Request>) -> (u32, u32) {
+    requests.fold((1, 1), |(p, g), r| (p.max(r.prompt_len), g.max(r.gen_len)))
 }
 
 /// Scales a duration by an integer percentage (exact in nanoseconds,
 /// truncating). `pct == 100` is the identity by construction — the scaled
 /// value never re-rounds, so healthy replicas are byte-identical to the
 /// pre-fault arithmetic.
-fn scale_pct(d: SimDuration, pct: u32) -> SimDuration {
+pub(crate) fn scale_pct(d: SimDuration, pct: u32) -> SimDuration {
     if pct == 100 {
         return d;
     }
@@ -756,34 +844,41 @@ pub(crate) fn clamp_drain(count: usize, batch_size: usize) -> usize {
     }
 }
 
+/// The padded shape `(batch_size, num_batches)` of `m` co-resident
+/// sequences — one ragged batch below `batch_size`, whole batches (the
+/// last one padded) beyond it. Run-to-completion groups and refill waves
+/// both record this shape, and the slot machine prices steps at it.
+pub(crate) fn batch_shape(m: usize, batch_size: u32) -> (u32, u32) {
+    let m = m as u32;
+    if m <= batch_size {
+        (m.max(1), 1)
+    } else {
+        (batch_size, m.div_ceil(batch_size))
+    }
+}
+
 /// Pads a drained batch into one engine workload: whole batches of
 /// `batch_size` when possible, otherwise a single ragged batch.
 ///
 /// # Panics
 ///
 /// Panics on a ragged multi-batch drain (`count > batch_size` and not a
-/// whole number of batches): the padded shape cannot represent it, and
-/// truncating `count / batch_size` would silently drop the remainder
-/// requests from the engine's work while still emitting outcomes for them.
+/// whole number of batches): padding it would hand the engine sequences
+/// that no request asked for.
 fn group_workload(batch: &[Request], batch_size: u32) -> Workload {
-    let count = batch.len() as u32;
-    let prompt = batch.iter().map(|r| r.prompt_len).max().expect("non-empty");
-    let gen = batch.iter().map(|r| r.gen_len).max().expect("non-empty");
-    if count < batch_size {
-        Workload::new(count, 1, prompt, gen)
-    } else {
-        assert_eq!(
-            count % batch_size,
-            0,
-            "drains beyond one batch must be whole batches"
-        );
-        Workload::new(batch_size, count / batch_size, prompt, gen)
-    }
+    let (bs, n) = batch_shape(batch.len(), batch_size);
+    assert_eq!(
+        u64::from(bs) * u64::from(n),
+        batch.len() as u64,
+        "drains beyond one batch must be whole batches"
+    );
+    let (prompt, gen) = padded_shape(batch.iter());
+    Workload::new(bs, n, prompt, gen)
 }
 
-/// The request stream feeding the fleet loop and the continuous slot
-/// machine: pre-generated open-loop arrivals plus the closed-loop state
-/// that issues follow-up requests as completions happen.
+/// The request stream feeding the fleet loop: pre-generated open-loop
+/// arrivals plus the closed-loop state that issues follow-up requests as
+/// completions happen.
 ///
 /// Built on the simulator's [`EventQueue`], whose FIFO-among-ties rule is
 /// the one ordering definition the whole tree uses. Same-instant arrivals
